@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from . import asymptotics as asym
 from . import matern as mt
@@ -80,6 +81,16 @@ def _record_row(kind: str, d: int) -> dict:
     }
 
 
+def _row_or_error(fetch, d: int) -> dict:
+    """fetch()'s row; a bad argument (ValueError) aborts, other failures become error rows."""
+    try:
+        return fetch()
+    except ValueError:
+        raise
+    except Exception as exc:
+        return {"d": d, "error": str(exc)}
+
+
 def cmd_table(args) -> tuple[str, int]:
     dims = _parse_dims(args.dims)
     floor = 2 if args.model == "gap" else 1
@@ -87,23 +98,17 @@ def cmd_table(args) -> tuple[str, int]:
         if d < floor:
             raise ValueError(f"d={d} is below the supported range for the {args.model} model")
 
-    rows: list[dict] = [None] * len(dims)
     if args.threads > 1 and len(dims) > 1:
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            futures = {pool.submit(_record_row, args.model, d): i for i, d in enumerate(dims)}
-            for fut, i in futures.items():
-                try:
-                    rows[i] = fut.result()
-                except Exception as exc:
-                    rows[i] = {"d": dims[i], "error": str(exc)}
-    else:
-        for i, d in enumerate(dims):
+            futures = [pool.submit(_record_row, args.model, d) for d in dims]
             try:
-                rows[i] = _record_row(args.model, d)
+                rows = [_row_or_error(fut.result, d) for fut, d in zip(futures, dims)]
             except ValueError:
+                # abort like the sequential path instead of finishing queued dims
+                pool.shutdown(cancel_futures=True)
                 raise
-            except Exception as exc:
-                rows[i] = {"d": d, "error": str(exc)}
+    else:
+        rows = [_row_or_error(partial(_record_row, args.model, d), d) for d in dims]
 
     failed = any("error" in r for r in rows)
     if args.format == "json":

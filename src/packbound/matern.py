@@ -53,6 +53,10 @@ class MaternConfig:
     def __post_init__(self):
         if self.d not in (1, 2, 3):
             raise ValueError(f"d must be 1, 2 or 3, got {self.d}")
+        if not (math.isfinite(self.L) and math.isfinite(self.T)):
+            raise ValueError(
+                f"box length and time horizon must be finite, got L={self.L}, T={self.T}"
+            )
         if self.L < 6.0:
             raise ValueError(f"box length must be at least 6 diameters, got {self.L}")
         if self.T <= 0.0:

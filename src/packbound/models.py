@@ -16,10 +16,9 @@ also accepts a tabulated g2.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -50,6 +49,9 @@ __all__ = [
 ]
 
 KINDS = ("step", "delta", "gap")
+
+#: largest curve grid make_curve accepts
+MAX_CURVE_SAMPLES = 2**20
 
 
 @dataclass(frozen=True)
@@ -311,9 +313,14 @@ def make_curve(
     n: int = 2048,
     refine: bool = True,
 ) -> StructureFactorCurve:
-    """Sample the closed-form S on a uniform grid, densified around local minima."""
-    if n < 16:
-        raise ValueError("need at least 16 samples")
+    """Sample the closed-form S on a uniform grid, densified around local minima.
+
+    The grid has n points, 16 <= n <= MAX_CURVE_SAMPLES (2^20). A larger n
+    raises ValueError up front instead of attempting allocations of that
+    length that can exhaust memory.
+    """
+    if not 16 <= n <= MAX_CURVE_SAMPLES:
+        raise ValueError(f"need 16 <= samples <= {MAX_CURVE_SAMPLES}, got {n}")
     if k_max is None:
         k_max = default_k_max(density.d)
     k = np.linspace(0.0, k_max, n)

@@ -11,8 +11,8 @@ and L the normalized Bessel kernel. The k -> 0 limit of u/m is the
 quadratic-coefficient cap (d+2)/((d+2) - d sigma^2); interior infima are
 tangency points located as zeros of the derivative numerator
 N = u' m - u m'. The outer maximization of phi(sigma) = t(sigma)/(2 sigma)^d
-runs a coarse scan, golden-section refinement, and a final Brent polish on
-the envelope derivative d(log t)/d(sigma) - d/sigma.
+scans nine step edges on [1, 1 + 4/d], then runs Brent between the best
+one's neighbours on the envelope derivative d(log t)/d(sigma) - d/sigma.
 
 All density bookkeeping is done on log(phi): at d = 200 the optimum is
 5.7e-44 with t = 5e17, and naive products would lose it.
@@ -54,6 +54,9 @@ TABLE_DIMS = (3, 4, 5, 6, 7, 8, 24, 36, 56, 60, 64, 80, 100, 125, 150, 175, 200)
 
 #: densest known lattice/packing densities quoted for comparison
 DENSEST_KNOWN = {56: 2.327670e-11, 60: 2.966747e-13, 64: 1.326615e-12}
+
+#: step edges scanned on [1, 1 + 4/d] to bracket the gap optimum
+_SIGMA_SCAN_POINTS = 9
 
 
 @dataclass(frozen=True)
@@ -197,6 +200,18 @@ def find_minima(d: int, phi: float, sigma: float, Z: float, k_max: float):
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _sigma_free_kernels(d: int):
+    """k grid of gap_feasible_t and L_{nu-1}(k) on it, as read-only arrays."""
+    k_hi = _search_k_max(d)
+    n = max(3000, int(k_hi * 64.0 / math.pi))
+    kk = np.linspace(1e-9, k_hi, n)
+    arrays = (kk, bessel_lambda(0.5 * d - 1.0, kk))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def gap_feasible_t(d: int, sigma: float):
     """Largest t with S(k) = u - t m >= 0 everywhere, and its binding k.
 
@@ -208,20 +223,9 @@ def gap_feasible_t(d: int, sigma: float):
     t_quad = math.inf
     if d * sigma * sigma < d + 2.0:
         t_quad = (d + 2.0) / ((d + 2.0) - d * sigma * sigma)
-    k_hi = _search_k_max(d)
-    n = max(3000, int(k_hi * 64.0 / math.pi))
-    kk = np.linspace(1e-9, k_hi, n)
-
-    lam_nm1_k = bessel_lambda(nu - 1.0, kk)
-    lam_n_ks = bessel_lambda(nu, kk * sigma)
-    lam_n_k = bessel_lambda(nu, kk)
-    lam_np1_ks = bessel_lambda(nu + 1.0, kk * sigma)
-
+    kk, lam_nm1_k = _sigma_free_kernels(d)
     u = 1.0 - lam_nm1_k
-    m = lam_n_ks - lam_nm1_k
-    up = kk * lam_n_k / (2.0 * nu)
-    mp = -kk * sigma**2 * lam_np1_ks / (2.0 * (nu + 1.0)) + kk * lam_n_k / (2.0 * nu)
-    N = up * m - u * mp
+    m = bessel_lambda(nu, kk * sigma) - lam_nm1_k
 
     def u_of(k):
         return 1.0 - bessel_lambda(nu - 1.0, k)
@@ -230,11 +234,13 @@ def gap_feasible_t(d: int, sigma: float):
         return bessel_lambda(nu, k * sigma) - bessel_lambda(nu - 1.0, k)
 
     def N_of(k):
-        lm = m_of(k)
-        lu = u_of(k)
-        lup = k * bessel_lambda(nu, k) / (2.0 * nu)
+        lam_nm1 = bessel_lambda(nu - 1.0, k)
+        lam_n = bessel_lambda(nu, k)
+        lm = bessel_lambda(nu, k * sigma) - lam_nm1
+        lu = 1.0 - lam_nm1
+        lup = k * lam_n / (2.0 * nu)
         lmp = -k * sigma**2 * bessel_lambda(nu + 1.0, k * sigma) / (2.0 * (nu + 1.0)) + (
-            k * bessel_lambda(nu, k) / (2.0 * nu)
+            k * lam_n / (2.0 * nu)
         )
         return lup * lm - lu * lmp
 
@@ -304,8 +310,10 @@ def _envelope_derivative(d: int, sigma: float) -> float:
 
 @functools.lru_cache(maxsize=None)
 def terminal_gap(d: int) -> TerminalDensityRecord:
-    """Numeric gap-model optimum: scan, golden section, then derivative polish.
+    """Numeric gap-model optimum: coarse sigma scan, then Brent on the envelope derivative.
 
+    The scan brackets the best of _SIGMA_SCAN_POINTS step edges by its two
+    neighbours; the optimum is the root of the envelope derivative there.
     Pure function of d; memoized since the table emitters and the test suite
     ask for the same dimensions repeatedly.
     """
@@ -313,8 +321,7 @@ def terminal_gap(d: int) -> TerminalDensityRecord:
         raise ValueError(f"gap optimizer supports integer 2 <= d <= 300, got {d}")
     d = int(d)
 
-    lo, hi = 1.0 + 1e-9, 1.0 + 4.0 / d
-    sig_grid = np.linspace(lo, hi, 120)
+    sig_grid = np.linspace(1.0 + 1e-9, 1.0 + 4.0 / d, _SIGMA_SCAN_POINTS)
     vals = [_log_phi_at(d, s)[0] for s in sig_grid]
     i_best = int(np.argmax(vals))
     if not math.isfinite(vals[i_best]):
@@ -322,41 +329,13 @@ def terminal_gap(d: int) -> TerminalDensityRecord:
 
     a = sig_grid[max(i_best - 1, 0)]
     b = sig_grid[min(i_best + 1, len(sig_grid) - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = _log_phi_at(d, x1)[0]
-    f2 = _log_phi_at(d, x2)[0]
-    while b - a > 1e-8:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = _log_phi_at(d, x2)[0]
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = _log_phi_at(d, x1)[0]
-    sigma_star = 0.5 * (a + b)
-
-    # polish: root of the envelope derivative, bracket grown around the
-    # golden-section point; keep the golden result if no bracket materializes
-    h = 5e-7
-    g_mid = _envelope_derivative(d, sigma_star)
-    bracket = None
-    while h <= 1e-3:
-        s_lo, s_hi = max(lo, sigma_star - h), min(hi, sigma_star + h)
-        g_lo = _envelope_derivative(d, s_lo)
-        g_hi = _envelope_derivative(d, s_hi)
-        if g_lo * g_hi < 0.0:
-            bracket = (s_lo, s_hi)
-            break
-        h *= 4.0
-    if bracket is not None:
-        sigma_star = brentq(
-            lambda s: _envelope_derivative(d, s), *bracket, xtol=1e-12, maxiter=200
+    g_a, g_b = _envelope_derivative(d, a), _envelope_derivative(d, b)
+    if not g_a > 0.0 > g_b:
+        raise RuntimeError(
+            f"envelope derivative does not change sign around the best scanned step edge "
+            f"at d={d}: g({a:.6f}) = {g_a:.3e}, g({b:.6f}) = {g_b:.3e}"
         )
-    else:
-        log.info("envelope-derivative polish found no bracket at d=%d (g=%.2e)", d, g_mid)
+    sigma_star = brentq(lambda s: _envelope_derivative(d, s), a, b, xtol=1e-12, maxiter=200)
 
     log_phi, t_star, k_bind = _log_phi_at(d, sigma_star)
     phi_star = math.exp(log_phi)

@@ -93,10 +93,16 @@ def bessel_lambda(mu: float, x):
 
     Orders down to -1/2 are allowed (the d=1 contact term needs mu = -1/2,
     where this kernel degenerates to cos x).
+
+    A float argument (the root finders pass one per call) runs the same
+    operations on plain floats, bitwise equal to the array route but without
+    its per-call array overhead.
     """
     mu = float(mu)
     if not math.isfinite(mu) or mu < -0.5 or mu > _NU_MAX:
         raise ValueError(f"kernel order out of supported range [-0.5, {_NU_MAX:g}]: {mu}")
+    if isinstance(x, float):
+        return _bessel_lambda_scalar(mu, x)
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)) or np.any(xa < 0.0):
         raise ValueError("bessel_lambda argument must be finite and nonnegative")
@@ -124,6 +130,24 @@ def bessel_lambda(mu: float, x):
         out[~small] = np.sign(j) * np.exp(mag)
 
     return float(out[0]) if scalar else out
+
+
+def _bessel_lambda_scalar(mu: float, x: float) -> float:
+    """bessel_lambda for one float x, operation for operation as the array route."""
+    if not math.isfinite(x) or x < 0.0:
+        raise ValueError("bessel_lambda argument must be finite and nonnegative")
+    if x <= 2.0 * math.sqrt(mu + 1.0):
+        q = 0.25 * x * x
+        term = acc = 1.0
+        for n in range(1, 80):
+            term = term * (-q) / (n * (n + mu))
+            acc += term
+            if abs(term) <= 1e-17 * abs(acc):
+                break
+        return float(acc)
+    j = jv(mu, x)
+    mag = mu * LN2 + gammaln(mu + 1.0) + np.log(np.abs(j) + 1e-320) - mu * np.log(x)
+    return float(np.sign(j) * np.exp(mag))
 
 
 def first_zero(nu: float) -> float:

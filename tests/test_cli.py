@@ -171,3 +171,37 @@ def test_sk_gap_curve_hyperuniform(capsys):
     assert float(first[1]) == pytest.approx(0.0, abs=1e-7)
     values = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert min(values) >= -1e-7
+
+def test_threads_match_sequential_on_bad_dimension(capsys):
+    code1 = main(["table", "--dims", "2,301", "--model", "gap"])
+    seq = capsys.readouterr()
+    code2 = main(["table", "--dims", "2,301", "--model", "gap", "--threads", "2"])
+    par = capsys.readouterr()
+    assert code1 == code2 == 2
+    assert seq.out == par.out == ""
+    assert seq.err == par.err
+    assert "301" in seq.err
+
+
+@pytest.mark.parametrize(
+    "L, T", [("20", "nan"), ("20", "inf"), ("nan", "1"), ("inf", "1")]
+)
+def test_matern_nonfinite_rejected_before_simulation(capsys, monkeypatch, L, T):
+    import packbound.cli as cli
+
+    def never(config):
+        raise AssertionError("simulation started")
+
+    monkeypatch.setattr(cli.mt, "simulate", never)
+    assert main(["matern", "--d", "2", "--L", L, "--T", T]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: box length and time horizon must be finite")
+
+
+def test_sk_huge_sample_count_rejected(capsys):
+    argv = ["sk", "--model", "gap", "--d", "3", "--phi", "0.5", "--samples", "100000000000000"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: need 16 <= samples <= ")

@@ -73,6 +73,10 @@ def test_config_validation():
         dict(good, kappa=2),
         dict(good, bins=10),
         dict(good, seed=-1),
+        dict(good, L=math.nan),
+        dict(good, L=math.inf),
+        dict(good, T=math.nan),
+        dict(good, T=math.inf),
     ):
         with pytest.raises(ValueError):
             MaternConfig(**bad)

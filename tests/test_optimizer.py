@@ -26,6 +26,28 @@ SIGMA_PINS = {
     200: 1.0085095231,
 }
 
+# full-precision (sigma*, phi*, Z*, k_min) at every tabulated d; a change to
+# the search or the kernels must reproduce them to 1e-10 relative
+FULL_PRECISION_PINS = {
+    3: (1.2469966707850375, 0.5758254126839258, 7.932575518341107, 4.0159930266205945),
+    4: (1.2125900064425152, 0.4252472735710529, 13.710162124393765, 4.6641204677323165),
+    5: (1.1869280905744108, 0.30483227973073107, 21.97909780280775, 5.297073873486433),
+    6: (1.1669995191511748, 0.21364447777154866, 33.537882553298374, 5.918227883609116),
+    7: (1.1510459243999402, 0.1471059282678758, 49.40675088485216, 6.529901442201153),
+    8: (1.1379678402658608, 0.09985085534879165, 70.88390557713292, 7.133762956663115),
+    24: (1.0589923493012847, 8.245250969758534e-05, 5473.588950532181, 16.271158915237148),
+    36: (1.0416101757355236, 2.5662999909336107e-07, 76519.00138995856, 22.838077967834778),
+    56: (1.0280359653949969, 1.253255534720611e-11, 4248000.5460014, 33.56383601059235),
+    60: (1.0263301855283686, 1.6741315874946277e-12, 9179423.656708311, 35.68828592497935),
+    64: (1.0248226467977266, 2.2214145927075301e-13, 19681899.80433338, 37.80758180329978),
+    80: (1.0202113255626986, 6.521679336628135e-17, 390814191.70682406, 46.242311068888675),
+    100: (1.0164186588998703, 2.288485570206267e-21, 14784636311.555693, 56.71345389091811),
+    125: (1.0133109421723647, 5.610270199668246e-27, 1246162801594.1665, 69.72364284677519),
+    150: (1.0111991204433286, 1.2756628986159414e-32, 96769333899765.44, 82.6714611972676),
+    175: (1.0096693511851107, 2.745831180425931e-38, 7083997589551747.0, 95.57313441891765),
+    200: (1.0085095230955499, 5.667099393635463e-44, 4.9586181107405414e17, 108.43902393683985),
+}
+
 
 def test_step_closed_form():
     for d in range(1, 65):
@@ -89,6 +111,30 @@ def test_ratio_identity(table_records):
 def test_sigma_regression_pins(table_records):
     for d, sig in SIGMA_PINS.items():
         assert table_records[d].sigma_star == pytest.approx(sig, rel=1e-6)
+
+
+@pytest.mark.parametrize("d", TABLE_DIMS)
+def test_gap_optimum_full_precision_pins(d, table_records):
+    rec = table_records[d]
+    got = (rec.sigma_star, rec.phi_star, rec.Z_star, rec.k_min)
+    for name, value, pin in zip(("sigma*", "phi*", "Z*", "k_min"), got, FULL_PRECISION_PINS[d]):
+        assert value == pytest.approx(pin, rel=1e-10), f"{name} at d={d}"
+
+
+def test_gap_search_requires_sign_change(monkeypatch):
+    import packbound.optimizer as opt
+
+    monkeypatch.setattr(opt, "_envelope_derivative", lambda d, s: 1.0)
+    with pytest.raises(RuntimeError, match="does not change sign"):
+        opt.terminal_gap.__wrapped__(5)
+
+
+def test_sigma_free_kernels_read_only():
+    from packbound.optimizer import _sigma_free_kernels
+
+    for a in _sigma_free_kernels(5):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_d2_quoted_optimum():

@@ -163,6 +163,26 @@ def test_bessel_lambda_vectorized():
     assert np.all(np.abs(v) <= 1.0 + 1e-12)
 
 
+@pytest.mark.parametrize("mu", [-0.5, 0.5, 1.0, 12.0, 49.0, 50.0, 51.0, 99.0, 100.0, 101.0, 150.0])
+def test_bessel_lambda_scalar_matches_array_bitwise(mu):
+    split = 2.0 * math.sqrt(mu + 1.0)
+    xs = [0.0, 1e-9, np.nextafter(split, 0.0), split, np.nextafter(split, np.inf)]
+    xs += list(np.linspace(0.0, 3.0 * split + 20.0, 401))
+    for x in xs:
+        via_array = bessel_lambda(mu, np.array([x]))[0]
+        for scalar in (float(x), np.float64(x)):
+            got = bessel_lambda(mu, scalar)
+            assert type(got) is float
+            assert got == via_array, (mu, x)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1e-300, -2.0])
+def test_bessel_lambda_scalar_domain_errors(x):
+    for arg in (x, np.float64(x), np.array([x])):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            bessel_lambda(2.0, arg)
+
+
 def test_sphere_volume_surface():
     assert sphere_volume(1, 0.5) == pytest.approx(1.0, rel=1e-14)
     assert sphere_volume(3, 1.0) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-14)
