@@ -171,13 +171,8 @@ def cmd_asymptotics(args) -> tuple[str, int]:
 
 def _yamada_model(args) -> tuple[RadialModel, PackingDensity]:
     d = args.d
-    if args.model == "step":
-        sigma, Z, phi = 1.0, 0.0, 2.0**-d
-    elif args.model == "delta":
-        sigma, Z, phi = 1.0, d / 2.0, (d + 2.0) / 2.0 ** (d + 1)
-    else:
-        rec = terminal_gap(d)
-        sigma, Z, phi = rec.sigma_star, rec.Z_star, rec.phi_star
+    rec = terminal_record(args.model, d)
+    sigma, Z, phi = rec.sigma_star, rec.Z_star, rec.phi_star
     if args.phi is not None:
         if not 0.0 < args.phi < 1.0:
             raise ValueError(f"phi must lie in (0, 1), got {args.phi}")
@@ -285,8 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--out", default=None, help="write output to a file instead of stdout")
-    common.add_argument("--threads", type=int, default=1)
-    common.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(prog="packbound", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -294,6 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", parents=[common], help="terminal-density table per dimension")
     p.add_argument("--dims", required=True, help='comma list or span, e.g. "3,4,5" or "3..8"')
     p.add_argument("--model", choices=("step", "delta", "gap"), default="gap")
+    p.add_argument("--threads", type=int, default=1, help="worker processes across dimensions")
     p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("sk", parents=[common], help="structure-factor curve for one model")
@@ -327,6 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--kappa", type=int, choices=(0, 1), default=1)
     p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--centers-out", default=None, help="also dump accepted centers as CSV")
     p.set_defaults(handler=cmd_matern)
 

@@ -10,6 +10,21 @@ term handled analytically since quadrature cannot resolve a Dirac mass. For
 2R <= sigma the integral covers the whole overlap support, I = R^d exactly,
 and the variance collapses to x(1-x) with x = 2^d phi R^d.
 
+Beyond that, I(R) = (2R)^d J(X) with X = sigma/(2R) and
+J(X) = int_0^X d x^(d-1) alpha2(x) dx. Integrating by parts with
+alpha2'(x) = -c(d) (1-x^2)^((d-1)/2) and a = (d+1)/2 gives the closed form
+
+    J(X) = X^d alpha2(X) + (c(d)/2) B(a, a) I_{X^2}(a, a),
+
+used as written for X >= 1/2. Below 1/2, X^d underflows at large d, so X^d
+is factored out and the incomplete beta becomes a series of positive terms,
+each at most half the one before:
+
+    J(X) = X^d [alpha2(X) + c(d)/(d+1) X (1-X^2)^a sum_k (2a)_k/(a+1)_k X^(2k)].
+
+Both forms run over a whole array of radii at once. (Adaptive quadrature of
+the defining integral survives only as the oracle in the tests.)
+
 The Yamada condition sigma^2 >= theta(1-theta), theta the fractional part of
 the expected count rho v1(R), only binds for windows larger than
 R0 = phi^(-1/d)/2 (below R0 the exact x(1-x) form saturates it). The checker
@@ -20,13 +35,12 @@ expected count is half-integer (theta = 1/2).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import betainc, betaln
 
-from .geometry import alpha2
+from .geometry import _cd, alpha2
 from .models import PackingDensity, RadialModel
 
 __all__ = [
@@ -41,6 +55,10 @@ __all__ = [
 # beyond this the spacing of doubles exceeds 1, the fractional part of the
 # expected count is unresolvable, and the bound is capped at its maximum
 _COUNT_RESOLUTION = 2.0**53
+
+# the J(X) series for X < 1/2: each term is at most half the one before, so
+# its tail after this many terms is below 2^-60 of the sum
+_J_SERIES_TERMS = 60
 
 
 @dataclass(frozen=True)
@@ -67,37 +85,77 @@ def _log_expected_count(d: int, phi: float, R: float) -> float:
     return d * math.log(2.0 * R) + math.log(phi)
 
 
-def number_variance(model: RadialModel, density: PackingDensity, R: float) -> float:
-    """Variance of the particle count in a window of radius R."""
-    if R <= 0.0:
-        raise ValueError(f"window radius must be positive, got {R}")
+def _expected_counts(d: int, phi: float, rr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log rho v1(R) and rho v1(R) (inf past e^700) for each radius.
+
+    These stay on libm, one radius at a time: the fractional part of a large
+    count turns the 1-ulp differences of numpy's SIMD exp/log into visible
+    changes of theta(1 - theta).
+    """
+    log_count = np.array([_log_expected_count(d, phi, r) for r in rr])
+    count = np.array([math.exp(v) if v < 700.0 else math.inf for v in log_count])
+    return log_count, count
+
+
+def _log_j(d: int, X: np.ndarray) -> np.ndarray:
+    """log J(X) for 0 < X < 1, J(X) = int_0^X d x^(d-1) alpha2(x) dx."""
+    a = 0.5 * (d + 1)
+    cd = _cd(d)
+    out = np.empty_like(X)
+    hi = X >= 0.5
+    if np.any(hi):
+        x = X[hi]
+        # alpha2(d, x, 0.5) is alpha2 at r/2R = x
+        J = x**d * alpha2(d, x, 0.5) + 0.5 * cd * math.exp(betaln(a, a)) * betainc(a, a, x * x)
+        out[hi] = np.log(J)
+    lo = ~hi
+    if np.any(lo):
+        x = X[lo]
+        y = x * x
+        term = np.ones_like(x)
+        total = np.ones_like(x)
+        for k in range(_J_SERIES_TERMS):
+            term *= (2.0 * a + k) / (a + 1.0 + k) * y
+            total += term
+        tail = cd / (d + 1.0) * x * (1.0 - y) ** a * total
+        out[lo] = d * np.log(x) + np.log(alpha2(d, x, 0.5) + tail)
+    return out
+
+
+def number_variance(model: RadialModel, density: PackingDensity, R):
+    """Variance of the particle count in a window of radius R.
+
+    Scalar or ndarray in R, like ``alpha2``; a scalar R gives a float.
+    """
+    Ra = np.asarray(R, dtype=float)
+    ok = (Ra > 0.0) & (Ra < math.inf)
+    if not np.all(ok):
+        raise ValueError(f"window radius must be positive and finite, got {Ra[~ok][0]}")
     d, phi = density.d, density.phi
     if phi == 0.0:
-        return 0.0
+        return 0.0 if Ra.ndim == 0 else np.zeros_like(Ra)
+    rr = Ra.reshape(-1)
     sigma, Z = model.sigma, model.Z
-    log_count = _log_expected_count(d, phi, R)
+    log_count, count = _expected_counts(d, phi, rr)
 
-    if 2.0 * R <= sigma:
-        # overlap support fully inside the core: the integral is R^d exactly,
-        # and expm1 keeps the bracket accurate when the count approaches 1
-        bracket = -math.expm1(log_count)
-    else:
-        u_hi = math.exp(d * math.log(min(sigma, 2.0 * R)))
-        integral, err = quad(
-            lambda u: alpha2(d, u ** (1.0 / d), R), 0.0, u_hi, epsabs=0.0, epsrel=1e-9, limit=200
-        )
-        if err > 1e-7 * abs(integral):
-            warnings.warn(
-                f"variance quadrature error {err:.2e} at R={R:.4g} exceeds its tolerance",
-                RuntimeWarning,
-            )
-        bracket = -math.expm1(d * math.log(2.0) + math.log(phi) + math.log(integral))
+    two_r = 2.0 * rr
+    inside = two_r <= sigma
+    bracket = np.empty_like(rr)
+    # overlap support fully inside the core: the integral is R^d exactly,
+    # and expm1 keeps the bracket accurate when the count approaches 1
+    bracket[inside] = -np.expm1(log_count[inside])
+    beyond = ~inside
+    if np.any(beyond):
+        log_integral = d * np.log(two_r[beyond]) + _log_j(d, sigma / two_r[beyond])
+        bracket[beyond] = -np.expm1(d * math.log(2.0) + math.log(phi) + log_integral)
     if Z > 0.0:
-        bracket += Z * alpha2(d, 1.0, R)
-    count = math.exp(log_count) if log_count < 700.0 else math.inf
-    if math.isinf(count) and bracket <= 0.0:
-        raise OverflowError(f"expected count overflows at d={d}, R={R}")
-    return count * bracket
+        # alpha2(1; R) with r/2R = 1/(2R)
+        bracket += Z * alpha2(d, 0.5 / rr, 0.5)
+    overflow = np.isinf(count) & (bracket <= 0.0)
+    if np.any(overflow):
+        raise OverflowError(f"expected count overflows at d={d}, R={rr[overflow][0]}")
+    out = (count * bracket).reshape(Ra.shape)
+    return float(out) if Ra.ndim == 0 else out
 
 
 def variance_lower_bound(d: int, phi: float, R: float) -> float:
@@ -110,18 +168,21 @@ def variance_lower_bound(d: int, phi: float, R: float) -> float:
     return x * (1.0 - x)
 
 
-def fractional_count_bound(expected_count: float) -> float:
+def fractional_count_bound(expected_count):
     """theta(1-theta) for theta the fractional part of the expected count.
 
     Counts at or beyond the integer resolution of doubles get the worst-case
     1/4, which keeps the check conservative instead of silently passing.
+    Scalar or ndarray; a scalar count gives a float.
     """
-    if expected_count < 0.0:
+    c = np.asarray(expected_count, dtype=float)
+    if np.any(c < 0.0):
         raise ValueError("expected count must be nonnegative")
-    if not math.isfinite(expected_count) or expected_count >= _COUNT_RESOLUTION:
-        return 0.25
-    theta = expected_count - math.floor(expected_count)
-    return theta * (1.0 - theta)
+    resolved = np.isfinite(c) & (c < _COUNT_RESOLUTION)
+    cr = np.where(resolved, c, 0.0)
+    theta = cr - np.floor(cr)
+    out = np.where(resolved, theta * (1.0 - theta), 0.25)
+    return float(out) if c.ndim == 0 else out
 
 
 def _r_grid(d: int, phi: float, R0: float, R_max: float, n_grid: int) -> np.ndarray:
@@ -147,16 +208,14 @@ def yamada_check(
     """Test sigma^2(R) >= theta(1-theta) on (R0, R_max]; collect violating R."""
     d, phi = density.d, density.phi
     R0 = 0.5 * math.exp(-math.log(phi) / d)
-    if R_max <= R0:
-        raise ValueError(f"R_max={R_max} must exceed R0={R0:.6g}")
+    if not R0 < R_max < math.inf:
+        raise ValueError(f"R_max={R_max} must be finite and exceed R0={R0:.6g}")
     if n_grid < 2:
         raise ValueError("need at least two grid points")
     rr = _r_grid(d, phi, R0, R_max, n_grid)
-    sigma2 = np.array([number_variance(model, density, r) for r in rr])
-    bounds = np.array(
-        [fractional_count_bound(math.exp(_log_expected_count(d, phi, r))) for r in rr]
-    )
-    violations = [float(r) for r, s, b in zip(rr, sigma2, bounds) if s < b - 1e-10]
+    sigma2 = number_variance(model, density, rr)
+    bounds = fractional_count_bound(_expected_counts(d, phi, rr)[1])
+    violations = [float(r) for r in rr[sigma2 < bounds - 1e-10]]
     return VarianceCheck(R=rr, sigma2=sigma2, yamada_bound=bounds, R0=R0, violations=violations)
 
 

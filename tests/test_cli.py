@@ -64,6 +64,23 @@ def test_exit_codes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["yamada", "--model", "step", "--d", "3", "--threads", "2"],
+        ["sk", "--model", "step", "--d", "3", "--phi", "0.1", "--seed", "1"],
+        ["table", "--dims", "3", "--model", "step", "--seed", "1"],
+        ["matern", "--d", "1", "--L", "20", "--T", "1", "--threads", "2"],
+    ],
+)
+def test_options_only_where_used(capsys, argv):
+    # --threads belongs to table and --seed to matern; elsewhere argparse rejects them
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
 def test_table_error_rows_annotated(capsys, monkeypatch):
     import packbound.cli as cli
 

@@ -1,11 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
+from packbound.geometry import alpha2
 from packbound.models import PackingDensity, RadialModel
 from packbound.optimizer import terminal_delta, terminal_gap
 from packbound.variance import (
@@ -29,6 +32,113 @@ def _delta_model(d):
 
 
 STEP = RadialModel(kind="step", sigma=1.0, Z=0.0)
+
+
+def _quad_variance(model, density, R):
+    """Oracle: sigma^2(R) with I(R) by adaptive quadrature.
+
+    I(R) = int_0^m d r^(d-1) alpha2(r; R) dr, m = min(sigma, 2R), taken as
+    m^d times an integral over s = r/m in [0, 1]. (Integrating over u = r^d
+    instead loses the peak of the integrand near u = 0 at d >= 100 and
+    2R just above sigma: quad reports roundoff and misses by 7 decades.)
+    """
+    d, phi, sigma = density.d, density.phi, model.sigma
+    log_count = d * math.log(2.0 * R) + math.log(phi)
+    if 2.0 * R <= sigma:
+        bracket = -math.expm1(log_count)
+    else:
+        m = min(sigma, 2.0 * R)
+        integral, err = quad(
+            lambda s: d * s ** (d - 1) * alpha2(d, m * s, R),
+            0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200,
+        )
+        assert err <= 1e-8 * integral, f"oracle quadrature error {err:.2e} at d={d}, R={R}"
+        log_integral = d * math.log(m) + math.log(integral)
+        bracket = -math.expm1(d * math.log(2.0) + math.log(phi) + log_integral)
+    bracket += model.Z * alpha2(d, 1.0, R)
+    return math.exp(log_count) * bracket
+
+
+def _odd_variance_terms(model, density, R):
+    """Oracle at odd d in rational arithmetic: (sigma^2, sum of |bracket terms| * count).
+
+    With m = (d-1)/2, alpha2(x) = c int_x^1 (1-t^2)^m dt is a polynomial and
+    c = 1 / int_0^1 (1-t^2)^m dt, so J(X) = int_0^X d x^(d-1) alpha2(x) dx is
+    exact term by term.
+    """
+    d = density.d
+    m = (d - 1) // 2
+    coef = [Fraction(math.comb(m, j) * (-1) ** j, 2 * j + 1) for j in range(m + 1)]
+    c = 1 / sum(coef)
+
+    def alpha2_exact(x):
+        if x >= 1:
+            return Fraction(0)
+        return c * sum(a * (1 - x ** (2 * j + 1)) for j, a in enumerate(coef))
+
+    R, phi, Z = Fraction(R), Fraction(density.phi), Fraction(model.Z)
+    X = min(Fraction(model.sigma), 2 * R) / (2 * R)
+    J = c * sum(
+        a * (X**d - Fraction(d, d + 2 * j + 1) * X ** (d + 2 * j + 1)) for j, a in enumerate(coef)
+    )
+    count = phi * (2 * R) ** d
+    integral_term = 2**d * phi * (2 * R) ** d * J
+    contact = Z * alpha2_exact(1 / (2 * R))
+    terms = count * (1 + integral_term + contact)
+    return float(count * (1 - integral_term + contact)), float(terms)
+
+
+def _oracle_cases(d):
+    """Step and delta at their terminal points, and one fixed gap model."""
+    sigma = 1.0 + 1.0 / d
+    delta = RadialModel(kind="delta", sigma=1.0, Z=d / 2.0)
+    gap = RadialModel(kind="gap", sigma=sigma, Z=0.5)
+    return [
+        (STEP, PackingDensity(d, 2.0**-d)),
+        (delta, PackingDensity(d, (d + 2.0) / 2.0 ** (d + 1))),
+        (gap, PackingDensity(d, 0.5 * (2.0 * sigma) ** -d)),
+    ]
+
+
+def _oracle_radii(sigma):
+    # 2R < sigma, 2R = sigma, 2R just above sigma, X = 1/2 -+ 1e-12 (the
+    # seam between the series and the incomplete-beta forms), and R = 10
+    return [
+        0.4 * sigma,
+        0.5 * sigma,
+        0.5 * sigma * (1.0 + 1e-9),
+        sigma / (1.0 - 2e-12),
+        sigma / (1.0 + 2e-12),
+        10.0,
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 24, 100, 200, 300])
+def test_number_variance_closed_form_matches_oracles(d):
+    for model, dens in _oracle_cases(d):
+        radii = _oracle_radii(model.sigma)
+        got = number_variance(model, dens, np.array(radii))
+        for R, s2 in zip(radii, got):
+            oracle = _quad_variance(model, dens, R)
+            assert_allclose(s2, oracle, rtol=1e-9, err_msg=f"{model.kind} d={d} R={R}")
+            if d % 2:
+                exact, terms = _odd_variance_terms(model, dens, R)
+                assert abs(s2 - exact) <= 1e-12 * terms, f"{model.kind} d={d} R={R}: {s2} vs {exact}"
+            # the array route is the scalar route, element by element
+            assert number_variance(model, dens, R) == s2
+
+
+def test_number_variance_scalar_and_array_inputs():
+    dens = PackingDensity(3, 0.125)
+    assert type(number_variance(STEP, dens, 2.0)) is float
+    assert type(number_variance(STEP, dens, np.float64(0.3))) is float
+    assert type(number_variance(STEP, PackingDensity(3, 0.0), 2.0)) is float
+    assert number_variance(STEP, dens, np.array([0.3, 2.0])).shape == (2,)
+    for bad in ([0.5, 0.0, 2.0], [1.0, -2.0], [1.0, math.nan], [1.0, math.inf]):
+        with pytest.raises(ValueError):
+            number_variance(STEP, dens, np.array(bad))
+    with pytest.raises(ValueError):
+        number_variance(STEP, dens, math.inf)
 
 
 @settings(max_examples=60, deadline=None)
@@ -188,6 +298,9 @@ def test_domain_errors():
         variance_lower_bound(3, 0.1, -1.0)
     with pytest.raises(ValueError):
         yamada_check(STEP, PackingDensity(3, 0.125), 0.5)  # R_max below R0 = 1
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            yamada_check(STEP, PackingDensity(3, 0.125), bad)
     with pytest.raises(ValueError):
         yamada_check(STEP, PackingDensity(3, 0.125), 10.0, n_grid=1)
 
