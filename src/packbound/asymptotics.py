@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass
 from scipy.optimize import brentq
 from scipy.special import ai_zeros, gammaln
 
+from .models import log_amplitude
 from .specialfn import A1, A2, A3, bessel_j, first_zero
 
 __all__ = [
@@ -323,7 +324,7 @@ def kissing_asymptotic(d, form="compact") -> float:
         raise ValueError(f"unknown form {form!r}")
     sigma = sigma_star_asymptotic(d)
     phi = phi_star_asymptotic(d, form="full")
-    return math.exp(d * math.log(2.0 * sigma) + math.log(phi)) - 1.0
+    return math.exp(log_amplitude(d, phi, sigma)) - 1.0
 
 
 def build_report(d, include_numeric=True) -> dict:

@@ -2,8 +2,10 @@
 
 Output contract: floats are printed as 7-significant-digit scientific notation
 in both formats (JSON numbers are rounded before serialization), so identical
-invocations produce byte-identical streams. Exit codes: 0 success, 2 bad
-usage or parameter validation, 3 numerical failure during computation.
+invocations produce byte-identical streams. This module is the only place
+that turns results into text: the library returns numbers, and every CSV and
+JSON byte comes from ``_csv`` and ``_dump`` below. Exit codes: 0 success, 2
+bad usage or parameter validation, 3 numerical failure during computation.
 """
 
 from __future__ import annotations
@@ -15,41 +17,57 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
+import numpy as np
+
 from . import asymptotics as asym
 from . import matern as mt
-from .models import PackingDensity, RadialModel, curve_to_csv, make_curve
+from .models import PackingDensity, RadialModel, make_curve
 from .optimizer import classical_bounds, terminal_gap, terminal_record
-from .variance import variance_to_csv, yamada_check
+from .variance import yamada_check
 
-TABLE_HEADER = "d,sigma_star,Z_star,phi_star,ratio,k_min"
-CLASSICAL_HEADER = "d,minkowski,ball,greedy,blichfeldt,rogers,kl,densest_known,phi_star"
+TABLE_COLUMNS = ("d", "sigma_star", "Z_star", "phi_star", "ratio", "k_min")
+CLASSICAL_COLUMNS = (
+    "d", "minkowski", "ball", "greedy", "blichfeldt", "rogers", "kl", "densest_known", "phi_star"
+)
 
 
 def _fmt(v: float) -> str:
     return f"{v:.6e}"
 
 
-def _jnum(v):
-    """Round for JSON emission; NaN becomes null so the stream stays valid."""
-    if v is None or (isinstance(v, float) and math.isnan(v)):
-        return None
-    if isinstance(v, bool) or isinstance(v, int):
-        return v
-    return float(f"{v:.6e}")
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return _fmt(v)
+    return str(v)
+
+
+def _csv(header, rows, meta=()) -> str:
+    """'# key,value' lines for meta, the header, then one line of cells per row."""
+    lines = [f"# {key},{_cell(val)}" for key, val in meta]
+    lines.append(",".join(header))
+    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _jwalk(obj):
+    """Floats rounded as _fmt prints them; NaN becomes null so the stream stays valid."""
     if isinstance(obj, dict):
         return {k: _jwalk(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_jwalk(v) for v in obj]
     if isinstance(obj, float):
-        return _jnum(obj)
+        return None if math.isnan(obj) else float(_fmt(obj))
     return obj
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _dump(obj: dict) -> str:
+    return json.dumps(_jwalk(obj), indent=2) + "\n"
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -71,14 +89,7 @@ def _parse_dims(text: str) -> list[int]:
 
 def _record_row(kind: str, d: int) -> dict:
     rec = terminal_record(kind, d)
-    return {
-        "d": d,
-        "sigma_star": rec.sigma_star,
-        "Z_star": rec.Z_star,
-        "phi_star": rec.phi_star,
-        "ratio": rec.ratio,
-        "k_min": rec.k_min,
-    }
+    return {c: getattr(rec, c) for c in TABLE_COLUMNS}
 
 
 def _row_or_error(fetch, d: int) -> dict:
@@ -110,22 +121,16 @@ def cmd_table(args) -> tuple[str, int]:
     else:
         rows = [_row_or_error(partial(_record_row, args.model, d), d) for d in dims]
 
-    failed = any("error" in r for r in rows)
+    code = 3 if any("error" in r for r in rows) else 0
     if args.format == "json":
-        text = _dump({"command": "table", "model": args.model, "rows": _jwalk(rows)})
-    else:
-        lines = [TABLE_HEADER]
-        for r in rows:
-            if "error" in r:
-                lines.append(f"{r['d']},nan,nan,nan,nan,nan")
-                lines.append(f"# error d={r['d']}: {r['error']}")
-            else:
-                lines.append(
-                    f"{r['d']},{_fmt(r['sigma_star'])},{_fmt(r['Z_star'])},"
-                    f"{_fmt(r['phi_star'])},{_fmt(r['ratio'])},{_fmt(r['k_min'])}"
-                )
-        text = "\n".join(lines) + "\n"
-    return text, 3 if failed else 0
+        return _dump({"command": "table", "model": args.model, "rows": rows}), code
+    body = []
+    for r in rows:
+        body.append([r.get(c, math.nan) for c in TABLE_COLUMNS])
+        if "error" in r:
+            # the note follows its nan row as a one-cell row
+            body.append([f"# error d={r['d']}: {r['error']}"])
+    return _csv(TABLE_COLUMNS, body), code
 
 
 def cmd_sk(args) -> tuple[str, int]:
@@ -137,36 +142,34 @@ def cmd_sk(args) -> tuple[str, int]:
             "command": "sk",
             "model": model.kind,
             "d": density.d,
-            "phi": _jnum(density.phi),
-            "sigma": _jnum(model.sigma),
-            "Z": _jnum(model.Z),
-            "S0": _jnum(curve.S0),
-            "points": [[_jnum(float(k)), _jnum(float(s))] for k, s in zip(curve.k, curve.S)],
+            "phi": density.phi,
+            "sigma": model.sigma,
+            "Z": model.Z,
+            "S0": curve.S0,
+            "points": np.column_stack((curve.k, curve.S)),
         }
         return _dump(obj), 0
-    return curve_to_csv(curve), 0
+    return _csv(("k", "S"), zip(curve.k, curve.S)), 0
+
+
+def _flatten(prefix: str, report: dict):
+    """(dotted name, value) pairs of a nested report; numbers as floats, NaN as None."""
+    for key, val in report.items():
+        name = f"{prefix}.{key}" if prefix else key
+        if isinstance(val, dict):
+            yield from _flatten(name, val)
+        elif isinstance(val, (int, float)):
+            # ints such as d print like every other value here: 2.000000e+02
+            yield name, None if math.isnan(val) else float(val)
+        else:
+            yield name, val
 
 
 def cmd_asymptotics(args) -> tuple[str, int]:
     report = asym.build_report(args.d, include_numeric=not args.skip_numeric)
     if args.format == "json":
-        return _dump({"command": "asymptotics", "d": args.d, "report": _jwalk(report)}), 0
-    lines = ["quantity,value"]
-
-    def walk(prefix, obj):
-        for key, val in obj.items():
-            name = f"{prefix}.{key}" if prefix else key
-            if isinstance(val, dict):
-                walk(name, val)
-            elif val is None or (isinstance(val, float) and math.isnan(val)):
-                lines.append(f"{name},")
-            elif isinstance(val, (int, float)):
-                lines.append(f"{name},{_fmt(val)}")
-            else:
-                lines.append(f"{name},{val}")
-
-    walk("", report)
-    return "\n".join(lines) + "\n", 0
+        return _dump({"command": "asymptotics", "d": args.d, "report": report}), 0
+    return _csv(("quantity", "value"), _flatten("", report)), 0
 
 
 def _yamada_model(args) -> tuple[RadialModel, PackingDensity]:
@@ -192,17 +195,21 @@ def cmd_yamada(args) -> tuple[str, int]:
             "command": "yamada",
             "model": model.kind,
             "d": density.d,
-            "phi": _jnum(density.phi),
-            "sigma": _jnum(model.sigma),
-            "Z": _jnum(model.Z),
-            "R0": _jnum(check.R0),
-            "violations": [_jnum(v) for v in check.violations],
-            "R": [_jnum(float(v)) for v in check.R],
-            "sigma2": [_jnum(float(v)) for v in check.sigma2],
-            "yamada_bound": [_jnum(float(v)) for v in check.yamada_bound],
+            "phi": density.phi,
+            "sigma": model.sigma,
+            "Z": model.Z,
+            "R0": check.R0,
+            "violations": check.violations,
+            "R": check.R,
+            "sigma2": check.sigma2,
+            "yamada_bound": check.yamada_bound,
         }
         return _dump(obj), 0
-    return variance_to_csv(check), 0
+    vio = set(check.violations)
+    rows = (
+        (r, s, b, float(r) in vio) for r, s, b in zip(check.R, check.sigma2, check.yamada_bound)
+    )
+    return _csv(("R", "sigma2", "yamada_bound", "violated"), rows), 0
 
 
 def cmd_matern(args) -> tuple[str, int]:
@@ -211,37 +218,42 @@ def cmd_matern(args) -> tuple[str, int]:
     )
     result = mt.simulate(config)
     if args.centers_out:
+        header = [f"x{i + 1}" for i in range(config.d)]
+        # centers keep 10 significant digits, not the 7 of every other number
+        rows = ([f"{c:.9e}" for c in row] for row in result.accepted_centers)
         with open(args.centers_out, "w") as fh:
-            fh.write(mt.centers_to_csv(result))
+            fh.write(_csv(header, rows))
+    n_accepted = len(result.accepted_centers)
     if args.format == "json":
         obj = {
             "command": "matern",
             "d": config.d,
-            "L": _jnum(config.L),
-            "T": _jnum(config.T),
+            "L": config.L,
+            "T": config.T,
             "kappa": config.kappa,
             "seed": config.seed,
             "bins": config.bins,
-            "phi_hat": _jnum(result.phi_hat),
-            "phi_analytic": _jnum(result.phi_analytic),
+            "phi_hat": result.phi_hat,
+            "phi_analytic": result.phi_analytic,
             "ghost_count": result.ghost_count,
-            "n_accepted": len(result.accepted_centers),
-            "r": [_jnum(float(v)) for v in result.bin_centers],
-            "g2_hat": [_jnum(float(v)) for v in result.g2_hat],
-            "stderr": [_jnum(float(v)) for v in result.g2_stderr],
-            "g2_analytic": [_jnum(float(v)) for v in result.g2_analytic],
+            "n_accepted": n_accepted,
+            "r": result.bin_centers,
+            "g2_hat": result.g2_hat,
+            "stderr": result.g2_stderr,
+            "g2_analytic": result.g2_analytic,
         }
         return _dump(obj), 0
-    meta = [
-        f"# d,{config.d}",
-        f"# kappa,{config.kappa}",
-        f"# seed,{config.seed}",
-        f"# phi_hat,{_fmt(result.phi_hat)}",
-        f"# phi_analytic,{_fmt(result.phi_analytic)}",
-        f"# ghost_count,{result.ghost_count}",
-        f"# n_accepted,{len(result.accepted_centers)}",
-    ]
-    return "\n".join(meta) + "\n" + mt.hist_to_csv(result), 0
+    meta = (
+        ("d", config.d),
+        ("kappa", config.kappa),
+        ("seed", config.seed),
+        ("phi_hat", result.phi_hat),
+        ("phi_analytic", result.phi_analytic),
+        ("ghost_count", result.ghost_count),
+        ("n_accepted", n_accepted),
+    )
+    hist = zip(result.bin_centers, result.g2_hat, result.g2_stderr, result.g2_analytic)
+    return _csv(("r", "g2_hat", "stderr", "g2_analytic"), hist, meta), 0
 
 
 def cmd_classical(args) -> tuple[str, int]:
@@ -264,16 +276,8 @@ def cmd_classical(args) -> tuple[str, int]:
             }
         )
     if args.format == "json":
-        return _dump({"command": "classical", "rows": _jwalk(rows)}), 0
-    lines = [CLASSICAL_HEADER]
-    for r in rows:
-        cells = [str(r["d"])]
-        for key in ("minkowski", "ball", "greedy", "blichfeldt", "rogers", "kl"):
-            cells.append(_fmt(r[key]))
-        cells.append("" if r["densest_known"] is None else _fmt(r["densest_known"]))
-        cells.append("" if r["phi_star"] is None else _fmt(r["phi_star"]))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n", 0
+        return _dump({"command": "classical", "rows": rows}), 0
+    return _csv(CLASSICAL_COLUMNS, ([r[c] for c in CLASSICAL_COLUMNS] for r in rows)), 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -34,15 +34,18 @@ __all__ = [
     "arrivals",
     "simulate",
     "decorrelation_profile",
-    "hist_to_csv",
-    "centers_to_csv",
 ]
 
 _RMAX = 3.0
 
+#: most pair-histogram bins MaternConfig accepts
+MAX_BINS = 2**16
+
 
 @dataclass(frozen=True)
 class MaternConfig:
+    """One simulator run. 50 <= bins <= MAX_BINS (2^16), checked before any allocation."""
+
     d: int
     L: float
     T: float
@@ -65,8 +68,8 @@ class MaternConfig:
             raise ValueError(f"kappa must be 0 or 1, got {self.kappa}")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in 64 bits")
-        if self.bins < 50:
-            raise ValueError(f"need at least 50 histogram bins, got {self.bins}")
+        if not 50 <= self.bins <= MAX_BINS:
+            raise ValueError(f"need 50 <= histogram bins <= {MAX_BINS}, got {self.bins}")
 
 
 @dataclass(frozen=True)
@@ -267,18 +270,3 @@ def decorrelation_profile(d_max: int) -> list[tuple[int, float]]:
     if not 1 <= d_max <= 300:
         raise ValueError(f"d_max must lie in [1, 300], got {d_max}")
     return [(d, g2_matern_limit(d, 1.0) - 1.0) for d in range(1, d_max + 1)]
-
-
-def hist_to_csv(result: MaternResult) -> str:
-    lines = ["r,g2_hat,stderr,g2_analytic"]
-    for r, g, e, a in zip(result.bin_centers, result.g2_hat, result.g2_stderr, result.g2_analytic):
-        lines.append(f"{r:.6e},{g:.6e},{e:.6e},{a:.6e}")
-    return "\n".join(lines) + "\n"
-
-
-def centers_to_csv(result: MaternResult) -> str:
-    d = result.config.d
-    lines = [",".join(f"x{i + 1}" for i in range(d))]
-    for row in result.accepted_centers:
-        lines.append(",".join(f"{c:.9e}" for c in row))
-    return "\n".join(lines) + "\n"

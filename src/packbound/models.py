@@ -36,6 +36,7 @@ __all__ = [
     "gap_model",
     "g2_eval",
     "hyperuniform_Z",
+    "log_amplitude",
     "maclaurin_coefficients",
     "structure_factor_step",
     "structure_factor_delta",
@@ -44,8 +45,6 @@ __all__ = [
     "structure_factor_numeric",
     "default_k_max",
     "make_curve",
-    "curve_to_csv",
-    "curve_to_json_obj",
 ]
 
 KINDS = ("step", "delta", "gap")
@@ -65,6 +64,11 @@ class RadialModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        # NaN slips through every comparison below, and inf through the bounds
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"step edge sigma must be finite, got {self.sigma}")
+        if not math.isfinite(self.Z):
+            raise ValueError(f"contact weight Z must be finite, got {self.Z}")
         if self.sigma < 1.0:
             raise ValueError(f"step edge sigma must be >= 1, got {self.sigma}")
         if self.Z < 0.0:
@@ -164,11 +168,19 @@ def g2_eval(model: RadialModel, density: PackingDensity, r: float):
     return cont, weight
 
 
+def log_amplitude(d: int, phi: float, sigma: float) -> float:
+    """log((2 sigma)^d phi) for phi > 0, the step amplitude.
+
+    With sigma = R it is the log expected count rho v1(R) in a window of radius R.
+    """
+    return d * math.log(2.0 * sigma) + math.log(phi)
+
+
 def _step_amplitude(d: int, phi: float, sigma: float = 1.0) -> float:
     """(2 sigma)^d phi, assembled in log space so d=300 cannot overflow en route."""
     if phi == 0.0:
         return 0.0
-    return math.exp(d * math.log(2.0 * sigma) + math.log(phi))
+    return math.exp(log_amplitude(d, phi, sigma))
 
 
 def hyperuniform_Z(d: int, phi: float, sigma: float) -> float:
@@ -336,22 +348,3 @@ def make_curve(
     if tail.size and np.max(np.abs(tail - 1.0)) > 0.05:
         warnings.warn("structure-factor tail has not settled to 1 on this grid", RuntimeWarning)
     return StructureFactorCurve(k=k, S=S, S0=S0, model=model, density=density)
-
-
-def curve_to_csv(curve: StructureFactorCurve, fmt: str = "%.6e") -> str:
-    lines = ["k,S"]
-    for ki, si in zip(curve.k, curve.S):
-        lines.append(f"{fmt % ki},{fmt % si}")
-    return "\n".join(lines) + "\n"
-
-
-def curve_to_json_obj(curve: StructureFactorCurve) -> dict:
-    return {
-        "model": curve.model.kind,
-        "d": curve.density.d,
-        "phi": curve.density.phi,
-        "sigma": curve.model.sigma,
-        "Z": curve.model.Z,
-        "S0": curve.S0,
-        "points": [[float(ki), float(si)] for ki, si in zip(curve.k, curve.S)],
-    }

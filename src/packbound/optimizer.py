@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import zeta
 
-from .models import structure_factor_gap
+from .models import log_amplitude, structure_factor_gap
 from .specialfn import bessel_lambda
 
 __all__ = [
@@ -151,10 +151,6 @@ def _search_k_max(d: int) -> float:
     return nu + 12.0 * max(nu, 1.0) ** (1.0 / 3.0) + 30.0
 
 
-def _log_amplitude(d: int, phi: float, sigma: float) -> float:
-    return d * math.log(2.0 * sigma) + math.log(phi)
-
-
 def find_minima(d: int, phi: float, sigma: float, Z: float, k_max: float):
     """Local minima of S on (0, k_max] as a list of (k, S(k)).
 
@@ -174,7 +170,7 @@ def find_minima(d: int, phi: float, sigma: float, Z: float, k_max: float):
     if phi == 0.0 and Z == 0.0:
         return []
     d = int(d)
-    t = 0.0 if phi == 0.0 else math.exp(_log_amplitude(d, phi, sigma))
+    t = 0.0 if phi == 0.0 else math.exp(log_amplitude(d, phi, sigma))
 
     def D(k):
         return t * sigma**2 * bessel_lambda(nu + 1.0, k * sigma) / (d + 2.0) - Z * bessel_lambda(
@@ -227,12 +223,6 @@ def gap_feasible_t(d: int, sigma: float):
     u = 1.0 - lam_nm1_k
     m = bessel_lambda(nu, kk * sigma) - lam_nm1_k
 
-    def u_of(k):
-        return 1.0 - bessel_lambda(nu - 1.0, k)
-
-    def m_of(k):
-        return bessel_lambda(nu, k * sigma) - bessel_lambda(nu - 1.0, k)
-
     def N_of(k):
         lam_nm1 = bessel_lambda(nu - 1.0, k)
         lam_n = bessel_lambda(nu, k)
@@ -256,10 +246,9 @@ def gap_feasible_t(d: int, sigma: float):
             loc = np.flatnonzero(
                 (ratio[1:-1] <= ratio[:-2]) & (ratio[1:-1] <= ratio[2:])
             ) + 1
+            # 1 <= j <= run.size - 2, so i - 1 and i + 1 stay inside the window
             for j in loc:
                 i = run[j]
-                if i <= 0 or i + 1 >= kk.size:
-                    continue
                 k_root = None
                 for a, b in ((kk[i - 1], kk[i]), (kk[i], kk[i + 1])):
                     na, nb = N_of(a), N_of(b)
@@ -267,20 +256,15 @@ def gap_feasible_t(d: int, sigma: float):
                         k_root = brentq(N_of, a, b, xtol=1e-12, maxiter=200)
                         break
                 if k_root is None:
-                    # flat stretch: fall back to ternary section on the ratio
-                    a, b = kk[max(i - 2, 0)], kk[min(i + 2, kk.size - 1)]
-                    for _ in range(200):
-                        m1 = a + (b - a) / 3.0
-                        m2 = b - (b - a) / 3.0
-                        if u_of(m1) / m_of(m1) < u_of(m2) / m_of(m2):
-                            b = m2
-                        else:
-                            a = m1
-                    k_root = 0.5 * (a + b)
-                mm = m_of(k_root)
+                    raise RuntimeError(
+                        f"tangency numerator does not change sign next to k={kk[i]:.6f} "
+                        f"at d={d}, sigma={sigma:.12g}"
+                    )
+                lam_nm1 = bessel_lambda(nu - 1.0, k_root)
+                mm = bessel_lambda(nu, k_root * sigma) - lam_nm1
                 if mm <= 0.0:
                     continue
-                t_cand = u_of(k_root) / mm
+                t_cand = (1.0 - lam_nm1) / mm
                 if 1.0 <= t_cand < best_t:
                     best_t, best_k = t_cand, k_root
     return best_t, best_k

@@ -41,7 +41,7 @@ import numpy as np
 from scipy.special import betainc, betaln
 
 from .geometry import _cd, alpha2
-from .models import PackingDensity, RadialModel
+from .models import PackingDensity, RadialModel, log_amplitude
 
 __all__ = [
     "VarianceCheck",
@@ -49,7 +49,6 @@ __all__ = [
     "variance_lower_bound",
     "fractional_count_bound",
     "yamada_check",
-    "variance_to_csv",
 ]
 
 # beyond this the spacing of doubles exceeds 1, the fractional part of the
@@ -80,11 +79,6 @@ class VarianceCheck:
             raise ValueError("violations must lie beyond R0")
 
 
-def _log_expected_count(d: int, phi: float, R: float) -> float:
-    # rho v1(R) = phi (2R)^d
-    return d * math.log(2.0 * R) + math.log(phi)
-
-
 def _expected_counts(d: int, phi: float, rr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log rho v1(R) and rho v1(R) (inf past e^700) for each radius.
 
@@ -92,7 +86,8 @@ def _expected_counts(d: int, phi: float, rr: np.ndarray) -> tuple[np.ndarray, np
     count turns the 1-ulp differences of numpy's SIMD exp/log into visible
     changes of theta(1 - theta).
     """
-    log_count = np.array([_log_expected_count(d, phi, r) for r in rr])
+    # rho v1(R) = phi (2R)^d
+    log_count = np.array([log_amplitude(d, phi, r) for r in rr])
     count = np.array([math.exp(v) if v < 700.0 else math.inf for v in log_count])
     return log_count, count
 
@@ -147,7 +142,7 @@ def number_variance(model: RadialModel, density: PackingDensity, R):
     beyond = ~inside
     if np.any(beyond):
         log_integral = d * np.log(two_r[beyond]) + _log_j(d, sigma / two_r[beyond])
-        bracket[beyond] = -np.expm1(d * math.log(2.0) + math.log(phi) + log_integral)
+        bracket[beyond] = -np.expm1(log_amplitude(d, phi, 1.0) + log_integral)
     if Z > 0.0:
         # alpha2(1; R) with r/2R = 1/(2R)
         bracket += Z * alpha2(d, 0.5 / rr, 0.5)
@@ -164,7 +159,7 @@ def variance_lower_bound(d: int, phi: float, R: float) -> float:
         raise ValueError(f"window radius must be positive, got {R}")
     if phi == 0.0:
         return 0.0
-    x = math.exp(_log_expected_count(d, phi, R))
+    x = math.exp(log_amplitude(d, phi, R))
     return x * (1.0 - x)
 
 
@@ -217,12 +212,3 @@ def yamada_check(
     bounds = fractional_count_bound(_expected_counts(d, phi, rr)[1])
     violations = [float(r) for r in rr[sigma2 < bounds - 1e-10]]
     return VarianceCheck(R=rr, sigma2=sigma2, yamada_bound=bounds, R0=R0, violations=violations)
-
-
-def variance_to_csv(check: VarianceCheck) -> str:
-    lines = ["R,sigma2,yamada_bound,violated"]
-    vio = set(check.violations)
-    for r, s, b in zip(check.R, check.sigma2, check.yamada_bound):
-        flag = "true" if float(r) in vio else "false"
-        lines.append(f"{r:.6e},{s:.6e},{b:.6e},{flag}")
-    return "\n".join(lines) + "\n"

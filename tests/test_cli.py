@@ -7,7 +7,10 @@ import jsonschema
 import pytest
 
 from packbound.cli import _parse_dims, main
-from packbound.optimizer import terminal_gap
+from packbound.matern import MAX_BINS
+from packbound.models import PackingDensity, delta_model, make_curve
+from packbound.optimizer import terminal_delta, terminal_gap
+from packbound.variance import yamada_check
 
 
 def run_main(capsys, argv):
@@ -222,3 +225,87 @@ def test_sk_huge_sample_count_rejected(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: need 16 <= samples <= ")
+
+
+def test_sk_csv_and_json_layout(capsys):
+    argv = ["sk", "--model", "delta", "--d", "3", "--phi", "0.3125", "--Z", "1.5",
+            "--kmax", "20", "--samples", "64"]
+    # the CLI refines its grid around minima, so the row count comes from make_curve
+    curve = make_curve(delta_model(1.5), PackingDensity(3, 5.0 / 16.0), k_max=20.0, n=64)
+    code, out = run_main(capsys, argv)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "k,S"
+    assert len(lines) == curve.k.size + 1
+    assert all(len(row.split(",")) == 2 for row in lines[1:])
+    code, out = run_main(capsys, argv + ["--format", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["command"] == "sk"
+    assert obj["model"] == "delta" and obj["d"] == 3
+    assert obj["Z"] == 1.5 and obj["sigma"] == 1.0
+    assert len(obj["points"]) == curve.k.size and len(obj["points"][0]) == 2
+
+
+def test_yamada_csv_violated_column(capsys):
+    rec = terminal_delta(1)
+    chk = yamada_check(
+        delta_model(rec.Z_star), PackingDensity(1, rec.phi_star), 5.0, n_grid=50
+    )
+    code, out = run_main(capsys, ["yamada", "--model", "delta", "--d", "1", "--Rmax", "5",
+                                  "--grid", "50"])
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0] == "R,sigma2,yamada_bound,violated"
+    assert len(lines) == len(chk.R) + 1
+    n_true = sum(1 for ln in lines[1:] if ln.endswith(",true"))
+    assert n_true == len(chk.violations)
+
+
+def test_matern_hist_and_centers_csv(capsys, tmp_path):
+    centers = tmp_path / "centers.csv"
+    code, out = run_main(capsys, ["matern", "--d", "2", "--L", "12", "--T", "5", "--kappa", "1",
+                                  "--seed", "2", "--centers-out", str(centers)])
+    assert code == 0
+    lines = out.strip().split("\n")
+    meta = dict(ln[2:].split(",") for ln in lines if ln.startswith("# "))
+    hist = [ln for ln in lines if not ln.startswith("#")]
+    assert hist[0] == "r,g2_hat,stderr,g2_analytic"
+    assert len(hist) == 50 + 1  # default --bins
+    cent = centers.read_text().strip().split("\n")
+    assert cent[0] == "x1,x2"
+    assert len(cent) == int(meta["n_accepted"]) + 1
+    row = [float(v) for v in cent[1].split(",")]
+    assert len(row) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["sk", "--model", "delta", "--d", "3", "--phi", "0.1", "--Z", "nan"], "Z"),
+        (["sk", "--model", "gap", "--d", "3", "--phi", "0.1", "--sigma", "inf"], "sigma"),
+        (["yamada", "--model", "gap", "--d", "3", "--sigma", "nan"], "sigma"),
+        (["yamada", "--model", "delta", "--d", "3", "--Z", "inf"], "Z"),
+        (["yamada", "--model", "delta", "--d", "3", "--Z", "nan"], "Z"),
+    ],
+)
+def test_nonfinite_model_parameters_rejected(capsys, argv, name):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert f"{name} must be finite" in captured.err
+
+
+def test_matern_bins_capped_before_simulation(capsys, monkeypatch):
+    import packbound.cli as cli
+
+    def never(config):
+        raise AssertionError("simulation started")
+
+    monkeypatch.setattr(cli.mt, "simulate", never)
+    for bins in (str(MAX_BINS + 1), "100000000000"):
+        assert main(["matern", "--d", "1", "--L", "20", "--T", "1", "--bins", bins]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: need 50 <= histogram bins <= {MAX_BINS}")

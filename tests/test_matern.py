@@ -8,16 +8,15 @@ from scipy.stats import chi2
 
 from packbound.geometry import alpha2
 from packbound.matern import (
+    MAX_BINS,
     MaternConfig,
     MaternResult,
     _ghost_accept,
     _rsa_accept,
     arrivals,
-    centers_to_csv,
     decorrelation_profile,
     g2_matern,
     g2_matern_limit,
-    hist_to_csv,
     phi_of_t,
     saturation_time,
     simulate,
@@ -66,12 +65,14 @@ def test_g2_limit():
 def test_config_validation():
     good = dict(d=2, L=30.0, T=5.0, kappa=1, seed=3, bins=50)
     MaternConfig(**good)
+    MaternConfig(**dict(good, bins=MAX_BINS))
     for bad in (
         dict(good, d=4),
         dict(good, L=2.0),
         dict(good, T=0.0),
         dict(good, kappa=2),
         dict(good, bins=10),
+        dict(good, bins=MAX_BINS + 1),
         dict(good, seed=-1),
         dict(good, L=math.nan),
         dict(good, L=math.inf),
@@ -196,15 +197,3 @@ def test_decorrelation_profile():
     assert all(a > b for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         decorrelation_profile(301)
-
-
-def test_csv_outputs():
-    res = simulate(MaternConfig(d=2, L=12.0, T=5.0, kappa=1, seed=2))
-    hist = hist_to_csv(res).strip().split("\n")
-    assert hist[0] == "r,g2_hat,stderr,g2_analytic"
-    assert len(hist) == res.config.bins + 1
-    cent = centers_to_csv(res).strip().split("\n")
-    assert cent[0] == "x1,x2"
-    assert len(cent) == len(res.accepted_centers) + 1
-    row = [float(v) for v in cent[1].split(",")]
-    assert len(row) == 2

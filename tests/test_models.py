@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,8 +7,6 @@ from packbound.models import (
     PackingDensity,
     RadialModel,
     TabulatedG2,
-    curve_to_csv,
-    curve_to_json_obj,
     delta_model,
     g2_eval,
     gap_model,
@@ -42,6 +39,17 @@ def test_model_validation():
         RadialModel("gap", sigma=1.2, Z=-1.0)
     with pytest.raises(ValueError):
         RadialModel("widget")
+    for kind, sigma, Z, name in (
+        ("gap", math.nan, 1.0, "sigma"),
+        ("gap", math.inf, 1.0, "sigma"),
+        ("gap", 1.2, math.nan, "Z"),
+        ("gap", 1.2, math.inf, "Z"),
+        ("delta", 1.0, math.nan, "Z"),
+        ("delta", 1.0, math.inf, "Z"),
+        ("step", math.nan, 0.0, "sigma"),
+    ):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RadialModel(kind, sigma=sigma, Z=Z)
     with pytest.raises(ValueError):
         PackingDensity(3, 1.5)
     with pytest.raises(ValueError):
@@ -224,21 +232,6 @@ def test_tabulated_tail_warning():
 def test_numeric_r_max_guard():
     with pytest.raises(ValueError):
         structure_factor_numeric(step_model(), PackingDensity(3, 0.1), 1.0, r_max=10.0)
-
-
-def test_curve_exports():
-    model, dens = delta_model(1.5), PackingDensity(3, 5.0 / 16.0)
-    curve = make_curve(model, dens, k_max=20.0, n=64, refine=False)
-    csv = curve_to_csv(curve)
-    lines = csv.strip().split("\n")
-    assert lines[0] == "k,S"
-    assert len(lines) == 65
-    assert all(len(row.split(",")) == 2 for row in lines[1:])
-    obj = curve_to_json_obj(curve)
-    assert obj["model"] == "delta" and obj["d"] == 3
-    assert obj["Z"] == 1.5 and obj["sigma"] == 1.0
-    assert len(obj["points"]) == 64 and len(obj["points"][0]) == 2
-    json.dumps(obj)  # round-trips
 
 
 def test_curve_refinement_and_tail():

@@ -129,6 +129,16 @@ def test_gap_search_requires_sign_change(monkeypatch):
         opt.terminal_gap.__wrapped__(5)
 
 
+def test_gap_tangency_requires_sign_change(monkeypatch):
+    import packbound.optimizer as opt
+
+    real = opt.bessel_lambda
+    # the grid arrays stay real; scalar calls read 0, so N is 0 at every cell end
+    monkeypatch.setattr(opt, "bessel_lambda", lambda mu, x: real(mu, x) if np.ndim(x) else 0.0)
+    with pytest.raises(RuntimeError, match="tangency numerator does not change sign"):
+        opt.gap_feasible_t(5, 1.2)
+
+
 def test_sigma_free_kernels_read_only():
     from packbound.optimizer import _sigma_free_kernels
 

@@ -16,7 +16,6 @@ from packbound.variance import (
     fractional_count_bound,
     number_variance,
     variance_lower_bound,
-    variance_to_csv,
     yamada_check,
 )
 
@@ -278,17 +277,6 @@ def test_grid_contains_half_count_radii():
     assert chk.R[-1] <= 10.0 + 1e-12
     # expected count 1.5 at R = 1.0 for phi = 3/4 in one dimension
     assert np.any(np.abs(chk.R - 1.0) < 1e-12)
-
-
-def test_csv_output():
-    model, dens = _delta_model(1)
-    chk = yamada_check(model, dens, 5.0, n_grid=50)
-    text = variance_to_csv(chk)
-    lines = text.strip().split("\n")
-    assert lines[0] == "R,sigma2,yamada_bound,violated"
-    assert len(lines) == len(chk.R) + 1
-    n_true = sum(1 for ln in lines[1:] if ln.endswith(",true"))
-    assert n_true == len(chk.violations)
 
 
 def test_domain_errors():
