@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -22,7 +23,7 @@ import numpy as np
 from . import asymptotics as asym
 from . import matern as mt
 from .models import PackingDensity, RadialModel, make_curve
-from .optimizer import classical_bounds, terminal_gap, terminal_record
+from .optimizer import check_dimension, classical_bounds, terminal_gap, terminal_record
 from .variance import yamada_check
 
 TABLE_COLUMNS = ("d", "sigma_star", "Z_star", "phi_star", "ratio", "k_min")
@@ -102,15 +103,21 @@ def _row_or_error(fetch, d: int) -> dict:
         return {"d": d, "error": str(exc)}
 
 
+def _worker_count(threads: int, n_dims: int) -> int:
+    """Worker processes for --threads: never more than the dims or the CPUs."""
+    if threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {threads}")
+    return min(threads, n_dims, os.cpu_count() or 1)
+
+
 def cmd_table(args) -> tuple[str, int]:
     dims = _parse_dims(args.dims)
-    floor = 2 if args.model == "gap" else 1
     for d in dims:
-        if d < floor:
-            raise ValueError(f"d={d} is below the supported range for the {args.model} model")
+        check_dimension(args.model, d)
+    workers = _worker_count(args.threads, len(dims))
 
-    if args.threads > 1 and len(dims) > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_record_row, args.model, d) for d in dims]
             try:
                 rows = [_row_or_error(fut.result, d) for fut, d in zip(futures, dims)]
@@ -291,7 +298,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", parents=[common], help="terminal-density table per dimension")
     p.add_argument("--dims", required=True, help='comma list or span, e.g. "3,4,5" or "3..8"')
     p.add_argument("--model", choices=("step", "delta", "gap"), default="gap")
-    p.add_argument("--threads", type=int, default=1, help="worker processes across dimensions")
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="worker processes across dimensions (at most one per dimension and per CPU)",
+    )
     p.set_defaults(handler=cmd_table)
 
     p = sub.add_parser("sk", parents=[common], help="structure-factor curve for one model")

@@ -1,31 +1,23 @@
 """Scaled intersection and union volumes of equal-sphere pairs.
 
 alpha2(r; R) is the intersection volume of two radius-R balls with centers
-a distance r apart, divided by the volume of one ball. Three independent
-routes are provided (regularized incomplete beta, direct quadrature, and
-the odd-d-terminating series); the quadrature and series forms are kept as
-oracles for each other and for the production beta route.
+a distance r apart, divided by the volume of one ball, evaluated as a
+regularized incomplete beta function. (Quadrature and the odd-d-terminating
+series survive only as oracles in the tests.)
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, betaincc, gammaln
 
 __all__ = [
     "alpha2",
-    "alpha2_integral",
-    "alpha2_series",
     "alpha2_asymptotic",
     "beta2",
 ]
-
-_SERIES_TOL = 1e-14
-_SERIES_MAX_TERMS = 800
 
 
 def _cd(d: int) -> float:
@@ -42,85 +34,20 @@ def _check_dr(d: int, R: float) -> int:
 
 
 def alpha2(d: int, r, R: float = 1.0):
-    """Production route: alpha2 = I_{1-x^2}((d+1)/2, 1/2) with x = r/(2R).
+    """alpha2 = I_{1-y}((d+1)/2, 1/2) with y = x^2, x = r/(2R) clipped to [0, 1].
 
-    Regularized incomplete beta via scipy, accurate to ~1e-14 relative even
-    in the far tail at d = 300. Scalar or ndarray in r.
+    For y < 1/2 the symmetric form 1 - I_y(1/2, (d+1)/2) is used, since
+    1 - y would round away the digits of a small y; for y >= 1/2, 1 - y is
+    exact. Regularized incomplete beta via scipy, accurate to ~1e-14
+    relative even in the far tail at d = 300. Scalar or ndarray in r.
     """
     d = _check_dr(d, R)
     ra = np.asarray(r, dtype=float)
-    x = ra / (2.0 * R)
-    inside = np.clip(1.0 - x * x, 0.0, 1.0)
-    out = np.where(x >= 1.0, 0.0, np.where(x <= 0.0, 1.0, betainc(0.5 * (d + 1), 0.5, inside)))
-    # below x ~ 1e-8 the argument 1 - x^2 rounds to 1 and the beta route
-    # saturates at exactly 1; the two-term series is good to ~1e-21 there
-    # and keeps alpha2 <= 1 - x intact
-    tiny = (x > 0.0) & (x < 1e-7)
-    if np.any(tiny):
-        out = np.where(tiny, 1.0 - _cd(d) * x, out)
+    x = np.clip(ra / (2.0 * R), 0.0, 1.0)
+    y = x * x
+    a = 0.5 * (d + 1)
+    out = np.where(y < 0.5, betaincc(0.5, a, y), betainc(a, 0.5, 1.0 - y))
     return float(out) if ra.ndim == 0 else out
-
-
-def alpha2_integral(d: int, r: float, R: float) -> float:
-    """Quadrature route c(d) * integral of sin^d(theta) on [0, arccos(r/2R)].
-
-    The integrand is evaluated as exp(d log sin) so it cannot underflow
-    prematurely at large d, and the tolerance is relative because the value
-    itself is ~1e-26 by d = 200.
-    """
-    d = _check_dr(d, R)
-    x = r / (2.0 * R)
-    if x >= 1.0:
-        return 0.0
-    if x <= 0.0:
-        return 1.0
-    top = math.acos(x)
-
-    def integrand(t: float) -> float:
-        s = math.sin(t)
-        return 0.0 if s <= 0.0 else math.exp(d * math.log(s))
-
-    val, err = quad(integrand, 0.0, top, epsabs=1e-300, epsrel=1e-11, limit=300)
-    if err > 1e-8 * max(abs(val), 1e-300):
-        warnings.warn(
-            f"alpha2 quadrature error estimate {err:.2e} at d={d}, r/2R={x:.4f}",
-            RuntimeWarning,
-        )
-    return _cd(d) * val
-
-
-def alpha2_series(d: int, r: float, R: float) -> float:
-    """Series route: 1 - c x + c * sum_{n>=2} (-1)^n P_n x^(2n-1).
-
-    P_n = (d-1)(d-3)...(d-2n+3) / ((2n-1) * 2*4*...*(2n-2)), so for odd d
-    the numerator hits zero and the series is exactly a degree-d polynomial.
-    For even d, terms shrink like x^2 per step; if the tail has not dropped
-    below 1e-14 within the term budget (x near 1), fall back to quadrature.
-    """
-    d = _check_dr(d, R)
-    x = r / (2.0 * R)
-    if x > 1.0 + 1e-12:
-        raise ValueError("series form is defined on r <= 2R")
-    x = min(x, 1.0)
-    if x == 0.0:
-        return 1.0
-    c = _cd(d)
-    acc = 1.0 - c * x
-    # signed term (-1)^n P_n x^(2n-1), started at n=2
-    term = ((d - 1.0) / 6.0) * x**3
-    n = 2
-    while n < _SERIES_MAX_TERMS:
-        acc += c * term
-        if abs(term) < _SERIES_TOL:
-            return acc
-        term *= -x * x * (d - 2.0 * n + 1.0) * (2.0 * n - 1.0) / ((2.0 * n + 1.0) * 2.0 * n)
-        n += 1
-    warnings.warn(
-        f"alpha2 series tail still {abs(term):.2e} after {n} terms at d={d}, "
-        f"x={x:.6f}; using quadrature instead",
-        RuntimeWarning,
-    )
-    return alpha2_integral(d, r, R)
 
 
 def alpha2_asymptotic(d: int) -> float:

@@ -8,10 +8,10 @@ Three nested model shapes, all with unit hard core:
 * ``gap``: unit step pushed out to r = sigma >= 1, contact delta kept
   at r = 1.
 
-The closed structure factors are assembled from the normalized Bessel
-kernel; ``structure_factor_numeric`` is an independent quadrature route
-(pedestrian jv ratio, exact-support integral) used as an oracle, and it
-also accepts a tabulated g2.
+All three structure factors are one closed form, ``structure_factor_gap``,
+assembled from the normalized Bessel kernel (step and delta are sigma = 1,
+with Z = 0 for step). A quadrature route for S(k) survives only as an oracle
+in the tests.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, jv
 
 from .specialfn import bessel_lambda, first_zero, log_sphere_volume, sphere_surface
 
@@ -30,7 +28,6 @@ __all__ = [
     "RadialModel",
     "PackingDensity",
     "StructureFactorCurve",
-    "TabulatedG2",
     "step_model",
     "delta_model",
     "gap_model",
@@ -38,11 +35,8 @@ __all__ = [
     "hyperuniform_Z",
     "log_amplitude",
     "maclaurin_coefficients",
-    "structure_factor_step",
-    "structure_factor_delta",
     "structure_factor_gap",
     "structure_factor",
-    "structure_factor_numeric",
     "default_k_max",
     "make_curve",
 ]
@@ -117,30 +111,6 @@ class PackingDensity:
 
 
 @dataclass(frozen=True)
-class TabulatedG2:
-    """Tabulated continuous g2 on an r grid, plus an optional contact delta.
-
-    Input route for structure_factor_numeric only.
-    """
-
-    r: np.ndarray
-    g2: np.ndarray
-    Z: float = 0.0
-
-    def __post_init__(self):
-        r = np.asarray(self.r, dtype=float)
-        g2 = np.asarray(self.g2, dtype=float)
-        if r.ndim != 1 or r.shape != g2.shape or r.size < 2:
-            raise ValueError("r and g2 must be equal-length 1-d arrays")
-        if np.any(np.diff(r) <= 0.0) or r[0] < 0.0:
-            raise ValueError("r grid must be strictly increasing and nonnegative")
-        if self.Z < 0.0:
-            raise ValueError("contact weight Z must be >= 0")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "g2", g2)
-
-
-@dataclass(frozen=True)
 class StructureFactorCurve:
     """Sampled S(k) for one model/density, with the k=0 limit kept explicitly."""
 
@@ -188,19 +158,6 @@ def hyperuniform_Z(d: int, phi: float, sigma: float) -> float:
     return _step_amplitude(d, phi, sigma) - 1.0
 
 
-def structure_factor_step(d: int, phi: float, k):
-    """S(k) = 1 - 2^d phi Lambda_nu(k), nu = d/2. k = 0 is the analytic limit."""
-    PackingDensity(d, phi)
-    return 1.0 - _step_amplitude(d, phi) * bessel_lambda(0.5 * d, k)
-
-
-def structure_factor_delta(d: int, phi: float, Z: float, k):
-    """Step form plus the contact term Z Lambda_{nu-1}(k)."""
-    if Z < 0.0:
-        raise ValueError("contact weight Z must be >= 0")
-    return structure_factor_step(d, phi, k) + Z * bessel_lambda(0.5 * d - 1.0, k)
-
-
 def structure_factor_gap(d: int, phi: float, sigma: float, Z: float, k):
     """S(k) = 1 - (2 sigma)^d phi Lambda_nu(k sigma) + Z Lambda_{nu-1}(k)."""
     PackingDensity(d, phi)
@@ -236,82 +193,6 @@ def maclaurin_coefficients(model: RadialModel, density: PackingDensity):
     return s0, c2
 
 
-def _kernel(nu: float, u):
-    """Pedestrian J_{nu-1}(u)/u^(nu-1), Taylor-guarded at small u.
-
-    Deliberately does not share code with bessel_lambda: this is the oracle
-    route.
-    """
-    m = nu - 1.0
-    u = float(u)
-    if u < 1e-4:
-        lead = math.exp(-(m * math.log(2.0) + gammaln(m + 1.0)))
-        return lead * (1.0 - u * u / (4.0 * nu))
-    return jv(m, u) / u**m
-
-
-def structure_factor_numeric(model, density: PackingDensity, k: float, r_max: float | None = None) -> float:
-    """Quadrature oracle for S(k): exact-support integral plus analytic delta.
-
-    For the closed models h(r)+1 vanishes below the step edge, so the
-    continuous part of the transform is a finite integral over [0, sigma]
-    rather than an oscillatory infinite-range one. A TabulatedG2 is
-    integrated by the trapezoid rule on its own grid instead.
-    """
-    d = density.d
-    nu = 0.5 * d
-    k = float(k)
-    if k < 0.0:
-        raise ValueError("wavenumber must be nonnegative")
-    rho = density.rho
-    pref = rho * (2.0 * math.pi) ** nu
-
-    if isinstance(model, TabulatedG2):
-        sigma_eff = 1.0
-        if r_max is None:
-            r_max = float(model.r[-1])
-        if r_max < 50.0 * sigma_eff:
-            raise ValueError("r_max must cover at least 50 step edges")
-        tail = abs(model.g2[-1] - 1.0)
-        if tail > 1e-8:
-            # crude oscillatory-tail bound: first-neglected-lobe area
-            bound = pref * tail * model.r[-1] ** (d - 1) / max(k, 1.0 / model.r[-1])
-            warnings.warn(
-                f"tabulated g2 not converged to 1 at r={model.r[-1]:.3f} "
-                f"(|h|={tail:.2e}); neglected-tail bound ~{bound:.2e}",
-                RuntimeWarning,
-            )
-        keep = model.r <= r_max
-        r = model.r[keep]
-        h = model.g2[keep] - 1.0
-        kern = np.array([_kernel(nu, k * ri) for ri in r])
-        integral = float(np.trapezoid(r ** (d - 1) * h * kern, r))
-        z_term = pref * (model.Z / (sphere_surface(d, 1.0) * rho)) * _kernel(nu, k) if model.Z else 0.0
-        return 1.0 + pref * integral + z_term
-
-    sigma = model.sigma
-    if r_max is None:
-        r_max = 50.0 * sigma
-    if r_max < 50.0 * sigma:
-        raise ValueError("r_max must cover at least 50 step edges")
-    if density.phi == 0.0 and model.Z == 0.0:
-        return 1.0
-
-    def integrand(r: float) -> float:
-        # g2 - 1 = -1 on [0, sigma); exactly 0 beyond
-        return -(r ** (d - 1)) * _kernel(nu, k * r)
-
-    integral, err = quad(integrand, 0.0, sigma, epsabs=1e-13, epsrel=1e-11, limit=400)
-    if err > 1e-8:
-        warnings.warn(
-            f"structure-factor quadrature error estimate {err:.2e} at k={k:.4f}",
-            RuntimeWarning,
-        )
-    _, weight = g2_eval(model, density, 1.0)
-    z_term = pref * weight * _kernel(nu, k) if weight else 0.0
-    return 1.0 + pref * integral + z_term
-
-
 def default_k_max(d: int) -> float:
     """Grid end 2 (x0(nu) + 10 nu^(1/3) + 20): past the structure in S by a wide margin."""
     nu = 0.5 * d
@@ -327,14 +208,16 @@ def make_curve(
 ) -> StructureFactorCurve:
     """Sample the closed-form S on a uniform grid, densified around local minima.
 
-    The grid has n points, 16 <= n <= MAX_CURVE_SAMPLES (2^20). A larger n
-    raises ValueError up front instead of attempting allocations of that
-    length that can exhaust memory.
+    The grid has n points, 16 <= n <= MAX_CURVE_SAMPLES (2^20), on [0, k_max]
+    with k_max finite and positive. A larger n raises ValueError up front
+    instead of attempting allocations of that length that can exhaust memory.
     """
     if not 16 <= n <= MAX_CURVE_SAMPLES:
         raise ValueError(f"need 16 <= samples <= {MAX_CURVE_SAMPLES}, got {n}")
     if k_max is None:
         k_max = default_k_max(density.d)
+    elif not (math.isfinite(k_max) and k_max > 0.0):
+        raise ValueError(f"curve end k_max must be finite and positive, got {k_max}")
     k = np.linspace(0.0, k_max, n)
     S = structure_factor(model, density, k)
     if refine:

@@ -42,6 +42,9 @@ __all__ = [
     "terminal_delta",
     "terminal_gap",
     "terminal_record",
+    "check_dimension",
+    "DIMENSION_RANGE",
+    "MAX_CLOSED_FORM_D",
     "find_minima",
     "gap_feasible_t",
     "classical_bounds",
@@ -57,6 +60,19 @@ DENSEST_KNOWN = {56: 2.327670e-11, 60: 2.966747e-13, 64: 1.326615e-12}
 
 #: step edges scanned on [1, 1 + 4/d] to bracket the gap optimum
 _SIGMA_SCAN_POINTS = 9
+
+#: largest d of the closed-form optima and the classical bounds: 2^-d, the
+#: step optimum, is still a normal double there (it underflows to 0 past
+#: d = 1074, and 2.0 ** d overflows past 1023)
+MAX_CLOSED_FORM_D = 1000
+
+#: supported integer dimensions, inclusive, of each model and of classical_bounds
+DIMENSION_RANGE = {
+    "step": (1, MAX_CLOSED_FORM_D),
+    "delta": (1, MAX_CLOSED_FORM_D),
+    "gap": (2, 300),
+    "classical": (2, MAX_CLOSED_FORM_D),
+}
 
 
 @dataclass(frozen=True)
@@ -93,6 +109,14 @@ class ClassicalBounds:
     densest_known: float | None = None
 
 
+def check_dimension(kind: str, d) -> int:
+    """d as an int if it lies in DIMENSION_RANGE[kind], else ValueError naming d."""
+    lo, hi = DIMENSION_RANGE[kind]
+    if d != int(d) or not lo <= d <= hi:
+        raise ValueError(f"{kind} dimension must be an integer in [{lo}, {hi}], got {d}")
+    return int(d)
+
+
 def _ratio_column(d: int, log_phi: float) -> float:
     # 2^(d+1) phi / (d+2), assembled in log space
     return math.exp(log_phi + (d + 1) * math.log(2.0) - math.log(d + 2.0))
@@ -100,9 +124,7 @@ def _ratio_column(d: int, log_phi: float) -> float:
 
 def terminal_step(d: int) -> TerminalDensityRecord:
     """phi* = 2^-d with sigma = 1, Z = 0; S(0) = 0 is the binding point."""
-    if d < 1 or d != int(d):
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    d = int(d)
+    d = check_dimension("step", d)
     log_phi = -d * math.log(2.0)
     return TerminalDensityRecord(
         d=d,
@@ -122,9 +144,7 @@ def terminal_delta(d: int) -> TerminalDensityRecord:
     At these values both S(0) and the quadratic coefficient vanish, so the
     binding wavenumber is k = 0.
     """
-    if d < 1 or d != int(d):
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    d = int(d)
+    d = check_dimension("delta", d)
     phi = (d + 2.0) / 2.0 ** (d + 1)
     Z = 0.5 * d
     minima = find_minima(d, phi, 1.0, Z, _search_k_max(d))
@@ -301,9 +321,7 @@ def terminal_gap(d: int) -> TerminalDensityRecord:
     Pure function of d; memoized since the table emitters and the test suite
     ask for the same dimensions repeatedly.
     """
-    if d != int(d) or not (2 <= d <= 300):
-        raise ValueError(f"gap optimizer supports integer 2 <= d <= 300, got {d}")
-    d = int(d)
+    d = check_dimension("gap", d)
 
     sig_grid = np.linspace(1.0 + 1e-9, 1.0 + 4.0 / d, _SIGMA_SCAN_POINTS)
     vals = [_log_phi_at(d, s)[0] for s in sig_grid]
@@ -374,9 +392,7 @@ def terminal_record(kind: str, d: int) -> TerminalDensityRecord:
 
 def classical_bounds(d: int) -> ClassicalBounds:
     """Reference lower bounds (and the KL upper-style exponent) at dimension d."""
-    if d < 2 or d != int(d):
-        raise ValueError(f"classical bounds are tabulated for integer d >= 2, got {d}")
-    d = int(d)
+    d = check_dimension("classical", d)
     zd = float(zeta(d))
     return ClassicalBounds(
         d=d,

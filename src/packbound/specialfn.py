@@ -1,8 +1,8 @@
 """Bessel J of real order, its first zeros, and n-sphere geometry.
 
-Production Bessel evaluation is delegated to scipy's AMOS-backed ``jv``;
-the half-integer trigonometric forms and the one-term Watson asymptotic
-are kept as independent cross-check routes and exercised by the tests.
+Bessel evaluation is delegated to scipy's AMOS-backed ``jv``; the one-term
+Watson asymptotic form is provided alongside it. (Closed half-integer forms
+survive only as oracles in the tests.)
 All sphere volumes/surfaces go through log space so nothing overflows
 before d is well past 300.
 """
@@ -17,7 +17,6 @@ from scipy.special import gammaln, jv
 
 __all__ = [
     "bessel_j",
-    "bessel_j_half",
     "bessel_lambda",
     "first_zero",
     "zero_asymptotic",
@@ -54,28 +53,6 @@ def bessel_j(nu: float, x):
     if not np.all(np.isfinite(xa)) or np.any(xa < 0.0):
         raise ValueError("bessel_j argument must be finite and nonnegative")
     out = jv(nu, xa)
-    return float(out) if xa.ndim == 0 else out
-
-
-def bessel_j_half(nu: float, x):
-    """Closed trigonometric forms for half-integer order, cross-check path only.
-
-    Supports nu in {1/2, 3/2, 5/2}. Not used by any production code path;
-    the tests compare bessel_j against these.
-    """
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
-        raise ValueError("closed half-integer forms need x > 0")
-    pref = np.sqrt(2.0 / (math.pi * xa))
-    s, c = np.sin(xa), np.cos(xa)
-    if nu == 0.5:
-        out = pref * s
-    elif nu == 1.5:
-        out = pref * (s / xa - c)
-    elif nu == 2.5:
-        out = pref * ((3.0 / xa**2 - 1.0) * s - 3.0 * c / xa)
-    else:
-        raise ValueError(f"no closed form wired up for nu={nu}")
     return float(out) if xa.ndim == 0 else out
 
 

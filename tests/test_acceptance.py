@@ -21,19 +21,15 @@ from packbound.asymptotics import (
     phi_star_asymptotic,
     solve_constants,
 )
-from packbound.geometry import alpha2, alpha2_integral, alpha2_series
+from packbound.geometry import alpha2
 from packbound.matern import MaternConfig, g2_matern_limit, saturation_time, simulate
-from packbound.models import (
-    PackingDensity,
-    RadialModel,
-    structure_factor,
-    structure_factor_numeric,
-)
+from packbound.models import PackingDensity, RadialModel, structure_factor
 from packbound.optimizer import TABLE_DIMS, terminal_delta, terminal_step
 from packbound.specialfn import bessel_lambda, first_zero, zero_asymptotic
 from packbound.variance import yamada_check
 
 from conftest import REFERENCE_TABLE
+from oracle_routes import alpha2_integral, alpha2_series, structure_factor_numeric
 
 
 def test_acceptance_terminal_table(table_records):

@@ -1,12 +1,14 @@
 import json
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from packbound.cli import _parse_dims, main
+import packbound.cli as cli
+from packbound.cli import _parse_dims, _worker_count, main
 from packbound.matern import MAX_BINS
 from packbound.models import PackingDensity, delta_model, make_curve
 from packbound.optimizer import terminal_delta, terminal_gap
@@ -309,3 +311,51 @@ def test_matern_bins_capped_before_simulation(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: need 50 <= histogram bins <= {MAX_BINS}")
+
+
+@pytest.mark.parametrize("kmax", ["nan", "inf", "-5", "0"])
+def test_sk_kmax_checked(capsys, kmax):
+    argv = ["sk", "--model", "step", "--d", "3", "--phi", "0.1", "--kmax", kmax]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: curve end k_max must be finite and positive")
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["classical", "--dims", "5000"], "got 5000"),
+        (["table", "--model", "step", "--dims", "2000"], "got 2000"),
+        (["table", "--model", "delta", "--dims", "3,1100"], "got 1100"),
+        (["table", "--model", "gap", "--dims", "3,301", "--threads", "2"], "got 301"),
+        (["table", "--model", "step", "--dims", "3,4", "--threads", "-4"], "--threads must be"),
+    ],
+)
+def test_bad_table_input_rejected_up_front(capsys, monkeypatch, argv, bad):
+    monkeypatch.setattr(cli, "terminal_record", None)  # any record computed would raise
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and bad in captured.err
+
+
+def test_worker_count_rule(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert [_worker_count(n, 17) for n in (1, 3, 100000)] == [1, 3, 4]
+    assert _worker_count(3, 2) == 2
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert _worker_count(8, 17) == 1
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match="--threads must be at least 1"):
+            _worker_count(bad, 17)
+
+
+def test_cli_import_leaves_quadrature_out():
+    code = "import sys, packbound.cli; print('scipy.integrate' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"

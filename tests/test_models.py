@@ -6,7 +6,6 @@ import pytest
 from packbound.models import (
     PackingDensity,
     RadialModel,
-    TabulatedG2,
     delta_model,
     g2_eval,
     gap_model,
@@ -15,12 +14,11 @@ from packbound.models import (
     make_curve,
     step_model,
     structure_factor,
-    structure_factor_delta,
     structure_factor_gap,
-    structure_factor_numeric,
-    structure_factor_step,
 )
 from packbound.specialfn import sphere_surface
+
+from oracle_routes import structure_factor_numeric
 
 # a few reference gap optima (sigma*, Z*, phi*) used as fixed parameters here;
 # the optimizer tests recompute them from scratch
@@ -82,37 +80,25 @@ def test_step_closed_form_d1():
     for phi in (0.1, 0.5):
         for k in (0.05, 1.0, 6.0, 31.4):
             want = 1.0 - 2.0 * phi * math.sin(k) / k
-            assert structure_factor_step(1, phi, k) == pytest.approx(want, abs=1e-13)
+            assert structure_factor_gap(1, phi, 1.0, 0.0, k) == pytest.approx(want, abs=1e-13)
     # terminal density: the k=0 limit closes to 0
-    assert structure_factor_step(1, 0.5, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert structure_factor_gap(1, 0.5, 1.0, 0.0, 0.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_step_ideal_gas():
     k = np.linspace(0.0, 40.0, 101)
-    assert np.all(structure_factor_step(4, 0.0, k) == 1.0)
+    assert np.all(structure_factor_gap(4, 0.0, 1.0, 0.0, k) == 1.0)
 
 
 def test_delta_crossover_and_terminal():
     # crossover contact weight flips the k=0 value to 1 - 2^(d+1) phi/(d+2)
     for d, phi in [(2, 0.2), (3, 0.2), (6, 0.05)]:
         Z = 2**d * phi * d / (d + 2.0)
-        assert structure_factor_delta(d, phi, Z, 0.0) == pytest.approx(
+        assert structure_factor_gap(d, phi, 1.0, Z, 0.0) == pytest.approx(
             1.0 - 2.0 ** (d + 1) * phi / (d + 2.0), rel=1e-12
         )
     # terminal parameters: S(0) = 0
-    assert structure_factor_delta(3, 5.0 / 16.0, 1.5, 0.0) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_reductions():
-    k = np.linspace(0.0, 30.0, 57)
-    np.testing.assert_allclose(
-        structure_factor_delta(4, 0.2, 0.0, k), structure_factor_step(4, 0.2, k), rtol=1e-15
-    )
-    np.testing.assert_allclose(
-        structure_factor_gap(4, 0.2, 1.0, 1.3, k),
-        structure_factor_delta(4, 0.2, 1.3, k),
-        rtol=1e-15,
-    )
+    assert structure_factor_gap(3, 5.0 / 16.0, 1.0, 1.5, 0.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_gap_terminal_s0():
@@ -192,46 +178,16 @@ def test_numeric_oracle_spot(d):
 
 def test_numeric_oracle_pinned_examples():
     assert structure_factor_numeric(step_model(), PackingDensity(3, 0.1), 5.0) == pytest.approx(
-        structure_factor_step(3, 0.1, 5.0), abs=1e-6
+        structure_factor_gap(3, 0.1, 1.0, 0.0, 5.0), abs=1e-6
     )
     dens = PackingDensity(2, 0.5)
     assert structure_factor_numeric(delta_model(1.0), dens, 0.01) == pytest.approx(
-        structure_factor_delta(2, 0.5, 1.0, 0.01), abs=1e-6
+        structure_factor_gap(2, 0.5, 1.0, 1.0, 0.01), abs=1e-6
     )
     sigma, Z, phi = GAP_D5
     k_min = 5.297074  # deepest minimum of the d=5 optimum, located by the optimizer suite
     got = structure_factor_numeric(gap_model(sigma, Z), PackingDensity(5, phi), k_min)
     assert got == pytest.approx(0.0, abs=1e-5)
-
-
-def test_tabulated_g2_route():
-    sigma, Z, phi = GAP_D3
-    dens = PackingDensity(3, phi)
-    # tabulate the continuous part: -1 up to the step edge, 0 beyond, with the
-    # discontinuity pinched between two grid points
-    r_core = np.linspace(0.0, sigma - 1e-9, 35000)
-    r_tail = np.linspace(sigma, 60.0, 2000)
-    r = np.concatenate([r_core, r_tail])
-    g2 = np.where(r < sigma, 0.0, 1.0)
-    tab = TabulatedG2(r=r, g2=g2, Z=Z)
-    for k in (0.5, 3.0, 7.0):
-        closed = structure_factor_gap(3, phi, sigma, Z, k)
-        got = structure_factor_numeric(tab, dens, k)
-        assert got == pytest.approx(closed, abs=2e-5)
-
-
-def test_tabulated_tail_warning():
-    r = np.linspace(0.0, 55.0, 4000)
-    g2 = np.where(r < 1.0, 0.0, 1.0 + 0.01 * np.exp(-((r - 1.0) ** 2)))
-    g2[-1] = 1.01  # far tail never settles
-    tab = TabulatedG2(r=r, g2=g2)
-    with pytest.warns(RuntimeWarning):
-        structure_factor_numeric(tab, PackingDensity(3, 0.2), 2.0)
-
-
-def test_numeric_r_max_guard():
-    with pytest.raises(ValueError):
-        structure_factor_numeric(step_model(), PackingDensity(3, 0.1), 1.0, r_max=10.0)
 
 
 def test_curve_refinement_and_tail():

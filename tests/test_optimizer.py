@@ -1,6 +1,7 @@
 """Terminal densities: closed forms, the gap-model search, classical bounds."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conftest import REFERENCE_TABLE
 from packbound.models import structure_factor_gap
 from packbound.optimizer import (
+    MAX_CLOSED_FORM_D,
     TABLE_DIMS,
     TerminalDensityRecord,
     classical_bounds,
@@ -259,6 +261,13 @@ def test_domain_errors():
         terminal_delta(-3)
     with pytest.raises(ValueError):
         classical_bounds(1)
+    # the closed forms stop where 2^-d, the step optimum, is still a normal double
+    d = MAX_CLOSED_FORM_D
+    assert terminal_step(d).phi_star == classical_bounds(d).greedy == 2.0**-d >= sys.float_info.min
+    assert terminal_delta(d).phi_star == (d + 2.0) / 2.0 ** (d + 1)
+    for fn in (terminal_step, terminal_delta, classical_bounds):
+        with pytest.raises(ValueError, match=f"dimension must be an integer in .* got {d + 1}"):
+            fn(d + 1)
 
 
 def test_record_validation():

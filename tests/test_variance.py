@@ -125,6 +125,13 @@ def test_number_variance_closed_form_matches_oracles(d):
                 assert abs(s2 - exact) <= 1e-12 * terms, f"{model.kind} d={d} R={R}: {s2} vs {exact}"
             # the array route is the scalar route, element by element
             assert number_variance(model, dens, R) == s2
+        if d % 2:
+            # far windows take alpha2 at a small r/2R; the bracket cancels to
+            # ~1/R of its terms, so sigma^2 itself is held to the exact value
+            for R in (1e4, 1e5):
+                s2 = number_variance(model, dens, R)
+                exact, _ = _odd_variance_terms(model, dens, R)
+                assert s2 == pytest.approx(exact, rel=1e-8), f"{model.kind} d={d} R={R}"
 
 
 def test_number_variance_scalar_and_array_inputs():
