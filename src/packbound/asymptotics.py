@@ -202,11 +202,7 @@ def beta_ratio_asymptotic(d) -> float:
 
 def beta_ratio_exact(d) -> float:
     """Ratio of the Bessel slope halves at the numeric first zeros."""
-    nu = 0.5 * d
-    x0 = first_zero(nu)
-    y0 = first_zero(nu + 1)
-    b1 = 0.5 * (bessel_j(nu - 1, x0) - bessel_j(nu + 1, x0))
-    b2 = 0.5 * (bessel_j(nu, y0) - bessel_j(nu + 2, y0))
+    b1, b2, _ = c_exact_triple(0.5 * d)
     return b1 / b2
 
 

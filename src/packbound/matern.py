@@ -41,6 +41,9 @@ _RMAX = 3.0
 #: most pair-histogram bins MaternConfig accepts
 MAX_BINS = 2**16
 
+# arrivals per tree screen against the kept bed in standard RSA
+_RSA_BATCH = 20000
+
 
 @dataclass(frozen=True)
 class MaternConfig:
@@ -180,7 +183,7 @@ def _ghost_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
     return ~rejected
 
 
-def _rsa_accept(pos: np.ndarray, times: np.ndarray, L: float, batch: int = 20000) -> np.ndarray:
+def _rsa_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
     """Standard RSA: only previously kept spheres block. Sequential by time.
 
     Each batch is first screened against the already-kept bed with one tree
@@ -190,8 +193,8 @@ def _rsa_accept(pos: np.ndarray, times: np.ndarray, L: float, batch: int = 20000
     order = np.argsort(times, kind="stable")
     pos = pos[order]
     kept: list[np.ndarray] = []
-    for lo in range(0, len(pos), batch):
-        block = pos[lo : lo + batch]
+    for lo in range(0, len(pos), _RSA_BATCH):
+        block = pos[lo : lo + _RSA_BATCH]
         if kept:
             bed = np.asarray(kept)
             tree = cKDTree(bed, boxsize=L)

@@ -204,7 +204,6 @@ def make_curve(
     density: PackingDensity,
     k_max: float | None = None,
     n: int = 2048,
-    refine: bool = True,
 ) -> StructureFactorCurve:
     """Sample the closed-form S on a uniform grid, densified around local minima.
 
@@ -220,12 +219,11 @@ def make_curve(
         raise ValueError(f"curve end k_max must be finite and positive, got {k_max}")
     k = np.linspace(0.0, k_max, n)
     S = structure_factor(model, density, k)
-    if refine:
-        interior = np.flatnonzero((S[1:-1] < S[:-2]) & (S[1:-1] < S[2:])) + 1
-        extra = [np.linspace(k[i - 1], k[i + 1], 26) for i in interior]
-        if extra:
-            k = np.unique(np.concatenate([k] + extra))
-            S = structure_factor(model, density, k)
+    interior = np.flatnonzero((S[1:-1] < S[:-2]) & (S[1:-1] < S[2:])) + 1
+    extra = [np.linspace(k[i - 1], k[i + 1], 26) for i in interior]
+    if extra:
+        k = np.unique(np.concatenate([k] + extra))
+        S = structure_factor(model, density, k)
     S0 = float(structure_factor(model, density, 0.0))
     tail = S[k > 0.9 * k_max]
     if tail.size and np.max(np.abs(tail - 1.0)) > 0.05:

@@ -9,10 +9,13 @@ u(k)/m(k) over wavenumbers where m > 0, with
 
 and L the normalized Bessel kernel. The k -> 0 limit of u/m is the
 quadratic-coefficient cap (d+2)/((d+2) - d sigma^2); interior infima are
-tangency points located as zeros of the derivative numerator
-N = u' m - u m'. The outer maximization of phi(sigma) = t(sigma)/(2 sigma)^d
-scans nine step edges on [1, 1 + 4/d], then runs Brent between the best
-one's neighbours on the envelope derivative d(log t)/d(sigma) - d/sigma.
+tangency points, each found as the Brent root of the derivative numerator
+N = u' m - u m' between the two grid neighbours of a discrete minimum of u/m.
+The outer maximization of phi(sigma) = t(sigma)/(2 sigma)^d is one Brent
+root of the envelope derivative d(log t)/d(sigma) - d/sigma over the whole
+step-edge range [1, 1 + 4/d]. Both roots are sign-checked at their bracket
+ends first. Z* = (2 sigma*)^d phi* - 1 comes from models.hyperuniform_Z,
+the amplitude S(k) itself uses, so S(0) = 0 holds exactly in doubles.
 
 All density bookkeeping is done on log(phi): at d = 200 the optimum is
 5.7e-44 with t = 5e17, and naive products would lose it.
@@ -30,7 +33,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import zeta
 
-from .models import log_amplitude, structure_factor_gap
+from .models import hyperuniform_Z, log_amplitude, structure_factor_gap
 from .specialfn import bessel_lambda
 
 __all__ = [
@@ -57,9 +60,6 @@ TABLE_DIMS = (3, 4, 5, 6, 7, 8, 24, 36, 56, 60, 64, 80, 100, 125, 150, 175, 200)
 
 #: densest known lattice/packing densities quoted for comparison
 DENSEST_KNOWN = {56: 2.327670e-11, 60: 2.966747e-13, 64: 1.326615e-12}
-
-#: step edges scanned on [1, 1 + 4/d] to bracket the gap optimum
-_SIGMA_SCAN_POINTS = 9
 
 #: largest d of the closed-form optima and the classical bounds: 2^-d, the
 #: step optimum, is still a normal double there (it underflows to 0 past
@@ -269,17 +269,12 @@ def gap_feasible_t(d: int, sigma: float):
             # 1 <= j <= run.size - 2, so i - 1 and i + 1 stay inside the window
             for j in loc:
                 i = run[j]
-                k_root = None
-                for a, b in ((kk[i - 1], kk[i]), (kk[i], kk[i + 1])):
-                    na, nb = N_of(a), N_of(b)
-                    if na < 0.0 <= nb or na <= 0.0 < nb:
-                        k_root = brentq(N_of, a, b, xtol=1e-12, maxiter=200)
-                        break
-                if k_root is None:
+                if not N_of(kk[i - 1]) < 0.0 < N_of(kk[i + 1]):
                     raise RuntimeError(
                         f"tangency numerator does not change sign next to k={kk[i]:.6f} "
                         f"at d={d}, sigma={sigma:.12g}"
                     )
+                k_root = brentq(N_of, kk[i - 1], kk[i + 1], xtol=1e-12, maxiter=200)
                 lam_nm1 = bessel_lambda(nu - 1.0, k_root)
                 mm = bessel_lambda(nu, k_root * sigma) - lam_nm1
                 if mm <= 0.0:
@@ -288,13 +283,6 @@ def gap_feasible_t(d: int, sigma: float):
                 if 1.0 <= t_cand < best_t:
                     best_t, best_k = t_cand, k_root
     return best_t, best_k
-
-
-def _log_phi_at(d: int, sigma: float):
-    t, k_bind = gap_feasible_t(d, sigma)
-    if not math.isfinite(t) or t < 1.0:
-        return -math.inf, t, k_bind
-    return math.log(t) - d * math.log(2.0 * sigma), t, k_bind
 
 
 def _envelope_derivative(d: int, sigma: float) -> float:
@@ -314,34 +302,29 @@ def _envelope_derivative(d: int, sigma: float) -> float:
 
 @functools.lru_cache(maxsize=None)
 def terminal_gap(d: int) -> TerminalDensityRecord:
-    """Numeric gap-model optimum: coarse sigma scan, then Brent on the envelope derivative.
+    """Numeric gap-model optimum: one Brent root of the envelope derivative in sigma.
 
-    The scan brackets the best of _SIGMA_SCAN_POINTS step edges by its two
-    neighbours; the optimum is the root of the envelope derivative there.
-    Pure function of d; memoized since the table emitters and the test suite
-    ask for the same dimensions repeatedly.
+    The derivative is positive at sigma = 1 + 1e-9 and negative at 1 + 4/d
+    for every supported d, so the whole range is the bracket. Z* is the
+    contact weight that makes S(0) = 0 exactly. Pure function of d; memoized
+    since the table emitters and the test suite ask for the same dimensions
+    repeatedly.
     """
     d = check_dimension("gap", d)
 
-    sig_grid = np.linspace(1.0 + 1e-9, 1.0 + 4.0 / d, _SIGMA_SCAN_POINTS)
-    vals = [_log_phi_at(d, s)[0] for s in sig_grid]
-    i_best = int(np.argmax(vals))
-    if not math.isfinite(vals[i_best]):
-        raise RuntimeError(f"no feasible step edge found for d={d}")
-
-    a = sig_grid[max(i_best - 1, 0)]
-    b = sig_grid[min(i_best + 1, len(sig_grid) - 1)]
+    a, b = 1.0 + 1e-9, 1.0 + 4.0 / d
     g_a, g_b = _envelope_derivative(d, a), _envelope_derivative(d, b)
     if not g_a > 0.0 > g_b:
         raise RuntimeError(
-            f"envelope derivative does not change sign around the best scanned step edge "
+            f"envelope derivative does not change sign on the step-edge range "
             f"at d={d}: g({a:.6f}) = {g_a:.3e}, g({b:.6f}) = {g_b:.3e}"
         )
     sigma_star = brentq(lambda s: _envelope_derivative(d, s), a, b, xtol=1e-12, maxiter=200)
 
-    log_phi, t_star, k_bind = _log_phi_at(d, sigma_star)
+    t_star, k_bind = gap_feasible_t(d, sigma_star)
+    log_phi = math.log(t_star) - d * math.log(2.0 * sigma_star)
     phi_star = math.exp(log_phi)
-    Z_star = t_star - 1.0
+    Z_star = hyperuniform_Z(d, phi_star, sigma_star)
 
     delta_phi_log = math.log(d + 2.0) - (d + 1) * math.log(2.0)
     if log_phi <= delta_phi_log:

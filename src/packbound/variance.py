@@ -49,11 +49,16 @@ __all__ = [
     "variance_lower_bound",
     "fractional_count_bound",
     "yamada_check",
+    "MAX_R_GRID",
 ]
 
 # beyond this the spacing of doubles exceeds 1, the fractional part of the
 # expected count is unresolvable, and the bound is capped at its maximum
 _COUNT_RESOLUTION = 2.0**53
+
+#: most geometric R-grid points yamada_check accepts (the half-integer-count
+#: radii it adds on top are capped at twice this)
+MAX_R_GRID = 2**20
 
 # the J(X) series for X < 1/2: each term is at most half the one before, so
 # its tail after this many terms is below 2^-60 of the sum
@@ -200,13 +205,17 @@ def _r_grid(d: int, phi: float, R0: float, R_max: float, n_grid: int) -> np.ndar
 def yamada_check(
     model: RadialModel, density: PackingDensity, R_max: float, n_grid: int = 500
 ) -> VarianceCheck:
-    """Test sigma^2(R) >= theta(1-theta) on (R0, R_max]; collect violating R."""
+    """Test sigma^2(R) >= theta(1-theta) on (R0, R_max]; collect violating R.
+
+    n_grid must satisfy 2 <= n_grid <= MAX_R_GRID (2^20); a larger grid raises
+    ValueError before anything is allocated.
+    """
+    if not 2 <= n_grid <= MAX_R_GRID:
+        raise ValueError(f"need 2 <= grid points <= {MAX_R_GRID}, got {n_grid}")
     d, phi = density.d, density.phi
     R0 = 0.5 * math.exp(-math.log(phi) / d)
     if not R0 < R_max < math.inf:
         raise ValueError(f"R_max={R_max} must be finite and exceed R0={R0:.6g}")
-    if n_grid < 2:
-        raise ValueError("need at least two grid points")
     rr = _r_grid(d, phi, R0, R_max, n_grid)
     sigma2 = number_variance(model, density, rr)
     bounds = fractional_count_bound(_expected_counts(d, phi, rr)[1])

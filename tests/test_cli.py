@@ -12,7 +12,7 @@ from packbound.cli import _parse_dims, _worker_count, main
 from packbound.matern import MAX_BINS
 from packbound.models import PackingDensity, delta_model, make_curve
 from packbound.optimizer import terminal_delta, terminal_gap
-from packbound.variance import yamada_check
+from packbound.variance import MAX_R_GRID, yamada_check
 
 
 def run_main(capsys, argv):
@@ -311,6 +311,20 @@ def test_matern_bins_capped_before_simulation(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: need 50 <= histogram bins <= {MAX_BINS}")
+
+
+def test_yamada_grid_capped_before_allocation(capsys, monkeypatch):
+    import packbound.variance as var
+
+    def never(*args):
+        raise AssertionError("R grid built")
+
+    monkeypatch.setattr(var, "_r_grid", never)
+    for grid in (str(MAX_R_GRID + 1), "100000000000", "1", "-5"):
+        assert main(["yamada", "--model", "delta", "--d", "1", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: need 2 <= grid points <= {MAX_R_GRID}")
 
 
 @pytest.mark.parametrize("kmax", ["nan", "inf", "-5", "0"])

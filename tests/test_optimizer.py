@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_TABLE
-from packbound.models import structure_factor_gap
+from packbound.models import hyperuniform_Z, structure_factor_gap
 from packbound.optimizer import (
     MAX_CLOSED_FORM_D,
     TABLE_DIMS,
@@ -197,12 +197,11 @@ def test_structure_factor_nonnegative_on_grid(table_records):
 def test_gap_optima_hyperuniform(table_records):
     for d, rec in table_records.items():
         t = math.exp(d * math.log(2.0 * rec.sigma_star) + math.log(rec.phi_star))
-        # Z + 1 = (2 sigma)^d phi holds at every scale; below d ~ 56 the
-        # cancellation in S(0) = 1 - t + Z is also resolvable in doubles
         assert rec.Z_star + 1.0 == pytest.approx(t, rel=1e-12)
-        if d <= 24:
-            s0 = structure_factor_gap(d, rec.phi_star, rec.sigma_star, rec.Z_star, 0.0)
-            assert abs(s0) <= 1e-9
+        # Z* is the hyperuniform weight of the record's phi* and sigma*, so
+        # S(0) = 1 - t + Z cancels exactly at every d, not just to rounding
+        assert rec.Z_star == hyperuniform_Z(d, rec.phi_star, rec.sigma_star)
+        assert structure_factor_gap(d, rec.phi_star, rec.sigma_star, rec.Z_star, 0.0) == 0.0
         assert rec.min_S_residual <= 1e-7
 
 
