@@ -1,7 +1,8 @@
 """Independent cross-check routes that the tests hold the library's formulas to.
 
-Quadrature and series for alpha2, closed half-integer Bessel forms, and a
-quadrature S(k) for the closed models; no command uses them.
+Quadrature and series for alpha2, closed half-integer Bessel forms, a
+quadrature S(k) for the closed models, and O(n^2) minimum-image references
+for the ghost and standard RSA rules; no command uses them.
 """
 
 from __future__ import annotations
@@ -141,3 +142,34 @@ def structure_factor_numeric(model, density: PackingDensity, k: float) -> float:
     _, weight = g2_eval(model, density, 1.0)
     z_term = pref * weight * _kernel(nu, k) if weight else 0.0
     return 1.0 + pref * integral + z_term
+
+
+def _torus_sq_dist(pos: np.ndarray, p: np.ndarray, L: float) -> np.ndarray:
+    dd = np.abs(pos - p)
+    dd = np.minimum(dd, L - dd)
+    return (dd * dd).sum(axis=1)
+
+
+def ghost_survivors_brute(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
+    """Ghost rule by all pairs: arrival i survives iff no earlier arrival lies within 1.
+
+    Earlier means a smaller time, or an equal time and a smaller index.
+    """
+    n = len(pos)
+    keep = np.ones(n, dtype=bool)
+    idx = np.arange(n)
+    for i in range(n):
+        near = _torus_sq_dist(pos, pos[i], L) <= 1.0
+        earlier = (times < times[i]) | ((times == times[i]) & (idx < i))
+        keep[i] = not np.any(near & earlier)
+    return keep
+
+
+def rsa_kept_brute(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
+    """Standard RSA by scanning every kept sphere: arrivals in time order (stable),
+    each kept iff no kept center lies below unit minimum-image distance."""
+    kept: list[np.ndarray] = []
+    for p in pos[np.argsort(times, kind="stable")]:
+        if not kept or _torus_sq_dist(np.asarray(kept), p, L).min() >= 1.0:
+            kept.append(p)
+    return np.asarray(kept).reshape(-1, pos.shape[1])

@@ -9,7 +9,7 @@ import pytest
 
 import packbound.cli as cli
 from packbound.cli import _parse_dims, _worker_count, main
-from packbound.matern import MAX_BINS
+from packbound.matern import MAX_ARRIVALS, MAX_BINS
 from packbound.models import PackingDensity, delta_model, make_curve
 from packbound.optimizer import terminal_delta, terminal_gap
 from packbound.variance import MAX_R_GRID, yamada_check
@@ -311,6 +311,20 @@ def test_matern_bins_capped_before_simulation(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: need 50 <= histogram bins <= {MAX_BINS}")
+
+
+def test_matern_arrivals_capped_before_allocation(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("arrivals drawn")
+
+    monkeypatch.setattr(cli.mt, "arrivals", never)
+    for d, L, T in (("1", "5000", "3356"), ("2", "1e200", "1"), ("3", "40", "1e300")):
+        assert main(["matern", "--d", d, "--L", L, "--T", T]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: expected arrival count L^d*T must be at most {MAX_ARRIVALS}"
+        )
 
 
 def test_yamada_grid_capped_before_allocation(capsys, monkeypatch):

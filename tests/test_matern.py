@@ -6,8 +6,10 @@ from numpy.testing import assert_allclose
 from scipy.spatial import cKDTree
 from scipy.stats import chi2
 
+import packbound.matern as mt
 from packbound.geometry import alpha2
 from packbound.matern import (
+    MAX_ARRIVALS,
     MAX_BINS,
     MaternConfig,
     MaternResult,
@@ -21,6 +23,7 @@ from packbound.matern import (
     saturation_time,
     simulate,
 )
+from oracle_routes import ghost_survivors_brute, rsa_kept_brute
 
 
 def test_phi_of_t():
@@ -197,3 +200,81 @@ def test_decorrelation_profile():
     assert all(a > b for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
         decorrelation_profile(301)
+
+
+def test_arrival_count_capped_before_allocation(monkeypatch):
+    def never(*args):
+        raise AssertionError("arrivals drawn")
+
+    monkeypatch.setattr(mt, "arrivals", never)
+    for d, L, T in ((1, 5000.0, 3356.0), (2, 4097.0, 1.0), (3, 1e300, 1.0), (3, 6.0, 1e300)):
+        with pytest.raises(ValueError, match=f"L\\^d\\*T must be at most {MAX_ARRIVALS}"):
+            MaternConfig(d=d, L=L, T=T)
+    MaternConfig(d=1, L=5000.0, T=3355.0)
+    MaternConfig(d=2, L=4096.0, T=0.999)
+
+
+def _shuffled_arrivals(seed, d, L, T):
+    pos, times = arrivals(seed, d, L, T)
+    perm = np.random.default_rng(seed).permutation(len(pos))
+    return pos[perm], times[perm]
+
+
+@pytest.mark.parametrize("slab_points", [mt._GHOST_SLAB_POINTS, 40])
+@pytest.mark.parametrize("d,T", [(1, 20.0), (2, 6.0), (3, 1.5)])
+@pytest.mark.parametrize("L", [6.0, 7.3, 9.0])
+def test_ghost_matches_brute_force(monkeypatch, slab_points, d, T, L):
+    # 40 points per slab cuts the box into many slabs, thinner than the halo
+    monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", slab_points)
+    for seed in (1, 2):
+        pos, times = _shuffled_arrivals(seed, d, L, T)
+        assert np.array_equal(_ghost_accept(pos, times, L), ghost_survivors_brute(pos, times, L))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ghost_pairs_across_slab_seam_and_wrap(d):
+    L = 9.0
+    w = L / 2  # two slabs for fewer than 2^17 points
+    x0 = [w - 0.3, w + 0.3, 0.2, L - 0.3, 2.0]
+    rest = [[1.0, 1.0], [1.2, 1.1], [5.0, 5.0], [5.1, 4.9], [7.0, 3.0]]
+    pos = np.array([[x] + r[: d - 1] for x, r in zip(x0, rest)])
+    times = np.array([0.5, 0.3, 0.1, 0.2, 0.4])
+    expected = np.array([False, True, True, False, True])
+    assert np.array_equal(ghost_survivors_brute(pos, times, L), expected)
+    assert np.array_equal(_ghost_accept(pos, times, L), expected)
+    perm = np.array([3, 0, 4, 2, 1])
+    assert np.array_equal(_ghost_accept(pos[perm], times[perm], L), expected[perm])
+
+
+def test_equal_times_reject_the_higher_index():
+    pos = np.array([[1.0, 1.0], [1.5, 1.2], [4.0, 4.0]])
+    times = np.array([0.3, 0.3, 0.1])
+    expected = np.array([True, False, True])
+    for p in (pos, pos[[1, 0, 2]]):
+        assert np.array_equal(ghost_survivors_brute(p, times, 8.0), expected)
+        assert np.array_equal(_ghost_accept(p, times, 8.0), expected)
+        assert np.array_equal(_rsa_accept(p, times, 8.0), p[[2, 0]])
+        assert np.array_equal(rsa_kept_brute(p, times, 8.0), p[[2, 0]])
+
+
+@pytest.mark.parametrize("batch", [mt._RSA_BATCH, 7])
+@pytest.mark.parametrize("d,L,T", [(1, 7.3, 30.0), (1, 40.0, 10.0), (2, 9.0, 8.0), (3, 6.5, 4.0)])
+def test_rsa_matches_brute_force(monkeypatch, batch, d, L, T):
+    # a batch of 7 runs the tree screen against the kept bed many times
+    monkeypatch.setattr(mt, "_RSA_BATCH", batch)
+    for seed in (3, 4):
+        pos, times = _shuffled_arrivals(seed, d, L, T)
+        assert np.array_equal(_rsa_accept(pos, times, L), rsa_kept_brute(pos, times, L))
+
+
+def test_rsa_pairs_across_cell_seams_and_wrap():
+    # L = 7.3: unit cells 0..5 and a widened last cell [6, 7.3)
+    L = 7.3
+    x = [0.1, 7.2, 3.9, 4.2, 5.8, 6.5, 5.1, 6.05, 2.5]
+    times = np.arange(len(x), dtype=float)
+    pos = np.array([[v] for v in x])
+    expected = pos[[0, 2, 4, 8]]
+    assert np.array_equal(rsa_kept_brute(pos, times, L), expected)
+    assert np.array_equal(_rsa_accept(pos, times, L), expected)
+    pos2 = np.array([[v, 3.0 + 0.1 * k] for k, v in enumerate(x)])
+    assert np.array_equal(_rsa_accept(pos2, times, L), rsa_kept_brute(pos2, times, L))
