@@ -31,6 +31,7 @@ from scipy.optimize import brentq
 from scipy.special import ai_zeros, gammaln
 
 from .models import log_amplitude
+from .optimizer import check_dimension, terminal_gap
 from .specialfn import A1, A2, A3, bessel_j, first_zero
 
 __all__ = [
@@ -169,13 +170,12 @@ def kmin_linearized(d, x0, y0, sigma, beta_ratio) -> float:
     return x0 - d * (y0 - sigma * x0) / (beta_ratio * sigma ** (nu - 1) * x0 - d * sigma)
 
 
-def kmin_asymptotic(d, variant="expansion", sigma=None, beta_ratio=None) -> float:
+def kmin_asymptotic(d, variant="expansion") -> float:
     """Binding wavenumber, either the direct expansion or the linearized form.
 
     The linearized variant evaluates the tangency formula at the numeric first
-    zeros; sigma and the beta ratio default to their in-house values
-    (asymptotic sigma*, exact ratio) but can be overridden to reproduce quoted
-    evaluations with external inputs.
+    zeros, the asymptotic sigma* and the exact beta ratio; kmin_linearized
+    takes external inputs.
     """
     _check_d(d)
     c = solve_constants()
@@ -183,13 +183,9 @@ def kmin_asymptotic(d, variant="expansion", sigma=None, beta_ratio=None) -> floa
     if variant == "expansion":
         return nu + c.a1 * nu ** (1.0 / 3.0) + c.Q1 + c.a2 / nu ** (1.0 / 3.0)
     if variant == "linearized":
-        x0 = first_zero(nu)
-        y0 = first_zero(nu + 1)
-        if sigma is None:
-            sigma = sigma_star_asymptotic(d)
-        if beta_ratio is None:
-            beta_ratio = beta_ratio_exact(d)
-        return kmin_linearized(d, x0, y0, sigma, beta_ratio)
+        return kmin_linearized(
+            d, first_zero(nu), first_zero(nu + 1), sigma_star_asymptotic(d), beta_ratio_exact(d)
+        )
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -324,8 +320,11 @@ def kissing_asymptotic(d, form="compact") -> float:
 
 
 def build_report(d, include_numeric=True) -> dict:
-    """All constants, expansion predictions, and numeric comparisons at d."""
-    _check_d(d)
+    """All constants, expansion predictions, and numeric comparisons at d.
+
+    d must lie in DIMENSION_RANGE["asymptotics"], checked before any work.
+    """
+    check_dimension("asymptotics", d)
     c = solve_constants()
     delta, kpow, sigpow = delta_nu_terms(d)
     report = {
@@ -364,8 +363,6 @@ def build_report(d, include_numeric=True) -> dict:
             "phi_star_from_linearized_kmin": 5.666392126e-44,
         }
     if include_numeric:
-        from .optimizer import terminal_gap
-
         rec = terminal_gap(int(d))
         phi_full = report["predictions"]["phi_star_full"]
         report["numeric"] = {

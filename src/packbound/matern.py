@@ -15,16 +15,18 @@ the coupling property test exploits.
 Neither rule holds every pair or scans every kept sphere. The ghost rule
 finds the pairs within unit distance slab by slab along axis 0, at most about
 2^17 arrivals per tree query, so memory stays bounded as the box grows.
-Standard RSA screens each batch of arrivals against the kept bed with one tree
-query and inserts the survivors one at a time through a periodic cell list of
-unit cells, checking only the 3^d neighbouring cells (Allen & Tildesley,
-Computer Simulation of Liquids, 1987). Both give the accepted set of the
-all-pairs computation bit for bit.
+Standard RSA takes the arrivals in batches of doubling size, capped, screens
+each batch against the kept bed with one tree query and settles the survivors
+of the batch among themselves from their pairs. Both give the accepted set of
+the all-pairs computation bit for bit.
+
+Every neighbour test is a cKDTree query, and both rules use one contact rule:
+a center at distance <= 1 (minimum image) from an earlier blocking center is
+rejected, so exact contact counts as overlap.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,7 +57,7 @@ MAX_BINS = 2**16
 #: 2.5M arrivals of the largest run in the tests (d=1, L=5000, T=500)
 MAX_ARRIVALS = 2**24
 
-# arrivals per tree screen against the kept bed in standard RSA
+# most arrivals per standard-RSA batch; fixes the batch sizes, not the answer
 _RSA_BATCH = 20000
 
 # most arrivals per ghost-rule slab query; fixes the slab count, not the answer
@@ -154,6 +156,21 @@ def g2_matern(d: int, r: float, t: float) -> float:
         return 1.0
     v = sphere_volume(d, 1.0)
     b = beta2(d, r, 1.0)
+    x = v * t
+    if x < 1e-3:
+        # the direct form below cancels to about eps/x relative and its e1*e1
+        # underflows at tiny x. With x = v t, expm1(-b x) - b expm1(-x) =
+        # b (b-1) x^2 sum_m (-x)^m h_m / (m+2)!, h_m = 1 + b + ... + b^m, and
+        # -expm1(-x) = x sum_m (-x)^m / (m+1)!; five terms of each are exact to
+        # double precision here
+        num = den = 0.0
+        h = term = 1.0
+        for m in range(5):
+            den += term
+            num += h * term / (m + 2)
+            term *= -x / (m + 2)
+            h = 1.0 + b * h
+        return 2.0 * num / (den * den)
     e1 = math.expm1(-v * t)
     return 2.0 * (math.expm1(-v * b * t) - b * e1) / (b * (b - 1.0) * e1 * e1)
 
@@ -235,55 +252,31 @@ def _ghost_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
 def _rsa_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
     """Standard RSA: only previously kept spheres block. Sequential by time.
 
-    Each batch of _RSA_BATCH arrivals is first screened against the
-    already-kept bed with one tree query. The few survivors are then inserted
-    one at a time, each checked against the kept spheres in its own and the
-    3^d neighbouring cells of a periodic cell list. The cells are unit cubes,
-    the last one along each axis widened to [m-1, L) with m = floor(L) >= 6,
-    so the 3^d cells are distinct and a point's cell index, min(int(x), m-1),
-    is exact. A kept sphere can block only if its minimum-image offset is
-    below 1 on every axis, and then it lies in a neighbouring cell. The
-    distance is computed with the same float operations as a scan over the
-    whole bed, so the kept set is the same.
+    The time-sorted arrivals go in batches of 1, 2, 4, ... arrivals, capped at
+    _RSA_BATCH. Each batch is screened against the kept bed with one tree
+    query; the survivors are then settled among themselves from their pairs
+    within unit distance, in arrival order: one is kept iff no earlier kept
+    survivor of its batch is paired with it. Doubling keeps the first batches,
+    where nearly every arrival survives the screen, small; the cap bounds the
+    memory of the last ones.
     """
-    order = np.argsort(times, kind="stable")
-    pos = pos[order]
-    d = pos.shape[1]
-    m = int(L)
-    offsets = list(itertools.product((-1, 0, 1), repeat=d))
-    cells: dict[tuple[int, ...], list[list[float]]] = {}
-    kept: list[list[float]] = []
-    for lo in range(0, len(pos), _RSA_BATCH):
-        block = pos[lo : lo + _RSA_BATCH]
-        if kept:
-            tree = cKDTree(np.array(kept), boxsize=L)
-            near = tree.query_ball_point(block, 1.0, return_length=True)
+    pos = pos[np.argsort(times, kind="stable")]
+    kept = pos[:0]
+    lo, size = 0, 1
+    while lo < len(pos):
+        block = pos[lo : lo + size]
+        lo, size = lo + size, min(2 * size, _RSA_BATCH)
+        if len(kept):
+            near = cKDTree(kept, boxsize=L).query_ball_point(block, 1.0, return_length=True)
             block = block[near == 0]
-        for p in block.tolist():
-            c = [min(int(x), m - 1) for x in p]
-            if any(
-                _overlaps(p, cells.get(tuple([(ci + oi) % m for ci, oi in zip(c, off)]), ()), L)
-                for off in offsets
-            ):
-                continue
-            kept.append(p)
-            cells.setdefault(tuple(c), []).append(p)
-    if not kept:
-        return np.empty((0, d))
-    return np.array(kept)
-
-
-def _overlaps(p: list[float], bucket: list[list[float]], L: float) -> bool:
-    """True if some kept center in bucket lies below unit minimum-image distance of p."""
-    for q in bucket:
-        s = 0.0
-        for a, b in zip(q, p):
-            dd = abs(a - b)
-            dd = min(dd, L - dd)
-            s += dd * dd
-        if s < 1.0:
-            return True
-    return False
+        pairs = cKDTree(block, boxsize=L).query_pairs(1.0, output_type="ndarray")
+        keep = np.ones(len(block), dtype=bool)
+        # by later member, so each earlier member's fate is settled when read
+        for i, j in pairs[np.argsort(pairs[:, 1])].tolist():
+            if keep[i]:
+                keep[j] = False
+        kept = np.concatenate([kept, block[keep]])
+    return kept
 
 
 def _pair_histogram(acc: np.ndarray, L: float, bins: int) -> tuple[np.ndarray, np.ndarray]:

@@ -66,12 +66,15 @@ DENSEST_KNOWN = {56: 2.327670e-11, 60: 2.966747e-13, 64: 1.326615e-12}
 #: d = 1074, and 2.0 ** d overflows past 1023)
 MAX_CLOSED_FORM_D = 1000
 
-#: supported integer dimensions, inclusive, of each model and of classical_bounds
+#: supported integer dimensions, inclusive, of each model, of classical_bounds
+#: and of the asymptotics report (its expansions need d >= 20, and it stays
+#: finite up to about d = 1380)
 DIMENSION_RANGE = {
     "step": (1, MAX_CLOSED_FORM_D),
     "delta": (1, MAX_CLOSED_FORM_D),
     "gap": (2, 300),
     "classical": (2, MAX_CLOSED_FORM_D),
+    "asymptotics": (20, MAX_CLOSED_FORM_D),
 }
 
 

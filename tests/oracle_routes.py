@@ -167,9 +167,9 @@ def ghost_survivors_brute(pos: np.ndarray, times: np.ndarray, L: float) -> np.nd
 
 def rsa_kept_brute(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
     """Standard RSA by scanning every kept sphere: arrivals in time order (stable),
-    each kept iff no kept center lies below unit minimum-image distance."""
+    each kept iff no kept center lies within unit minimum-image distance."""
     kept: list[np.ndarray] = []
     for p in pos[np.argsort(times, kind="stable")]:
-        if not kept or _torus_sq_dist(np.asarray(kept), p, L).min() >= 1.0:
+        if not kept or _torus_sq_dist(np.asarray(kept), p, L).min() > 1.0:
             kept.append(p)
     return np.asarray(kept).reshape(-1, pos.shape[1])

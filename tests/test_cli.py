@@ -11,7 +11,7 @@ import packbound.cli as cli
 from packbound.cli import _parse_dims, _worker_count, main
 from packbound.matern import MAX_ARRIVALS, MAX_BINS
 from packbound.models import PackingDensity, delta_model, make_curve
-from packbound.optimizer import terminal_delta, terminal_gap
+from packbound.optimizer import MAX_CLOSED_FORM_D, terminal_delta, terminal_gap
 from packbound.variance import MAX_R_GRID, yamada_check
 
 
@@ -325,6 +325,26 @@ def test_matern_arrivals_capped_before_allocation(capsys, monkeypatch):
         assert captured.err.startswith(
             f"error: expected arrival count L^d*T must be at most {MAX_ARRIVALS}"
         )
+
+
+@pytest.mark.parametrize("d", ["1001", "5000", "20000"])
+def test_asymptotics_dimension_capped_up_front(capsys, d):
+    # past the cap the report overflows, or scipy fails on the Bessel order
+    assert main(["asymptotics", "--d", d, "--skip-numeric"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: asymptotics dimension must be an integer in [20, {MAX_CLOSED_FORM_D}], got {d}\n"
+    )
+
+
+def test_matern_tiny_horizon_prints_ideal_gas_g2(capsys):
+    # g2_matern's direct form underflowed here (e1*e1 = 0)
+    code, out = run_main(capsys, ["matern", "--d", "1", "--L", "6", "--T", "1e-300"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    col = rows[0].index("g2_analytic")
+    assert {float(r[col]) for r in rows[1:]} == {1.0}
 
 
 def test_yamada_grid_capped_before_allocation(capsys, monkeypatch):

@@ -1,13 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial import cKDTree
 from scipy.stats import chi2
 
 import packbound.matern as mt
-from packbound.geometry import alpha2
+from packbound.geometry import alpha2, beta2
 from packbound.matern import (
     MAX_ARRIVALS,
     MAX_BINS,
@@ -23,6 +26,7 @@ from packbound.matern import (
     saturation_time,
     simulate,
 )
+from packbound.specialfn import sphere_volume
 from oracle_routes import ghost_survivors_brute, rsa_kept_brute
 
 
@@ -55,6 +59,19 @@ def test_g2_finite_time():
     assert_allclose(g2_matern(2, 1.3, 1e-4), 1.0, atol=1e-3)
     with pytest.raises(ValueError):
         g2_matern(2, 1.5, 0.0)
+
+
+@pytest.mark.parametrize("T", [1e-300, 1e-12, 1e-8, 1e-4, 1.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("r", [1.0, 1.5, 1.99])
+def test_g2_small_time_against_mpmath(T, d, r):
+    # the direct form cancels to eps/(vT) and underflows at T = 1e-300
+    b = mpmath.mpf(beta2(d, r, 1.0))
+    with mpmath.workdps(450):
+        x = mpmath.mpf(sphere_volume(d, 1.0)) * mpmath.mpf(T)
+        e1 = mpmath.expm1(-x)
+        ref = 2 * (mpmath.expm1(-b * x) - b * e1) / (b * (b - 1) * e1 * e1)
+        assert abs(g2_matern(d, r, T) - ref) <= 1e-9 * ref
 
 
 def test_g2_limit():
@@ -268,7 +285,8 @@ def test_rsa_matches_brute_force(monkeypatch, batch, d, L, T):
 
 
 def test_rsa_pairs_across_cell_seams_and_wrap():
-    # L = 7.3: unit cells 0..5 and a widened last cell [6, 7.3)
+    # L = 7.3, not a whole number: pairs across x = 6 and 7 and across the box
+    # wrap (0.1 and 7.2), first alone and then with a second coordinate
     L = 7.3
     x = [0.1, 7.2, 3.9, 4.2, 5.8, 6.5, 5.1, 6.05, 2.5]
     times = np.arange(len(x), dtype=float)
@@ -278,3 +296,46 @@ def test_rsa_pairs_across_cell_seams_and_wrap():
     assert np.array_equal(_rsa_accept(pos, times, L), expected)
     pos2 = np.array([[v, 3.0 + 0.1 * k] for k, v in enumerate(x)])
     assert np.array_equal(_rsa_accept(pos2, times, L), rsa_kept_brute(pos2, times, L))
+
+
+@pytest.mark.parametrize("batch", [mt._RSA_BATCH, 1, 2])
+def test_exact_contact_blocks_at_every_batch_size(monkeypatch, batch):
+    # 2.0 touches 1.0 exactly: contact counts as overlap, however the
+    # arrivals are split into batches
+    monkeypatch.setattr(mt, "_RSA_BATCH", batch)
+    pos = np.array([[1.0], [2.0], [4.5]])
+    times = np.array([0.1, 0.2, 0.3])
+    assert np.array_equal(_rsa_accept(pos, times, 10.0), pos[[0, 2]])
+    assert np.array_equal(_ghost_accept(pos, times, 10.0), [True, False, True])
+
+
+@st.composite
+def _contact_configurations(draw):
+    d = draw(st.sampled_from([1, 2, 3]))
+    L = draw(st.sampled_from([6.0, 7.3, 9.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = rng.random((draw(st.integers(1, 40)), d)) * L
+    # some points sit 1.0 along an axis from another (exactly, unless wrapped)
+    extra = []
+    for k in draw(st.lists(st.integers(0, len(pos) - 1), max_size=10)):
+        p = pos[k].copy()
+        axis = draw(st.integers(0, d - 1))
+        p[axis] = (p[axis] + 1.0) % L
+        extra.append(p)
+    pos = np.concatenate([pos, np.reshape(extra, (-1, d))])
+    # few distinct times give equal-time ties
+    times = rng.integers(0, draw(st.sampled_from([3, 1000])), len(pos)).astype(float)
+    return pos, times, L
+
+
+@settings(max_examples=200, deadline=None)
+@given(_contact_configurations(), st.sampled_from([1, 2, 7, mt._RSA_BATCH]))
+def test_accept_rules_match_brute_force_near_contact(config, batch):
+    pos, times, L = config
+    old = mt._RSA_BATCH
+    mt._RSA_BATCH = batch
+    try:
+        assert np.array_equal(_rsa_accept(pos, times, L), rsa_kept_brute(pos, times, L))
+    finally:
+        mt._RSA_BATCH = old
+    assert np.array_equal(_ghost_accept(pos, times, L), ghost_survivors_brute(pos, times, L))
