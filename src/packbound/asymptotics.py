@@ -2,8 +2,11 @@
 
 Everything here is closed-form: the expansion constants (solved once and
 cached), the sigma*, k_min, Delta_nu, and phi* expansions built from them,
-and exact-evaluation helpers used to cross-check the expansions against the
-numeric optimizer.
+and the exact tangency combination Delta_nu(sigma, k) with the optimum
+identity that turns it back into a density. ``build_report`` evaluates that
+identity at the numeric optimum, where it reproduces phi* (to 7e-14 relative
+at d = 200), and at the asymptotic sigma* with the linearized k_min, the
+quoted phi_star_from_linearized_kmin prediction.
 
 Two precision tiers for the Bessel-derivative constant C1 coexist on
 purpose. The dominant-term estimate (C1 = -1.104938082) is what the quoted
@@ -42,7 +45,6 @@ __all__ = [
     "kmin_linearized",
     "beta_ratio_asymptotic",
     "beta_ratio_exact",
-    "c_expansions",
     "c_exact_triple",
     "delta_nu_terms",
     "delta_nu_exact",
@@ -202,16 +204,6 @@ def beta_ratio_exact(d) -> float:
     return b1 / b2
 
 
-def c_expansions(nu):
-    """Asymptotic slope halves at the first zeros of J_nu, J_{nu+1}, J_{nu-1}."""
-    if nu < 20:
-        raise ValueError(f"expansion is asymptotic; requires nu >= 20, got {nu}")
-    c = solve_constants()
-    base = c.C1 / nu ** (2.0 / 3.0) + c.C2 / nu ** (4.0 / 3.0)
-    shift = 2.0 * c.C1 / (3.0 * nu ** (5.0 / 3.0))
-    return (base, base - shift, base + shift)
-
-
 def c_exact_triple(nu):
     """Exact slope halves evaluated at numeric zeros, for comparison."""
     x0 = first_zero(nu)
@@ -253,7 +245,14 @@ def delta_nu_exact(d, sigma, k) -> float:
 
 
 def phi_from_optimum(d, sigma, k) -> float:
-    """Density from the zero-tangency relation at (sigma, k), in log space."""
+    """Density from the zero-tangency relation at (sigma, k), in log space.
+
+    phi = k^nu / (8^nu Gamma(1+nu) sigma^(2 nu) Delta_nu), Delta_nu from
+    delta_nu_exact; a nonpositive Delta_nu raises ValueError. This is S(k) = 0
+    with Z = (2 sigma)^d phi - 1 at large d: it drops a factor
+    1 - Lambda_{nu-1}(k), which at the numeric optimum is 1 - 1e-3 at d = 20
+    and 1 - 2e-10 at d = 100.
+    """
     nu = 0.5 * d
     delta = delta_nu_exact(d, sigma, k)
     if delta <= 0.0:
@@ -327,13 +326,15 @@ def build_report(d, include_numeric=True) -> dict:
     check_dimension("asymptotics", d)
     c = solve_constants()
     delta, kpow, sigpow = delta_nu_terms(d)
+    sigma = sigma_star_asymptotic(d)
+    k_lin = kmin_asymptotic(d, "linearized")
     report = {
         "d": d,
         "constants": asdict(c),
         "predictions": {
-            "sigma_star": sigma_star_asymptotic(d),
+            "sigma_star": sigma,
             "kmin_expansion": kmin_asymptotic(d, "expansion"),
-            "kmin_linearized": kmin_asymptotic(d, "linearized"),
+            "kmin_linearized": k_lin,
             "beta_ratio_asymptotic": beta_ratio_asymptotic(d),
             "beta_ratio_exact": beta_ratio_exact(d),
             "delta_nu": delta,
@@ -341,6 +342,7 @@ def build_report(d, include_numeric=True) -> dict:
             "sigma_star_pow": sigpow,
             "phi_star_full": phi_star_asymptotic(d, "full"),
             "phi_star_dominant": phi_star_asymptotic(d, "dominant"),
+            "phi_star_from_linearized_kmin": phi_from_optimum(d, sigma, k_lin),
             "kissing_compact": kissing_asymptotic(d, "compact"),
             "kissing_full": kissing_asymptotic(d, "full"),
         },
@@ -370,8 +372,9 @@ def build_report(d, include_numeric=True) -> dict:
             "Z_star": rec.Z_star,
             "phi_star": rec.phi_star,
             "k_min": rec.k_min,
-            "sigma_rel_err": abs(report["predictions"]["sigma_star"] - rec.sigma_star)
-            / rec.sigma_star,
+            "delta_nu_exact": delta_nu_exact(d, rec.sigma_star, rec.k_min),
+            "phi_from_optimum": phi_from_optimum(d, rec.sigma_star, rec.k_min),
+            "sigma_rel_err": abs(sigma - rec.sigma_star) / rec.sigma_star,
             "phi_rel_err": abs(phi_full - rec.phi_star) / rec.phi_star,
             "kmin_abs_err": abs(report["predictions"]["kmin_expansion"] - rec.k_min),
         }

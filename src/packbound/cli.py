@@ -227,7 +227,8 @@ def cmd_matern(args) -> tuple[str, int]:
     if args.centers_out:
         header = [f"x{i + 1}" for i in range(config.d)]
         # centers keep 10 significant digits, not the 7 of every other number
-        rows = ([f"{c:.9e}" for c in row] for row in result.accepted_centers.tolist())
+        fmt = ",".join(["{:.9e}"] * config.d)
+        rows = ([fmt.format(*row)] for row in result.accepted_centers.tolist())
         with open(args.centers_out, "w") as fh:
             fh.write(_csv(header, rows))
     n_accepted = len(result.accepted_centers)

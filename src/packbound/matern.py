@@ -40,12 +40,9 @@ __all__ = [
     "MaternConfig",
     "MaternResult",
     "phi_of_t",
-    "saturation_time",
     "g2_matern",
-    "g2_matern_limit",
     "arrivals",
     "simulate",
-    "decorrelation_profile",
 ]
 
 _RMAX = 3.0
@@ -136,13 +133,6 @@ def phi_of_t(d: int, t: float) -> float:
     return -math.expm1(-sphere_volume(d, 1.0) * t) / 2.0**d
 
 
-def saturation_time(d: int, deficit: float = 1e-4) -> float:
-    """Horizon T at which phi_of_t is within the given deficit of saturation."""
-    if not 0.0 < deficit < 1.0:
-        raise ValueError("deficit must lie in (0, 1)")
-    return -math.log(deficit) / sphere_volume(d, 1.0)
-
-
 def g2_matern(d: int, r: float, t: float) -> float:
     """Pair correlation of the ghost process at finite time."""
     if r < 0.0:
@@ -173,15 +163,6 @@ def g2_matern(d: int, r: float, t: float) -> float:
         return 2.0 * num / (den * den)
     e1 = math.expm1(-v * t)
     return 2.0 * (math.expm1(-v * b * t) - b * e1) / (b * (b - 1.0) * e1 * e1)
-
-
-def g2_matern_limit(d: int, r: float) -> float:
-    """Saturated (t -> infinity) ghost-process pair correlation, 2/beta2 beyond contact."""
-    if r < 0.0:
-        raise ValueError(f"separation must be nonnegative, got {r}")
-    if r < 1.0:
-        return 0.0
-    return 2.0 / beta2(d, r, 1.0)
 
 
 def arrivals(seed: int, d: int, L: float, T: float) -> tuple[np.ndarray, np.ndarray]:
@@ -332,10 +313,3 @@ def simulate(config: MaternConfig) -> MaternResult:
         g2_stderr=g2_err,
         g2_analytic=g2_ref,
     )
-
-
-def decorrelation_profile(d_max: int) -> list[tuple[int, float]]:
-    """Contact excess g2(1+; infinity) - 1 against dimension; decays like (3/4)^(d/2)."""
-    if not 1 <= d_max <= 300:
-        raise ValueError(f"d_max must lie in [1, 300], got {d_max}")
-    return [(d, g2_matern_limit(d, 1.0) - 1.0) for d in range(1, d_max + 1)]

@@ -22,19 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import bessel_lambda, first_zero, log_sphere_volume, sphere_surface
+from .specialfn import bessel_lambda, first_zero, log_sphere_volume
 
 __all__ = [
     "RadialModel",
     "PackingDensity",
     "StructureFactorCurve",
-    "step_model",
-    "delta_model",
-    "gap_model",
-    "g2_eval",
     "hyperuniform_Z",
     "log_amplitude",
-    "maclaurin_coefficients",
     "structure_factor_gap",
     "structure_factor",
     "default_k_max",
@@ -73,18 +68,6 @@ class RadialModel:
             raise ValueError("delta model has sigma=1")
 
 
-def step_model() -> RadialModel:
-    return RadialModel("step")
-
-
-def delta_model(Z: float) -> RadialModel:
-    return RadialModel("delta", 1.0, Z)
-
-
-def gap_model(sigma: float, Z: float) -> RadialModel:
-    return RadialModel("gap", sigma, Z)
-
-
 @dataclass(frozen=True)
 class PackingDensity:
     """Sphere volume fraction phi in dimension d; spheres have diameter 1."""
@@ -119,23 +102,6 @@ class StructureFactorCurve:
     S0: float
     model: RadialModel
     density: PackingDensity
-
-
-def g2_eval(model: RadialModel, density: PackingDensity, r: float):
-    """(continuous part, delta weight at r=1) of g2 at radius r.
-
-    The continuous part is the unit step at the model edge; the delta weight
-    Z/(s1(1) rho) is returned separately since it cannot live in a pointwise
-    value.
-    """
-    if r < 0.0:
-        raise ValueError("radius must be nonnegative")
-    cont = 1.0 if r >= model.sigma else 0.0
-    if model.Z == 0.0 or density.phi == 0.0:
-        weight = 0.0
-    else:
-        weight = model.Z / (sphere_surface(density.d, 1.0) * density.rho)
-    return cont, weight
 
 
 def log_amplitude(d: int, phi: float, sigma: float) -> float:
@@ -178,19 +144,6 @@ def structure_factor_gap(d: int, phi: float, sigma: float, Z: float, k):
 def structure_factor(model: RadialModel, density: PackingDensity, k):
     """Closed-form S(k) for any of the three models."""
     return structure_factor_gap(density.d, density.phi, model.sigma, model.Z, k)
-
-
-def maclaurin_coefficients(model: RadialModel, density: PackingDensity):
-    """(S(0), quadratic coefficient) of the small-k expansion.
-
-    S(k) = S0 + c2 k^2 + O(k^4) with S0 = 1 - (2 sigma)^d phi + Z and
-    c2 = (2 sigma)^d phi sigma^2 / (2(d+2)) - Z/(2d).
-    """
-    d = density.d
-    t = _step_amplitude(d, density.phi, model.sigma)
-    s0 = 1.0 - t + model.Z
-    c2 = t * model.sigma**2 / (2.0 * (d + 2.0)) - model.Z / (2.0 * d)
-    return s0, c2
 
 
 def default_k_max(d: int) -> float:

@@ -39,7 +39,6 @@ from .specialfn import bessel_lambda
 __all__ = [
     "TerminalDensityRecord",
     "ClassicalBounds",
-    "TABLE_DIMS",
     "DENSEST_KNOWN",
     "terminal_step",
     "terminal_delta",
@@ -54,9 +53,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-#: dimensions of the reference optimum table
-TABLE_DIMS = (3, 4, 5, 6, 7, 8, 24, 36, 56, 60, 64, 80, 100, 125, 150, 175, 200)
 
 #: densest known lattice/packing densities quoted for comparison
 DENSEST_KNOWN = {56: 2.327670e-11, 60: 2.966747e-13, 64: 1.326615e-12}

@@ -1,8 +1,8 @@
 """Bessel J of real order, its first zeros, and n-sphere geometry.
 
-Bessel evaluation is delegated to scipy's AMOS-backed ``jv``; the one-term
-Watson asymptotic form is provided alongside it. (Closed half-integer forms
-survive only as oracles in the tests.)
+Bessel evaluation is delegated to scipy's AMOS-backed ``jv``. (Closed
+half-integer forms, the Watson asymptotic form and the large-order zero
+expansion survive only as oracles in the tests.)
 All sphere volumes/surfaces go through log space so nothing overflows
 before d is well past 300.
 """
@@ -19,8 +19,6 @@ __all__ = [
     "bessel_j",
     "bessel_lambda",
     "first_zero",
-    "zero_asymptotic",
-    "watson_j",
     "sphere_volume",
     "log_sphere_volume",
     "sphere_surface",
@@ -31,7 +29,7 @@ LNPI = math.log(math.pi)
 
 #: quoted coefficients of the large-order expansion of the first positive
 #: zero of J_nu; kept at their published precision on purpose, because the
-#: pinned expansion values below depend on this exact rounding.
+#: pinned expansion values depend on this exact rounding.
 A1 = 1.8557571
 A2 = 1.033150
 A3 = -0.003971
@@ -152,42 +150,6 @@ def first_zero(nu: float) -> float:
         f"no sign change of J_nu in bracket [{nu:.6g}, {cap:.6g}]; "
         "zero search did not converge"
     )
-
-
-def zero_asymptotic(nu: float, which: str = "x0") -> float:
-    """Large-order expansion of the first zero of J_nu (x0), J_{nu+1} (y0), J_{nu-1} (z0).
-
-    x0 uses the plain expansion nu + a1 nu^(1/3) + a2 nu^(-1/3) + a3/nu.
-    y0 and z0 are that expansion for order nu +- 1, re-expanded around nu,
-    which shifts the leading term by 1 and adds +-(a1/(3 nu^(2/3)) -
-    a2/(3 nu^(4/3))) from differentiating the fractional powers.
-    """
-    nu = _check_order(nu)
-    if nu < 10.0:
-        raise ValueError("asymptotic zero expansion is wired for nu >= 10")
-    t13 = nu ** (1.0 / 3.0)
-    base = nu + A1 * t13 + A2 / t13 + A3 / nu
-    if which == "x0":
-        return base
-    if which == "y0":
-        s = 1.0
-    elif which == "z0":
-        s = -1.0
-    else:
-        raise ValueError(f"which must be one of x0, y0, z0; got {which!r}")
-    return base + s * (1.0 + A1 / (3.0 * t13 * t13) - A2 / (3.0 * nu * t13))
-
-
-def watson_j(nu: float, x: float) -> float:
-    """One-term Watson asymptotic A_nu(x) cos(omega_nu(x) - pi/4) for x > nu."""
-    nu = _check_order(nu)
-    x = float(x)
-    if not math.isfinite(x) or x <= nu:
-        raise ValueError(f"Watson form needs x > nu (oscillatory region); got x={x}, nu={nu}")
-    w = math.sqrt(x * x - nu * nu)
-    amp = math.sqrt(2.0 / (math.pi * w))
-    phase = w - nu * math.acos(nu / x) if nu > 0.0 else w
-    return amp * math.cos(phase - 0.25 * math.pi)
 
 
 def log_sphere_volume(d: int, R: float) -> float:

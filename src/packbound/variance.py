@@ -8,7 +8,8 @@ with I(R) the integral of alpha2(u^(1/d); R) du over u in [0, min(sigma,2R)^d]
 (the continuous part of h is -1 on [0, sigma) and 0 beyond) and the contact
 term handled analytically since quadrature cannot resolve a Dirac mass. For
 2R <= sigma the integral covers the whole overlap support, I = R^d exactly,
-and the variance collapses to x(1-x) with x = 2^d phi R^d.
+and where the contact term vanishes too (Z = 0 or 2R <= 1) the variance
+collapses to x(1-x) with x = 2^d phi R^d.
 
 Beyond that, I(R) = (2R)^d J(X) with X = sigma/(2R) and
 J(X) = int_0^X d x^(d-1) alpha2(x) dx. Integrating by parts with
@@ -46,7 +47,6 @@ from .models import PackingDensity, RadialModel, log_amplitude
 __all__ = [
     "VarianceCheck",
     "number_variance",
-    "variance_lower_bound",
     "fractional_count_bound",
     "yamada_check",
     "MAX_R_GRID",
@@ -156,16 +156,6 @@ def number_variance(model: RadialModel, density: PackingDensity, R):
         raise OverflowError(f"expected count overflows at d={d}, R={rr[overflow][0]}")
     out = (count * bracket).reshape(Ra.shape)
     return float(out) if Ra.ndim == 0 else out
-
-
-def variance_lower_bound(d: int, phi: float, R: float) -> float:
-    """x(1-x) with x = 2^d phi R^d; exact for 2R <= sigma and a bound beyond."""
-    if R <= 0.0:
-        raise ValueError(f"window radius must be positive, got {R}")
-    if phi == 0.0:
-        return 0.0
-    x = math.exp(log_amplitude(d, phi, R))
-    return x * (1.0 - x)
 
 
 def fractional_count_bound(expected_count):

@@ -2,7 +2,11 @@
 
 Quadrature and series for alpha2, closed half-integer Bessel forms, a
 quadrature S(k) for the closed models, and O(n^2) minimum-image references
-for the ghost and standard RSA rules; no command uses them.
+for the ghost and standard RSA rules. Also the reference formulas that only
+the tests evaluate: the pointwise g2 and small-k expansion of the models,
+the Watson form and large-order zero expansion of J_nu, large-d alpha2, the
+saturated ghost-process g2 and saturation time, and the asymptotic Bessel
+slope halves. No command uses any of them.
 """
 
 from __future__ import annotations
@@ -14,8 +18,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, jv
 
-from packbound.geometry import _cd, _check_dr
-from packbound.models import PackingDensity, g2_eval
+from packbound.asymptotics import solve_constants
+from packbound.geometry import _cd, _check_dr, beta2
+from packbound.models import PackingDensity, RadialModel, _step_amplitude
+from packbound.specialfn import A1, A2, A3, _check_order, sphere_surface, sphere_volume
 
 _SERIES_TOL = 1e-14
 _SERIES_MAX_TERMS = 800
@@ -83,6 +89,13 @@ def alpha2_series(d: int, r: float, R: float) -> float:
     return alpha2_integral(d, r, R)
 
 
+def alpha2_asymptotic(d: int) -> float:
+    """Large-d value of alpha2(R; R): sqrt(6/pi) (3/4)^(d/2) / sqrt(d)."""
+    if d < 10:
+        raise ValueError("asymptotic form is wired for d >= 10")
+    return math.sqrt(6.0 / math.pi) * math.exp(0.5 * d * math.log(0.75)) / math.sqrt(d)
+
+
 def bessel_j_half(nu: float, x):
     """Closed trigonometric forms of J_nu for nu in {1/2, 3/2, 5/2}."""
     xa = np.asarray(x, dtype=float)
@@ -99,6 +112,72 @@ def bessel_j_half(nu: float, x):
     else:
         raise ValueError(f"no closed form wired up for nu={nu}")
     return float(out) if xa.ndim == 0 else out
+
+
+def zero_asymptotic(nu: float, which: str = "x0") -> float:
+    """Large-order expansion of the first zero of J_nu (x0), J_{nu+1} (y0), J_{nu-1} (z0).
+
+    x0 uses the plain expansion nu + a1 nu^(1/3) + a2 nu^(-1/3) + a3/nu.
+    y0 and z0 are that expansion for order nu +- 1, re-expanded around nu,
+    which shifts the leading term by 1 and adds +-(a1/(3 nu^(2/3)) -
+    a2/(3 nu^(4/3))) from differentiating the fractional powers.
+    """
+    nu = _check_order(nu)
+    if nu < 10.0:
+        raise ValueError("asymptotic zero expansion is wired for nu >= 10")
+    t13 = nu ** (1.0 / 3.0)
+    base = nu + A1 * t13 + A2 / t13 + A3 / nu
+    if which == "x0":
+        return base
+    if which == "y0":
+        s = 1.0
+    elif which == "z0":
+        s = -1.0
+    else:
+        raise ValueError(f"which must be one of x0, y0, z0; got {which!r}")
+    return base + s * (1.0 + A1 / (3.0 * t13 * t13) - A2 / (3.0 * nu * t13))
+
+
+def watson_j(nu: float, x: float) -> float:
+    """One-term Watson asymptotic A_nu(x) cos(omega_nu(x) - pi/4) for x > nu."""
+    nu = _check_order(nu)
+    x = float(x)
+    if not math.isfinite(x) or x <= nu:
+        raise ValueError(f"Watson form needs x > nu (oscillatory region); got x={x}, nu={nu}")
+    w = math.sqrt(x * x - nu * nu)
+    amp = math.sqrt(2.0 / (math.pi * w))
+    phase = w - nu * math.acos(nu / x) if nu > 0.0 else w
+    return amp * math.cos(phase - 0.25 * math.pi)
+
+
+def g2_eval(model: RadialModel, density: PackingDensity, r: float):
+    """(continuous part, delta weight at r=1) of g2 at radius r.
+
+    The continuous part is the unit step at the model edge; the delta weight
+    Z/(s1(1) rho) is returned separately since it cannot live in a pointwise
+    value.
+    """
+    if r < 0.0:
+        raise ValueError("radius must be nonnegative")
+    cont = 1.0 if r >= model.sigma else 0.0
+    if model.Z == 0.0 or density.phi == 0.0:
+        weight = 0.0
+    else:
+        weight = model.Z / (sphere_surface(density.d, 1.0) * density.rho)
+    return cont, weight
+
+
+def maclaurin_coefficients(model: RadialModel, density: PackingDensity):
+    """(S(0), quadratic coefficient) of the small-k expansion.
+
+    S(k) = S0 + c2 k^2 + O(k^4) with S0 = 1 - (2 sigma)^d phi + Z and
+    c2 = (2 sigma)^d phi sigma^2 / (2(d+2)) - Z/(2d).
+    """
+    d = density.d
+    t = _step_amplitude(d, density.phi, model.sigma)
+    s0 = 1.0 - t + model.Z
+    c2 = t * model.sigma**2 / (2.0 * (d + 2.0)) - model.Z / (2.0 * d)
+    return s0, c2
 
 
 def _kernel(nu: float, u):
@@ -144,6 +223,22 @@ def structure_factor_numeric(model, density: PackingDensity, k: float) -> float:
     return 1.0 + pref * integral + z_term
 
 
+def saturation_time(d: int, deficit: float = 1e-4) -> float:
+    """Horizon T at which phi_of_t is within the given deficit of saturation."""
+    if not 0.0 < deficit < 1.0:
+        raise ValueError("deficit must lie in (0, 1)")
+    return -math.log(deficit) / sphere_volume(d, 1.0)
+
+
+def g2_matern_limit(d: int, r: float) -> float:
+    """Saturated (t -> infinity) ghost-process pair correlation, 2/beta2 beyond contact."""
+    if r < 0.0:
+        raise ValueError(f"separation must be nonnegative, got {r}")
+    if r < 1.0:
+        return 0.0
+    return 2.0 / beta2(d, r, 1.0)
+
+
 def _torus_sq_dist(pos: np.ndarray, p: np.ndarray, L: float) -> np.ndarray:
     dd = np.abs(pos - p)
     dd = np.minimum(dd, L - dd)
@@ -173,3 +268,13 @@ def rsa_kept_brute(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
         if not kept or _torus_sq_dist(np.asarray(kept), p, L).min() > 1.0:
             kept.append(p)
     return np.asarray(kept).reshape(-1, pos.shape[1])
+
+
+def c_expansions(nu):
+    """Asymptotic slope halves at the first zeros of J_nu, J_{nu+1}, J_{nu-1}."""
+    if nu < 20:
+        raise ValueError(f"expansion is asymptotic; requires nu >= 20, got {nu}")
+    c = solve_constants()
+    base = c.C1 / nu ** (2.0 / 3.0) + c.C2 / nu ** (4.0 / 3.0)
+    shift = 2.0 * c.C1 / (3.0 * nu ** (5.0 / 3.0))
+    return (base, base - shift, base + shift)

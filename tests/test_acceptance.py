@@ -15,21 +15,28 @@ from numpy.testing import assert_allclose
 
 from packbound.asymptotics import (
     c_exact_triple,
-    c_expansions,
     delta_nu_exact,
     phi_from_optimum,
     phi_star_asymptotic,
     solve_constants,
 )
 from packbound.geometry import alpha2
-from packbound.matern import MaternConfig, g2_matern_limit, saturation_time, simulate
+from packbound.matern import MaternConfig, simulate
 from packbound.models import PackingDensity, RadialModel, structure_factor
-from packbound.optimizer import TABLE_DIMS, terminal_delta, terminal_step
-from packbound.specialfn import bessel_lambda, first_zero, zero_asymptotic
+from packbound.optimizer import terminal_delta, terminal_step
+from packbound.specialfn import bessel_lambda, first_zero
 from packbound.variance import yamada_check
 
-from conftest import REFERENCE_TABLE
-from oracle_routes import alpha2_integral, alpha2_series, structure_factor_numeric
+from conftest import REFERENCE_TABLE, TABLE_DIMS
+from oracle_routes import (
+    alpha2_integral,
+    alpha2_series,
+    c_expansions,
+    g2_matern_limit,
+    saturation_time,
+    structure_factor_numeric,
+    zero_asymptotic,
+)
 
 
 def test_acceptance_terminal_table(table_records):

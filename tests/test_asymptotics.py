@@ -9,7 +9,6 @@ from packbound.asymptotics import (
     beta_ratio_exact,
     build_report,
     c_exact_triple,
-    c_expansions,
     delta_nu_exact,
     delta_nu_terms,
     kissing_asymptotic,
@@ -21,6 +20,8 @@ from packbound.asymptotics import (
     solve_constants,
 )
 from packbound.optimizer import terminal_gap
+
+from oracle_routes import c_expansions
 
 
 def test_constants_cached_and_frozen():
@@ -197,7 +198,21 @@ def test_build_report():
     assert rep["constants"]["q1"] == solve_constants().q1
     assert "quoted_reference" in rep
     assert rep["numeric"]["phi_rel_err"] < 0.01
+    # the optimum identity at the numeric (sigma*, k_min) gives back phi*
+    num = rep["numeric"]
+    assert num["delta_nu_exact"] == delta_nu_exact(200, num["sigma_star"], num["k_min"])
+    assert num["delta_nu_exact"] > 0.0
+    assert num["phi_from_optimum"] == pytest.approx(num["phi_star"], rel=1e-12)
+    # and at the asymptotic sigma* with the linearized k_min, the quoted prediction
+    pred = rep["predictions"]
+    assert pred["phi_star_from_linearized_kmin"] == phi_from_optimum(
+        200, pred["sigma_star"], pred["kmin_linearized"]
+    )
+    assert pred["phi_star_from_linearized_kmin"] == pytest.approx(
+        rep["quoted_reference"]["phi_star_from_linearized_kmin"], rel=1e-5
+    )
     rep100 = build_report(100, include_numeric=False)
     assert "numeric" not in rep100 and "quoted_reference" not in rep100
+    assert rep100["predictions"]["phi_star_from_linearized_kmin"] > 0.0
     with pytest.raises(ValueError):
         build_report(12)

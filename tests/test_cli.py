@@ -1,8 +1,10 @@
+import ast
 import json
 import subprocess
 import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -10,7 +12,7 @@ import pytest
 import packbound.cli as cli
 from packbound.cli import _parse_dims, _worker_count, main
 from packbound.matern import MAX_ARRIVALS, MAX_BINS
-from packbound.models import PackingDensity, delta_model, make_curve
+from packbound.models import PackingDensity, RadialModel, make_curve
 from packbound.optimizer import MAX_CLOSED_FORM_D, terminal_delta, terminal_gap
 from packbound.variance import MAX_R_GRID, yamada_check
 
@@ -233,7 +235,8 @@ def test_sk_csv_and_json_layout(capsys):
     argv = ["sk", "--model", "delta", "--d", "3", "--phi", "0.3125", "--Z", "1.5",
             "--kmax", "20", "--samples", "64"]
     # the CLI refines its grid around minima, so the row count comes from make_curve
-    curve = make_curve(delta_model(1.5), PackingDensity(3, 5.0 / 16.0), k_max=20.0, n=64)
+    model = RadialModel("delta", 1.0, 1.5)
+    curve = make_curve(model, PackingDensity(3, 5.0 / 16.0), k_max=20.0, n=64)
     code, out = run_main(capsys, argv)
     assert code == 0
     lines = out.strip().split("\n")
@@ -252,7 +255,7 @@ def test_sk_csv_and_json_layout(capsys):
 def test_yamada_csv_violated_column(capsys):
     rec = terminal_delta(1)
     chk = yamada_check(
-        delta_model(rec.Z_star), PackingDensity(1, rec.phi_star), 5.0, n_grid=50
+        RadialModel("delta", 1.0, rec.Z_star), PackingDensity(1, rec.phi_star), 5.0, n_grid=50
     )
     code, out = run_main(capsys, ["yamada", "--model", "delta", "--d", "1", "--Rmax", "5",
                                   "--grid", "50"])
@@ -407,3 +410,59 @@ def test_cli_import_leaves_quadrature_out():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
+
+
+def _unreached_public_names(pkg: Path) -> list[str]:
+    """'module.name' for each __all__ name that no top-level definition of cli reaches.
+
+    Walks the AST of every module in pkg: a reached definition reaches each
+    top-level definition of its module it names, each name it imports with
+    'from .module import name', and 'alias.name' for each 'from . import
+    module as alias'.
+    """
+    defs, aliases, exports = {}, {}, {}
+    for path in sorted(pkg.glob("*.py")):
+        mod = path.stem
+        defs[mod], aliases[mod], exports[mod] = {}, {}, []
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[mod][node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    if isinstance(t, ast.Name) and t.id == "__all__":
+                        exports[mod] = ast.literal_eval(node.value)
+                    elif isinstance(t, ast.Name):
+                        defs[mod][t.id] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    # (module, name), or (module, None) for a module alias
+                    target = (node.module, a.name) if node.module else (a.name, None)
+                    aliases[mod][a.asname or a.name] = target
+    reached = set()
+    todo = [("cli", name) for name in defs["cli"]]
+    while todo:
+        mod, name = todo.pop()
+        if (mod, name) in reached:
+            continue
+        reached.add((mod, name))
+        for node in ast.walk(defs[mod][name]):
+            if isinstance(node, ast.Name):
+                if node.id in defs[mod]:
+                    todo.append((mod, node.id))
+                elif aliases[mod].get(node.id, (None, None))[1] is not None:
+                    todo.append(aliases[mod][node.id])
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                target, member = aliases[mod].get(node.value.id, (None, ""))
+                if member is None and node.attr in defs[target]:
+                    todo.append((target, node.attr))
+    return sorted(
+        f"{mod}.{name}" for mod in exports for name in exports[mod] if (mod, name) not in reached
+    )
+
+
+def test_public_names_serve_a_command():
+    # every public library name is on some command's path; reference formulas
+    # that only the tests evaluate live in tests/oracle_routes.py
+    unreached = _unreached_public_names(Path(cli.__file__).parent)
+    assert not unreached, f"{len(unreached)} public names no command reaches: {unreached}"

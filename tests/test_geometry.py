@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc, betaincc
 
-from packbound.geometry import alpha2, alpha2_asymptotic, beta2
+from packbound.geometry import alpha2, beta2
 
-from oracle_routes import alpha2_integral, alpha2_series
+from oracle_routes import alpha2_asymptotic, alpha2_integral, alpha2_series
 
 
 def test_endpoints():
@@ -101,6 +102,17 @@ def test_alpha2_against_mpmath(d):
         for x in xs:
             ref = mpmath.betainc(a, 0.5, 0, 1 - mpmath.mpf(float(x)) ** 2, regularized=True)
             assert alpha2(d, 2.0 * x, 1.0) == pytest.approx(float(ref), rel=1e-12), x
+    # each form runs only on its side of x^2 = 1/2; the result has the bits of
+    # evaluating both forms on every point and picking one, and of scalar calls
+    edge = math.sqrt(0.5) * (1.0 + np.array([-1e-3, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-3]))
+    r = 2.0 * np.concatenate([xs, edge, [1.0, 1.2]])
+    y = np.clip(r / 2.0, 0.0, 1.0) ** 2
+    assert np.any(y < 0.5) and np.any(y >= 0.5)
+    af = 0.5 * (d + 1)
+    both = np.where(y < 0.5, betaincc(0.5, af, y), betainc(af, 0.5, 1.0 - y))
+    got = alpha2(d, r, 1.0)
+    assert np.array_equal(got, both)
+    assert [alpha2(d, float(v), 1.0) for v in r] == got.tolist()
 
 
 def test_scaling_in_R():

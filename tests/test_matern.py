@@ -19,15 +19,17 @@ from packbound.matern import (
     _ghost_accept,
     _rsa_accept,
     arrivals,
-    decorrelation_profile,
     g2_matern,
-    g2_matern_limit,
     phi_of_t,
-    saturation_time,
     simulate,
 )
 from packbound.specialfn import sphere_volume
-from oracle_routes import ghost_survivors_brute, rsa_kept_brute
+from oracle_routes import (
+    g2_matern_limit,
+    ghost_survivors_brute,
+    rsa_kept_brute,
+    saturation_time,
+)
 
 
 def test_phi_of_t():
@@ -207,16 +209,16 @@ def test_simulation_deterministic():
 
 
 def test_decorrelation_profile():
-    prof = decorrelation_profile(60)
-    assert prof[0] == (1, pytest.approx(1.0 / 3.0, rel=1e-12))
-    excess = dict(prof)
+    # contact excess g2(1+; infinity) - 1 against d decays like (3/4)^(d/2)
+    excess = {d: g2_matern_limit(d, 1.0) - 1.0 for d in range(1, 61)}
+    assert excess[1] == pytest.approx(1.0 / 3.0, rel=1e-12)
     for d in range(50, 59, 2):
         ratio = excess[d + 2] / excess[d]
         assert abs(ratio - 0.75) < 0.075
-    vals = [e for _, e in prof]
+    vals = list(excess.values())
     assert all(a > b for a, b in zip(vals, vals[1:]))
     with pytest.raises(ValueError):
-        decorrelation_profile(301)
+        g2_matern_limit(3, -0.1)
 
 
 def test_arrival_count_capped_before_allocation(monkeypatch):

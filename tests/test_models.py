@@ -6,19 +6,14 @@ import pytest
 from packbound.models import (
     PackingDensity,
     RadialModel,
-    delta_model,
-    g2_eval,
-    gap_model,
     hyperuniform_Z,
-    maclaurin_coefficients,
     make_curve,
-    step_model,
     structure_factor,
     structure_factor_gap,
 )
 from packbound.specialfn import sphere_surface
 
-from oracle_routes import structure_factor_numeric
+from oracle_routes import g2_eval, maclaurin_coefficients, structure_factor_numeric
 
 # a few reference gap optima (sigma*, Z*, phi*) used as fixed parameters here;
 # the optimizer tests recompute them from scratch
@@ -64,14 +59,14 @@ def test_rho_relation_exact():
 
 def test_g2_eval_cases():
     # hard core
-    assert g2_eval(step_model(), PackingDensity(3, 0.1), 0.5) == (0.0, 0.0)
+    assert g2_eval(RadialModel("step"), PackingDensity(3, 0.1), 0.5) == (0.0, 0.0)
     # contact weight for the delta model
     dens = PackingDensity(3, 5.0 / 16.0)
-    cont, w = g2_eval(delta_model(1.5), dens, 1.5)
+    cont, w = g2_eval(RadialModel("delta", 1.0, 1.5), dens, 1.5)
     assert cont == 1.0
     assert w == pytest.approx(1.5 / (sphere_surface(3, 1.0) * dens.rho), rel=1e-14)
     # inside the gap the continuous part vanishes but the delta stays
-    cont, w = g2_eval(gap_model(1.2, 2.0), PackingDensity(2, 0.3), 1.1)
+    cont, w = g2_eval(RadialModel("gap", 1.2, 2.0), PackingDensity(2, 0.3), 1.1)
     assert cont == 0.0 and w > 0.0
 
 
@@ -113,14 +108,15 @@ def test_gap_terminal_s0():
 def test_min_S_nonnegative_at_terminal():
     # condition (iii) on the default grid for all three models at terminal
     cases = [
-        (step_model(), PackingDensity(3, 2.0**-3)),
-        (step_model(), PackingDensity(8, 0.5 * 2.0**-8)),
-        (delta_model(3.0 / 2.0), PackingDensity(3, 5.0 / 16.0)),
-        (delta_model(4.0), PackingDensity(8, 10.0 / 2.0**9)),
+        (RadialModel("step"), PackingDensity(3, 2.0**-3)),
+        (RadialModel("step"), PackingDensity(8, 0.5 * 2.0**-8)),
+        (RadialModel("delta", 1.0, 3.0 / 2.0), PackingDensity(3, 5.0 / 16.0)),
+        (RadialModel("delta", 1.0, 4.0), PackingDensity(8, 10.0 / 2.0**9)),
     ]
     for sigma, _, phi in (GAP_D3, GAP_D5):
         d = 3 if sigma == GAP_D3[0] else 5
-        cases.append((gap_model(sigma, hyperuniform_Z(d, 0.999 * phi, sigma)), PackingDensity(d, 0.999 * phi)))
+        Z = hyperuniform_Z(d, 0.999 * phi, sigma)
+        cases.append((RadialModel("gap", sigma, Z), PackingDensity(d, 0.999 * phi)))
     for model, dens in cases:
         curve = make_curve(model, dens, n=1024)
         assert curve.S.min() >= -1e-9, (model.kind, dens.d, curve.S.min())
@@ -136,10 +132,10 @@ def _richardson_c2(f, s0, h):
 @pytest.mark.parametrize(
     "model,dens",
     [
-        (step_model(), PackingDensity(3, 0.05)),
-        (delta_model(1.2), PackingDensity(4, 0.04)),
-        (gap_model(1.186929, 21.97918), PackingDensity(5, 0.3048322)),
-        (gap_model(1.246997, 7.932582), PackingDensity(3, 0.5758254)),
+        (RadialModel("step"), PackingDensity(3, 0.05)),
+        (RadialModel("delta", 1.0, 1.2), PackingDensity(4, 0.04)),
+        (RadialModel("gap", 1.186929, 21.97918), PackingDensity(5, 0.3048322)),
+        (RadialModel("gap", 1.246997, 7.932582), PackingDensity(3, 0.5758254)),
     ],
 )
 def test_maclaurin_quadratic_via_richardson(model, dens):
@@ -154,7 +150,7 @@ def test_gap_hyperuniform_quadratic_growth():
     # |S(k)| <= C k^2 near 0 once Z closes S(0)
     d, (sigma, _, phi) = 5, GAP_D5
     Z = hyperuniform_Z(d, phi, sigma)
-    _, c2 = maclaurin_coefficients(gap_model(sigma, Z), PackingDensity(d, phi))
+    _, c2 = maclaurin_coefficients(RadialModel("gap", sigma, Z), PackingDensity(d, phi))
     for k in (1e-1, 1e-2, 1e-3):
         S = structure_factor_gap(d, phi, sigma, Z, k)
         assert abs(S) <= 1.5 * abs(c2) * k**2 + 1e-14
@@ -165,9 +161,9 @@ def test_numeric_oracle_spot(d):
     nu = 0.5 * d
     phi_t = 2.0**-d
     cases = [
-        (step_model(), PackingDensity(d, phi_t)),
-        (delta_model(0.5 * d), PackingDensity(d, (d + 2.0) / 2.0 ** (d + 1))),
-        (gap_model(1.3, 2.0), PackingDensity(d, 0.25 * phi_t)),
+        (RadialModel("step"), PackingDensity(d, phi_t)),
+        (RadialModel("delta", 1.0, 0.5 * d), PackingDensity(d, (d + 2.0) / 2.0 ** (d + 1))),
+        (RadialModel("gap", 1.3, 2.0), PackingDensity(d, 0.25 * phi_t)),
     ]
     ks = np.linspace(0.01, 4.0 * max(nu, 1.0), 40)
     for model, dens in cases:
@@ -177,16 +173,15 @@ def test_numeric_oracle_spot(d):
 
 
 def test_numeric_oracle_pinned_examples():
-    assert structure_factor_numeric(step_model(), PackingDensity(3, 0.1), 5.0) == pytest.approx(
-        structure_factor_gap(3, 0.1, 1.0, 0.0, 5.0), abs=1e-6
-    )
+    got = structure_factor_numeric(RadialModel("step"), PackingDensity(3, 0.1), 5.0)
+    assert got == pytest.approx(structure_factor_gap(3, 0.1, 1.0, 0.0, 5.0), abs=1e-6)
     dens = PackingDensity(2, 0.5)
-    assert structure_factor_numeric(delta_model(1.0), dens, 0.01) == pytest.approx(
+    assert structure_factor_numeric(RadialModel("delta", 1.0, 1.0), dens, 0.01) == pytest.approx(
         structure_factor_gap(2, 0.5, 1.0, 1.0, 0.01), abs=1e-6
     )
     sigma, Z, phi = GAP_D5
     k_min = 5.297074  # deepest minimum of the d=5 optimum, located by the optimizer suite
-    got = structure_factor_numeric(gap_model(sigma, Z), PackingDensity(5, phi), k_min)
+    got = structure_factor_numeric(RadialModel("gap", sigma, Z), PackingDensity(5, phi), k_min)
     assert got == pytest.approx(0.0, abs=1e-5)
 
 
@@ -195,12 +190,12 @@ def test_curve_refinement_and_tail():
     # grid end, so the settled-tail check must warn rather than hold
     sigma, Z, phi = GAP_D3
     with pytest.warns(RuntimeWarning):
-        curve = make_curve(gap_model(sigma, Z), PackingDensity(3, phi))
+        curve = make_curve(RadialModel("gap", sigma, Z), PackingDensity(3, phi))
     assert curve.S0 == pytest.approx(structure_factor_gap(3, phi, sigma, Z, 0.0), rel=1e-14)
     # refinement adds points beyond the base grid
     assert curve.k.size > 2048
 
     # by d=8 the same default grid does settle within 0.05
-    curve8 = make_curve(gap_model(1.137967, 70.88348), PackingDensity(8, 0.09985085))
+    curve8 = make_curve(RadialModel("gap", 1.137967, 70.88348), PackingDensity(8, 0.09985085))
     tail = curve8.S[curve8.k > 0.9 * curve8.k.max()]
     assert np.all(np.abs(tail - 1.0) < 0.05)

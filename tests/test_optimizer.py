@@ -6,11 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_TABLE
+from conftest import REFERENCE_TABLE, TABLE_DIMS
 from packbound.models import hyperuniform_Z, structure_factor_gap
 from packbound.optimizer import (
     MAX_CLOSED_FORM_D,
-    TABLE_DIMS,
     TerminalDensityRecord,
     classical_bounds,
     find_minima,

@@ -13,11 +13,9 @@ from packbound.specialfn import (
     log_sphere_volume,
     sphere_surface,
     sphere_volume,
-    watson_j,
-    zero_asymptotic,
 )
 
-from oracle_routes import bessel_j_half
+from oracle_routes import bessel_j_half, watson_j, zero_asymptotic
 
 mpmath.mp.dps = 30
 

@@ -15,7 +15,6 @@ from packbound.variance import (
     VarianceCheck,
     fractional_count_bound,
     number_variance,
-    variance_lower_bound,
     yamada_check,
 )
 
@@ -31,6 +30,12 @@ def _delta_model(d):
 
 
 STEP = RadialModel(kind="step", sigma=1.0, Z=0.0)
+
+
+def _x_one_minus_x(d, phi, R):
+    """x(1-x), x = 2^d phi R^d: the variance for 2R <= sigma with no contact term (2R <= 1)."""
+    x = (2.0 * R) ** d * phi
+    return x * (1.0 - x)
 
 
 def _quad_variance(model, density, R):
@@ -199,16 +204,23 @@ def test_step_surface_scaling_floor():
 
 def test_zero_density_gives_zero_variance():
     assert number_variance(STEP, PackingDensity(3, 0.0), 2.0) == 0.0
-    assert variance_lower_bound(3, 0.0, 2.0) == 0.0
+    wide = RadialModel(kind="gap", sigma=4.0, Z=0.0)
+    assert _x_one_minus_x(3, 0.0, 2.0) == 0.0
+    assert number_variance(wide, PackingDensity(3, 0.0), 2.0) == _x_one_minus_x(3, 0.0, 2.0)
 
 
 def test_lower_bound_examples():
-    # peak value 1/4 at half occupancy, zero at full occupancy
+    # peak value 1/4 at half occupancy, zero at full occupancy; with the step
+    # edge at 2 every window here has 2R <= sigma, where the variance is x(1-x)
+    wide = RadialModel(kind="gap", sigma=2.0, Z=0.0)
     d, phi = 3, 0.125
     R_half = 0.5 * (0.5 / phi) ** (1.0 / d)
-    assert_allclose(variance_lower_bound(d, phi, R_half), 0.25, rtol=1e-12)
-    assert abs(variance_lower_bound(d, phi, 1.0)) < 1e-14
-    assert_allclose(variance_lower_bound(2, 0.1, 1.0), 0.4 * 0.6, rtol=1e-12)
+    assert_allclose(_x_one_minus_x(d, phi, R_half), 0.25, rtol=1e-12)
+    assert_allclose(number_variance(wide, PackingDensity(d, phi), R_half), 0.25, rtol=1e-12)
+    assert abs(_x_one_minus_x(d, phi, 1.0)) < 1e-14
+    assert abs(number_variance(wide, PackingDensity(d, phi), 1.0)) < 1e-14
+    assert_allclose(_x_one_minus_x(2, 0.1, 1.0), 0.4 * 0.6, rtol=1e-12)
+    assert_allclose(number_variance(wide, PackingDensity(2, 0.1), 1.0), 0.4 * 0.6, rtol=1e-12)
 
 
 def test_variance_respects_lower_bound():
@@ -223,7 +235,11 @@ def test_variance_respects_lower_bound():
             if x > 1.0:
                 continue
             s2 = number_variance(model, dens, R)
-            assert s2 >= variance_lower_bound(dens.d, dens.phi, R) - 1e-10
+            lb = _x_one_minus_x(dens.d, dens.phi, R)
+            assert s2 >= lb - 1e-10
+            if 2.0 * R <= 1.0:
+                # inside the core and short of the contact shell: exactly x(1-x)
+                assert_allclose(s2, lb, rtol=1e-12)
 
 
 def test_yamada_d1_delta_terminal_violates():
@@ -290,7 +306,7 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         number_variance(STEP, PackingDensity(3, 0.1), 0.0)
     with pytest.raises(ValueError):
-        variance_lower_bound(3, 0.1, -1.0)
+        number_variance(RadialModel(kind="gap", sigma=2.0, Z=0.0), PackingDensity(3, 0.1), -1.0)
     with pytest.raises(ValueError):
         yamada_check(STEP, PackingDensity(3, 0.125), 0.5)  # R_max below R0 = 1
     for bad in (math.inf, math.nan):
