@@ -34,7 +34,7 @@ from scipy.optimize import brentq
 from scipy.special import ai_zeros, gammaln
 
 from .models import log_amplitude
-from .optimizer import check_dimension, terminal_gap
+from .optimizer import DIMENSION_RANGE, check_dimension, terminal_gap
 from .specialfn import A1, A2, A3, bessel_j, first_zero
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "kmin_linearized",
     "beta_ratio_asymptotic",
     "beta_ratio_exact",
-    "c_exact_triple",
     "delta_nu_terms",
     "delta_nu_exact",
     "phi_from_optimum",
@@ -150,7 +149,8 @@ def solve_constants() -> AsymptoticConstants:
     )
 
 
-def _check_d(d, lo=20):
+def _check_d(d):
+    lo = DIMENSION_RANGE["asymptotics"][0]
     if d < lo:
         raise ValueError(f"expansion is asymptotic; requires d >= {lo}, got {d}")
 
@@ -199,20 +199,13 @@ def beta_ratio_asymptotic(d) -> float:
 
 
 def beta_ratio_exact(d) -> float:
-    """Ratio of the Bessel slope halves at the numeric first zeros."""
-    b1, b2, _ = c_exact_triple(0.5 * d)
-    return b1 / b2
-
-
-def c_exact_triple(nu):
-    """Exact slope halves evaluated at numeric zeros, for comparison."""
+    """Ratio of the Bessel slope halves at the numeric first zeros of J_nu and J_{nu+1}."""
+    nu = 0.5 * d
     x0 = first_zero(nu)
     y0 = first_zero(nu + 1)
-    z0 = first_zero(nu - 1)
     b1 = 0.5 * (bessel_j(nu - 1, x0) - bessel_j(nu + 1, x0))
     b2 = 0.5 * (bessel_j(nu, y0) - bessel_j(nu + 2, y0))
-    b3 = 0.5 * (bessel_j(nu - 2, z0) - bessel_j(nu, z0))
-    return (b1, b2, b3)
+    return b1 / b2
 
 
 def delta_nu_terms(d):

@@ -71,21 +71,25 @@ def _dump(obj: dict) -> str:
     return json.dumps(_jwalk(obj), indent=2) + "\n"
 
 
-def _parse_dims(text: str) -> list[int]:
-    dims = []
+def _parse_dims(text: str, kind: str) -> list[int]:
+    """A comma list of dimensions and lo..hi spans, expanded only once
+    check_dimension(kind, .) has passed every value and both ends of every span."""
+    spans = []
     for token in text.split(","):
         token = token.strip()
         if ".." in token:
-            lo, hi = token.split("..", 1)
-            lo, hi = int(lo), int(hi)
+            lo, hi = (int(v) for v in token.split("..", 1))
             if hi < lo:
                 raise ValueError(f"empty dimension span {token!r}")
-            dims.extend(range(lo, hi + 1))
+            spans.append((lo, hi))
         elif token:
-            dims.append(int(token))
-    if not dims:
+            spans.append((int(token), int(token)))
+    if not spans:
         raise ValueError("no dimensions given")
-    return dims
+    for lo, hi in spans:
+        check_dimension(kind, lo)
+        check_dimension(kind, hi)
+    return [d for lo, hi in spans for d in range(lo, hi + 1)]
 
 
 def _record_row(kind: str, d: int) -> dict:
@@ -111,9 +115,7 @@ def _worker_count(threads: int, n_dims: int) -> int:
 
 
 def cmd_table(args) -> tuple[str, int]:
-    dims = _parse_dims(args.dims)
-    for d in dims:
-        check_dimension(args.model, d)
+    dims = _parse_dims(args.dims, args.model)
     workers = _worker_count(args.threads, len(dims))
 
     if workers > 1:
@@ -265,7 +267,7 @@ def cmd_matern(args) -> tuple[str, int]:
 
 
 def cmd_classical(args) -> tuple[str, int]:
-    dims = _parse_dims(args.dims)
+    dims = _parse_dims(args.dims, "classical")
     rows = []
     for d in dims:
         b = classical_bounds(d)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specialfn import bessel_lambda, first_zero, log_sphere_volume
+from .specialfn import bessel_lambda, first_zero
 
 __all__ = [
     "RadialModel",
@@ -80,17 +80,6 @@ class PackingDensity:
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
         if not (0.0 <= self.phi <= 1.0):
             raise ValueError(f"volume fraction must lie in [0,1], got {self.phi}")
-
-    @property
-    def rho(self) -> float:
-        """Center density phi / v1(1/2)."""
-        return math.exp(self.log_rho) if self.phi > 0.0 else 0.0
-
-    @property
-    def log_rho(self) -> float:
-        if self.phi == 0.0:
-            return -math.inf
-        return math.log(self.phi) - log_sphere_volume(self.d, 0.5)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,9 @@ and L the normalized Bessel kernel. The k -> 0 limit of u/m is the
 quadratic-coefficient cap (d+2)/((d+2) - d sigma^2); interior infima are
 tangency points, each found as the Brent root of the derivative numerator
 N = u' m - u m' between the two grid neighbours of a discrete minimum of u/m.
+One k grid (_k_grid) serves this scan and find_minima, and one scalar kernel
+(_tangency_terms) gives u, m and their slopes to N, to the candidate t = u/m
+and to the envelope derivative.
 The outer maximization of phi(sigma) = t(sigma)/(2 sigma)^d is one Brent
 root of the envelope derivative d(log t)/d(sigma) - d/sigma over the whole
 step-edge range [1, 1 + 4/d]. Both roots are sign-checked at their bracket
@@ -33,7 +36,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import zeta
 
-from .models import hyperuniform_Z, log_amplitude, structure_factor_gap
+from .models import _step_amplitude, hyperuniform_Z, structure_factor_gap
 from .specialfn import bessel_lambda
 
 __all__ = [
@@ -146,7 +149,7 @@ def terminal_delta(d: int) -> TerminalDensityRecord:
     d = check_dimension("delta", d)
     phi = (d + 2.0) / 2.0 ** (d + 1)
     Z = 0.5 * d
-    minima = find_minima(d, phi, 1.0, Z, _search_k_max(d))
+    minima = find_minima(d, phi, 1.0, Z)
     floor = min((s for _, s in minima), default=0.0)
     if floor < -1e-9:
         raise RuntimeError(
@@ -165,13 +168,8 @@ def terminal_delta(d: int) -> TerminalDensityRecord:
     )
 
 
-def _search_k_max(d: int) -> float:
-    nu = 0.5 * d
-    return nu + 12.0 * max(nu, 1.0) ** (1.0 / 3.0) + 30.0
-
-
-def find_minima(d: int, phi: float, sigma: float, Z: float, k_max: float):
-    """Local minima of S on (0, k_max] as a list of (k, S(k)).
+def find_minima(d: int, phi: float, sigma: float, Z: float):
+    """Local minima of S on the scan grid of _k_grid(d), as a list of (k, S(k)).
 
     S'(k) is a positive multiple of D(k) = t sigma^2 L_{nu+1}(k sigma)/(d+2)
     - Z L_nu(k)/d (t = (2 sigma)^d phi), which is the quoted
@@ -183,21 +181,18 @@ def find_minima(d: int, phi: float, sigma: float, Z: float, k_max: float):
         raise ValueError(f"dimension must be a positive integer, got {d}")
     if not (0.0 <= phi <= 1.0) or sigma < 1.0 or Z < 0.0:
         raise ValueError("infeasible parameters")
-    nu = 0.5 * d
-    if k_max < nu + 6.0 * math.pi:
-        raise ValueError(f"k_max={k_max:.3g} must cover six oscillations past nu={nu:.3g}")
     if phi == 0.0 and Z == 0.0:
         return []
     d = int(d)
-    t = 0.0 if phi == 0.0 else math.exp(log_amplitude(d, phi, sigma))
+    nu = 0.5 * d
+    t = _step_amplitude(d, phi, sigma)
 
     def D(k):
         return t * sigma**2 * bessel_lambda(nu + 1.0, k * sigma) / (d + 2.0) - Z * bessel_lambda(
             nu, k
         ) / d
 
-    n = max(2000, int(k_max * 64.0 / math.pi))
-    kk = np.linspace(1e-9, k_max, n)
+    kk = _k_grid(d)
     dd = D(kk)
     flips = np.flatnonzero((dd[:-1] < 0.0) & (dd[1:] >= 0.0))
     out = []
@@ -206,25 +201,48 @@ def find_minima(d: int, phi: float, sigma: float, Z: float, k_max: float):
         out.append((float(km), float(structure_factor_gap(d, phi, sigma, Z, km))))
     if out:
         deepest_k = min(out, key=lambda p: p[1])[0]
-        if deepest_k > 0.98 * k_max:
+        if deepest_k > 0.98 * kk[-1]:
             warnings.warn(
-                f"deepest minimum at k={deepest_k:.4f} sits within 2% of k_max={k_max:.4f}; "
-                "grid may be too short",
+                f"deepest minimum at k={deepest_k:.4f} sits within 2% of the grid end "
+                f"k={kk[-1]:.4f}; grid may be too short",
                 RuntimeWarning,
             )
     return out
 
 
+def _k_grid(d: int) -> np.ndarray:
+    """The one scan grid of find_minima and gap_feasible_t.
+
+    It runs from 1e-9 to nu + 12 max(nu, 1)^(1/3) + 30, past the binding
+    tangency at every supported d, at 64/pi points per unit of k and never
+    fewer than 3000.
+    """
+    nu = 0.5 * d
+    k_hi = nu + 12.0 * max(nu, 1.0) ** (1.0 / 3.0) + 30.0
+    return np.linspace(1e-9, k_hi, max(3000, int(k_hi * 64.0 / math.pi)))
+
+
 @functools.lru_cache(maxsize=4)
 def _sigma_free_kernels(d: int):
-    """k grid of gap_feasible_t and L_{nu-1}(k) on it, as read-only arrays."""
-    k_hi = _search_k_max(d)
-    n = max(3000, int(k_hi * 64.0 / math.pi))
-    kk = np.linspace(1e-9, k_hi, n)
+    """_k_grid(d) and L_{nu-1}(k) on it, as read-only arrays."""
+    kk = _k_grid(d)
     arrays = (kk, bessel_lambda(0.5 * d - 1.0, kk))
     for a in arrays:
         a.flags.writeable = False
     return arrays
+
+
+def _tangency_terms(d: int, sigma: float, k: float):
+    """(u, m, u', m', -dm/dsigma) at one k, by L_mu'(x) = -x L_{mu+1}(x) / (2 (mu + 1))."""
+    nu = 0.5 * d
+    lam_nm1 = bessel_lambda(nu - 1.0, k)
+    lam_n = bessel_lambda(nu, k)
+    lam_n_s = bessel_lambda(nu, k * sigma)
+    lam_np1_s = bessel_lambda(nu + 1.0, k * sigma)
+    up = k * lam_n / (2.0 * nu)
+    mp = -k * sigma**2 * lam_np1_s / (2.0 * (nu + 1.0)) + up
+    neg_m_sigma = k**2 * sigma * lam_np1_s / (2.0 * (nu + 1.0))
+    return 1.0 - lam_nm1, lam_n_s - lam_nm1, up, mp, neg_m_sigma
 
 
 def gap_feasible_t(d: int, sigma: float):
@@ -242,16 +260,12 @@ def gap_feasible_t(d: int, sigma: float):
     u = 1.0 - lam_nm1_k
     m = bessel_lambda(nu, kk * sigma) - lam_nm1_k
 
+    # Brent re-reads the checked bracket ends and returns a point it evaluated
+    terms = functools.lru_cache(maxsize=None)(functools.partial(_tangency_terms, d, sigma))
+
     def N_of(k):
-        lam_nm1 = bessel_lambda(nu - 1.0, k)
-        lam_n = bessel_lambda(nu, k)
-        lm = bessel_lambda(nu, k * sigma) - lam_nm1
-        lu = 1.0 - lam_nm1
-        lup = k * lam_n / (2.0 * nu)
-        lmp = -k * sigma**2 * bessel_lambda(nu + 1.0, k * sigma) / (2.0 * (nu + 1.0)) + (
-            k * lam_n / (2.0 * nu)
-        )
-        return lup * lm - lu * lmp
+        uk, mk, up, mp, _ = terms(k)
+        return up * mk - uk * mp
 
     best_t, best_k = t_quad, 0.0
     pos = np.flatnonzero(m > 0.0)
@@ -274,11 +288,10 @@ def gap_feasible_t(d: int, sigma: float):
                         f"at d={d}, sigma={sigma:.12g}"
                     )
                 k_root = brentq(N_of, kk[i - 1], kk[i + 1], xtol=1e-12, maxiter=200)
-                lam_nm1 = bessel_lambda(nu - 1.0, k_root)
-                mm = bessel_lambda(nu, k_root * sigma) - lam_nm1
+                uu, mm, *_ = terms(k_root)
                 if mm <= 0.0:
                     continue
-                t_cand = (1.0 - lam_nm1) / mm
+                t_cand = uu / mm
                 if 1.0 <= t_cand < best_t:
                     best_t, best_k = t_cand, k_root
     return best_t, best_k
@@ -286,16 +299,13 @@ def gap_feasible_t(d: int, sigma: float):
 
 def _envelope_derivative(d: int, sigma: float) -> float:
     """d(log phi)/d(sigma) at fixed binding constraint (envelope theorem)."""
-    nu = 0.5 * d
     t, k_bind = gap_feasible_t(d, sigma)
     if k_bind == 0.0:
         # quadratic cap branch
         dlog_t = 2.0 * d * sigma / ((d + 2.0) - d * sigma * sigma)
     else:
-        m = bessel_lambda(nu, k_bind * sigma) - bessel_lambda(nu - 1.0, k_bind)
-        dlog_t = (
-            k_bind**2 * sigma * bessel_lambda(nu + 1.0, k_bind * sigma) / (2.0 * (nu + 1.0))
-        ) / m
+        _, m, _, _, neg_m_sigma = _tangency_terms(d, sigma, k_bind)
+        dlog_t = neg_m_sigma / m
     return dlog_t - d / sigma
 
 
@@ -331,7 +341,7 @@ def terminal_gap(d: int) -> TerminalDensityRecord:
             f"gap search found no step edge beating the closed-form contact optimum at d={d}"
         )
 
-    minima = find_minima(d, phi_star, sigma_star, Z_star, _search_k_max(d))
+    minima = find_minima(d, phi_star, sigma_star, Z_star)
     if minima:
         k_first, s_first = minima[0]
         k_min, s_min = min(minima, key=lambda p: p[1])

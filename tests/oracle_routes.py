@@ -3,10 +3,10 @@
 Quadrature and series for alpha2, closed half-integer Bessel forms, a
 quadrature S(k) for the closed models, and O(n^2) minimum-image references
 for the ghost and standard RSA rules. Also the reference formulas that only
-the tests evaluate: the pointwise g2 and small-k expansion of the models,
-the Watson form and large-order zero expansion of J_nu, large-d alpha2, the
-saturated ghost-process g2 and saturation time, and the asymptotic Bessel
-slope halves. No command uses any of them.
+the tests evaluate: the center density, the pointwise g2 and small-k
+expansion of the models, the Watson form and large-order zero expansion of
+J_nu, large-d alpha2, the saturated ghost-process g2 and saturation time, and
+the asymptotic and exact Bessel slope halves. No command uses any of them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,17 @@ from scipy.special import gammaln, jv
 from packbound.asymptotics import solve_constants
 from packbound.geometry import _cd, _check_dr, beta2
 from packbound.models import PackingDensity, RadialModel, _step_amplitude
-from packbound.specialfn import A1, A2, A3, _check_order, sphere_surface, sphere_volume
+from packbound.specialfn import (
+    A1,
+    A2,
+    A3,
+    _check_order,
+    bessel_j,
+    first_zero,
+    log_sphere_volume,
+    sphere_surface,
+    sphere_volume,
+)
 
 _SERIES_TOL = 1e-14
 _SERIES_MAX_TERMS = 800
@@ -150,6 +160,13 @@ def watson_j(nu: float, x: float) -> float:
     return amp * math.cos(phase - 0.25 * math.pi)
 
 
+def center_density(density: PackingDensity) -> float:
+    """Center density rho = phi / v1(1/2), assembled in log space."""
+    if density.phi == 0.0:
+        return 0.0
+    return math.exp(math.log(density.phi) - log_sphere_volume(density.d, 0.5))
+
+
 def g2_eval(model: RadialModel, density: PackingDensity, r: float):
     """(continuous part, delta weight at r=1) of g2 at radius r.
 
@@ -163,7 +180,7 @@ def g2_eval(model: RadialModel, density: PackingDensity, r: float):
     if model.Z == 0.0 or density.phi == 0.0:
         weight = 0.0
     else:
-        weight = model.Z / (sphere_surface(density.d, 1.0) * density.rho)
+        weight = model.Z / (sphere_surface(density.d, 1.0) * center_density(density))
     return cont, weight
 
 
@@ -207,7 +224,7 @@ def structure_factor_numeric(model, density: PackingDensity, k: float) -> float:
         raise ValueError("wavenumber must be nonnegative")
     if density.phi == 0.0 and model.Z == 0.0:
         return 1.0
-    pref = density.rho * (2.0 * math.pi) ** nu
+    pref = center_density(density) * (2.0 * math.pi) ** nu
 
     def integrand(r: float) -> float:
         return -(r ** (d - 1)) * _kernel(nu, k * r)
@@ -278,3 +295,14 @@ def c_expansions(nu):
     base = c.C1 / nu ** (2.0 / 3.0) + c.C2 / nu ** (4.0 / 3.0)
     shift = 2.0 * c.C1 / (3.0 * nu ** (5.0 / 3.0))
     return (base, base - shift, base + shift)
+
+
+def c_exact_triple(nu):
+    """Bessel slope halves at the numeric first zeros of J_nu, J_{nu+1}, J_{nu-1}."""
+    x0 = first_zero(nu)
+    y0 = first_zero(nu + 1)
+    z0 = first_zero(nu - 1)
+    b1 = 0.5 * (bessel_j(nu - 1, x0) - bessel_j(nu + 1, x0))
+    b2 = 0.5 * (bessel_j(nu, y0) - bessel_j(nu + 2, y0))
+    b3 = 0.5 * (bessel_j(nu - 2, z0) - bessel_j(nu, z0))
+    return (b1, b2, b3)

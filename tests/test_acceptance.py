@@ -14,7 +14,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from packbound.asymptotics import (
-    c_exact_triple,
     delta_nu_exact,
     phi_from_optimum,
     phi_star_asymptotic,
@@ -31,6 +30,7 @@ from conftest import REFERENCE_TABLE, TABLE_DIMS
 from oracle_routes import (
     alpha2_integral,
     alpha2_series,
+    c_exact_triple,
     c_expansions,
     g2_matern_limit,
     saturation_time,

@@ -8,7 +8,6 @@ from packbound.asymptotics import (
     beta_ratio_asymptotic,
     beta_ratio_exact,
     build_report,
-    c_exact_triple,
     delta_nu_exact,
     delta_nu_terms,
     kissing_asymptotic,
@@ -21,7 +20,7 @@ from packbound.asymptotics import (
 )
 from packbound.optimizer import terminal_gap
 
-from oracle_routes import c_expansions
+from oracle_routes import c_exact_triple, c_expansions
 
 
 def test_constants_cached_and_frozen():

@@ -32,13 +32,45 @@ def schema():
 
 
 def test_parse_dims():
-    assert _parse_dims("3,4,5") == [3, 4, 5]
-    assert _parse_dims("3..8") == [3, 4, 5, 6, 7, 8]
-    assert _parse_dims("2,5..7,9") == [2, 5, 6, 7, 9]
+    assert _parse_dims("3,4,5", "step") == [3, 4, 5]
+    assert _parse_dims("3..8", "step") == [3, 4, 5, 6, 7, 8]
+    assert _parse_dims("2,5..7,9", "step") == [2, 5, 6, 7, 9]
     with pytest.raises(ValueError):
-        _parse_dims("5..3")
+        _parse_dims("5..3", "step")
     with pytest.raises(ValueError):
-        _parse_dims(",")
+        _parse_dims(",", "step")
+    with pytest.raises(ValueError, match=r"gap dimension must be an integer in \[2, 300\], got 1$"):
+        _parse_dims("1..5", "gap")
+    with pytest.raises(ValueError, match=r"got 1001$"):
+        _parse_dims("2..1001", "step")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["table", "--model", "step", "--dims", "1..3000000000"],
+            "error: step dimension must be an integer in [1, 1000], got 3000000000\n",
+        ),
+        (
+            ["classical", "--dims", "2..3000000000"],
+            "error: classical dimension must be an integer in [2, 1000], got 3000000000\n",
+        ),
+    ],
+)
+def test_oversized_dims_span_rejected_before_expansion(argv, message):
+    # under an 800 MB address-space cap, expanding the span would end in a
+    # MemoryError traceback; checking its ends first allocates nothing
+    import resource
+
+    cap = 800 * 2**20
+    res = subprocess.run(
+        [sys.executable, "-m", "packbound.cli", *argv],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", message)
 
 
 def test_table_step_csv(capsys):

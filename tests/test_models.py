@@ -13,7 +13,12 @@ from packbound.models import (
 )
 from packbound.specialfn import sphere_surface
 
-from oracle_routes import g2_eval, maclaurin_coefficients, structure_factor_numeric
+from oracle_routes import (
+    center_density,
+    g2_eval,
+    maclaurin_coefficients,
+    structure_factor_numeric,
+)
 
 # a few reference gap optima (sigma*, Z*, phi*) used as fixed parameters here;
 # the optimizer tests recompute them from scratch
@@ -54,7 +59,7 @@ def test_rho_relation_exact():
 
     for d, phi in [(1, 0.75), (3, 0.3), (8, 1e-2), (64, 2.2e-13)]:
         dens = PackingDensity(d, phi)
-        assert dens.rho == pytest.approx(phi / sphere_volume(d, 0.5), rel=1e-14)
+        assert center_density(dens) == pytest.approx(phi / sphere_volume(d, 0.5), rel=1e-14)
 
 
 def test_g2_eval_cases():
@@ -64,7 +69,7 @@ def test_g2_eval_cases():
     dens = PackingDensity(3, 5.0 / 16.0)
     cont, w = g2_eval(RadialModel("delta", 1.0, 1.5), dens, 1.5)
     assert cont == 1.0
-    assert w == pytest.approx(1.5 / (sphere_surface(3, 1.0) * dens.rho), rel=1e-14)
+    assert w == pytest.approx(1.5 / (sphere_surface(3, 1.0) * center_density(dens)), rel=1e-14)
     # inside the gap the continuous part vanishes but the delta stays
     cont, w = g2_eval(RadialModel("gap", 1.2, 2.0), PackingDensity(2, 0.3), 1.1)
     assert cont == 0.0 and w > 0.0

@@ -161,7 +161,7 @@ def test_d200_binding_wavenumber(table_records):
 
 def test_d12_first_minimum_is_deepest():
     rec = terminal_gap(12)
-    minima = find_minima(rec.d, rec.phi_star, rec.sigma_star, rec.Z_star, 60.0)
+    minima = find_minima(rec.d, rec.phi_star, rec.sigma_star, rec.Z_star)
     assert minima
     depths = [s for _, s in minima]
     assert depths[0] == min(depths)
@@ -177,12 +177,45 @@ def test_minima_refined_to_stationarity(table_records):
 
 
 def test_no_minima_for_ideal_gas():
-    assert find_minima(3, 0.0, 1.0, 0.0, 40.0) == []
+    assert find_minima(3, 0.0, 1.0, 0.0) == []
 
 
-def test_short_grid_rejected():
-    with pytest.raises(ValueError):
-        find_minima(24, 1e-4, 1.06, 5000.0, 12.0 + 6.0)
+@pytest.mark.parametrize("d", TABLE_DIMS)
+def test_deepest_minimum_is_binding_tangency(d, table_records):
+    # find_minima and gap_feasible_t scan one grid, so at the optimum the
+    # deepest minimum of S is the tangency that binds t (d = 2, where two
+    # tangencies bind, is not tabulated)
+    rec = table_records[d]
+    minima = find_minima(d, rec.phi_star, rec.sigma_star, rec.Z_star)
+    k_deep = min(minima, key=lambda p: p[1])[0]
+    _, k_bind = gap_feasible_t(d, rec.sigma_star)
+    assert abs(k_deep - k_bind) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "d, sigma, branch",
+    [
+        (3, 1.05, "cap"),
+        (8, 1.01, "cap"),
+        (24, 1.03, "cap"),
+        (3, 1.2, "tangency"),
+        (3, 1.3, "tangency"),
+        (8, 1.15, "tangency"),
+        (100, 1.01, "tangency"),
+    ],
+)
+def test_envelope_derivative_central_difference(d, sigma, branch):
+    from packbound.optimizer import _envelope_derivative
+
+    def log_phi_part(s):
+        # log phi(sigma) up to the constant -d log 2
+        return math.log(gap_feasible_t(d, s)[0]) - d * math.log(s)
+
+    assert (gap_feasible_t(d, sigma)[1] == 0.0) == (branch == "cap")
+    h = 1e-6
+    fd = (log_phi_part(sigma + h) - log_phi_part(sigma - h)) / (2.0 * h)
+    g = _envelope_derivative(d, sigma)
+    assert abs(fd - g) <= 1e-5 * abs(g)
 
 
 def test_structure_factor_nonnegative_on_grid(table_records):
