@@ -30,11 +30,11 @@ import functools
 import math
 from dataclasses import asdict, dataclass
 
-from scipy.optimize import brentq
 from scipy.special import ai_zeros, gammaln
 
 from .models import log_amplitude
 from .optimizer import DIMENSION_RANGE, check_dimension, terminal_gap
+from .rootfind import brentq
 from .specialfn import A1, A2, A3, bessel_j, first_zero
 
 __all__ = [

@@ -267,7 +267,8 @@ def cmd_matern(args) -> tuple[str, int]:
 
 
 def cmd_classical(args) -> tuple[str, int]:
-    dims = _parse_dims(args.dims, "classical")
+    # --terminal adds a gap optimum per row, so the gap range applies up front
+    dims = _parse_dims(args.dims, "gap" if args.terminal else "classical")
     rows = []
     for d in dims:
         b = classical_bounds(d)

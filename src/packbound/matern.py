@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import beta2
 from .specialfn import sphere_surface, sphere_volume
@@ -59,6 +58,17 @@ _RSA_BATCH = 20000
 
 # most arrivals per ghost-rule slab query; fixes the slab count, not the answer
 _GHOST_SLAB_POINTS = 2**17
+
+
+def _tree(points: np.ndarray, L: float):
+    """cKDTree of points on the periodic box [0, L)^d.
+
+    scipy.spatial is imported here, on the first simulation, so that commands
+    that never simulate do not pay for loading it.
+    """
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points, boxsize=L)
 
 
 @dataclass(frozen=True)
@@ -120,7 +130,7 @@ class MaternResult:
             raise ValueError(f"density estimate {self.phi_hat} exceeds 1")
         n = len(self.accepted_centers)
         if n > 1:
-            tree = cKDTree(self.accepted_centers, boxsize=self.config.L)
+            tree = _tree(self.accepted_centers, self.config.L)
             dmin, _ = tree.query(self.accepted_centers, k=2)
             if float(dmin[:, 1].min()) < 1.0 - 1e-12:
                 raise ValueError("accepted configuration is not a valid packing")
@@ -222,7 +232,7 @@ def _ghost_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
             if hi > L:
                 inside |= x0 < hi - L
             idx = np.flatnonzero(inside)
-            pairs = cKDTree(pos[idx], boxsize=L).query_pairs(1.0, output_type="ndarray")
+            pairs = _tree(pos[idx], L).query_pairs(1.0, output_type="ndarray")
             # idx is increasing, so local index order is global index order
             i, j = pairs[:, 0], pairs[:, 1]
             t = times[idx]
@@ -248,9 +258,9 @@ def _rsa_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
         block = pos[lo : lo + size]
         lo, size = lo + size, min(2 * size, _RSA_BATCH)
         if len(kept):
-            near = cKDTree(kept, boxsize=L).query_ball_point(block, 1.0, return_length=True)
+            near = _tree(kept, L).query_ball_point(block, 1.0, return_length=True)
             block = block[near == 0]
-        pairs = cKDTree(block, boxsize=L).query_pairs(1.0, output_type="ndarray")
+        pairs = _tree(block, L).query_pairs(1.0, output_type="ndarray")
         keep = np.ones(len(block), dtype=bool)
         # by later member, so each earlier member's fate is settled when read
         for i, j in pairs[np.argsort(pairs[:, 1])].tolist():
@@ -264,7 +274,7 @@ def _pair_histogram(acc: np.ndarray, L: float, bins: int) -> tuple[np.ndarray, n
     edges = np.linspace(0.999, _RMAX, bins + 1)
     if len(acc) < 2:
         return np.zeros(bins, dtype=np.int64), edges
-    tree = cKDTree(acc, boxsize=L)
+    tree = _tree(acc, L)
     pairs = tree.query_pairs(_RMAX, output_type="ndarray")
     diff = acc[pairs[:, 0]] - acc[pairs[:, 1]]
     diff -= L * np.round(diff / L)

@@ -33,10 +33,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import zeta
 
 from .models import _step_amplitude, hyperuniform_Z, structure_factor_gap
+from .rootfind import brentq
 from .specialfn import bessel_lambda
 
 __all__ = [

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln, jv
+
+from .rootfind import brentq
 
 __all__ = [
     "bessel_j",

@@ -416,10 +416,16 @@ def test_sk_kmax_checked(capsys, kmax):
         (["table", "--model", "delta", "--dims", "3,1100"], "got 1100"),
         (["table", "--model", "gap", "--dims", "3,301", "--threads", "2"], "got 301"),
         (["table", "--model", "step", "--dims", "3,4", "--threads", "-4"], "--threads must be"),
+        (
+            ["classical", "--dims", "299..301", "--terminal"],
+            "gap dimension must be an integer in [2, 300], got 301",
+        ),
     ],
 )
 def test_bad_table_input_rejected_up_front(capsys, monkeypatch, argv, bad):
-    monkeypatch.setattr(cli, "terminal_record", None)  # any record computed would raise
+    # any record or optimum computed would raise
+    monkeypatch.setattr(cli, "terminal_record", None)
+    monkeypatch.setattr(cli, "terminal_gap", None)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -437,11 +443,31 @@ def test_worker_count_rule(monkeypatch):
             _worker_count(bad, 17)
 
 
-def test_cli_import_leaves_quadrature_out():
-    code = "import sys, packbound.cli; print('scipy.integrate' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+_LOADED_SCRIPT = """
+import contextlib, io, json, sys
+import packbound.cli as cli
+heavy = ("scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.sparse", "scipy.integrate")
+loaded = {"import": [m for m in heavy if m in sys.modules]}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["table", "--model", "gap", "--dims", "3"]),
+             cli.main(["yamada", "--model", "delta", "--d", "1"])]
+    loaded["gap, yamada"] = [m for m in heavy if m in sys.modules]
+    codes.append(cli.main(["matern", "--d", "1", "--L", "50", "--T", "1"]))
+    loaded["matern"] = [m for m in heavy if m in sys.modules]
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_commands_import_only_what_they_run():
+    # start-up loads numpy and scipy.special only; scipy.spatial comes with the
+    # first simulation
+    res = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "False\n"
+    got = json.loads(res.stdout)
+    assert got["codes"] == [0, 0, 0]
+    assert got["loaded"]["import"] == []
+    assert got["loaded"]["gap, yamada"] == []
+    assert "scipy.spatial" in got["loaded"]["matern"]
 
 
 def _unreached_public_names(pkg: Path) -> list[str]:
