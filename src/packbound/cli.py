@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 import numpy as np
@@ -55,7 +54,7 @@ def _csv(header, rows, meta=()) -> str:
 
 
 def _jwalk(obj):
-    """Floats rounded as _fmt prints them; NaN becomes null so the stream stays valid."""
+    """Floats rounded as _fmt prints them; NaN and +-inf become null so the stream stays valid."""
     if isinstance(obj, dict):
         return {k: _jwalk(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
@@ -63,7 +62,7 @@ def _jwalk(obj):
     if isinstance(obj, (list, tuple)):
         return [_jwalk(v) for v in obj]
     if isinstance(obj, float):
-        return None if math.isnan(obj) else float(_fmt(obj))
+        return float(_fmt(obj)) if math.isfinite(obj) else None
     return obj
 
 
@@ -119,6 +118,8 @@ def cmd_table(args) -> tuple[str, int]:
     workers = _worker_count(args.threads, len(dims))
 
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_record_row, args.model, d) for d in dims]
             try:

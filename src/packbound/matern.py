@@ -128,12 +128,6 @@ class MaternResult:
     def __post_init__(self):
         if self.phi_hat > 1.0:
             raise ValueError(f"density estimate {self.phi_hat} exceeds 1")
-        n = len(self.accepted_centers)
-        if n > 1:
-            tree = _tree(self.accepted_centers, self.config.L)
-            dmin, _ = tree.query(self.accepted_centers, k=2)
-            if float(dmin[:, 1].min()) < 1.0 - 1e-12:
-                raise ValueError("accepted configuration is not a valid packing")
 
 
 def phi_of_t(d: int, t: float) -> float:
@@ -274,11 +268,13 @@ def _pair_histogram(acc: np.ndarray, L: float, bins: int) -> tuple[np.ndarray, n
     edges = np.linspace(0.999, _RMAX, bins + 1)
     if len(acc) < 2:
         return np.zeros(bins, dtype=np.int64), edges
-    tree = _tree(acc, L)
-    pairs = tree.query_pairs(_RMAX, output_type="ndarray")
+    pairs = _tree(acc, L).query_pairs(_RMAX, output_type="ndarray")
     diff = acc[pairs[:, 0]] - acc[pairs[:, 1]]
     diff -= L * np.round(diff / L)
     r = np.sqrt((diff * diff).sum(axis=1))
+    # the packing check: every pair closer than 1 is among the pairs within _RMAX
+    if r.size and r.min() < 1.0 - 1e-12:
+        raise ValueError("accepted configuration is not a valid packing")
     counts, _ = np.histogram(r, bins=edges)
     return counts.astype(np.int64), edges
 

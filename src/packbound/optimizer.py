@@ -12,13 +12,13 @@ quadratic-coefficient cap (d+2)/((d+2) - d sigma^2); interior infima are
 tangency points, each found as the Brent root of the derivative numerator
 N = u' m - u m' between the two grid neighbours of a discrete minimum of u/m.
 One k grid (_k_grid) serves this scan and find_minima, and one scalar kernel
-(_tangency_terms) gives u, m and their slopes to N, to the candidate t = u/m
-and to the envelope derivative.
+(_tangency_terms) gives u, m and their slopes to N, to t = u/m and to the
+slope d(log t)/d(sigma) at the binding k, which the scan returns with t.
 The outer maximization of phi(sigma) = t(sigma)/(2 sigma)^d is one Brent
 root of the envelope derivative d(log t)/d(sigma) - d/sigma over the whole
-step-edge range [1, 1 + 4/d]. Both roots are sign-checked at their bracket
-ends first. Z* = (2 sigma*)^d phi* - 1 comes from models.hyperuniform_Z,
-the amplitude S(k) itself uses, so S(0) = 0 holds exactly in doubles.
+step-edge range [1, 1 + 4/d], one memoized scan per step edge; both roots
+are sign-checked at their bracket ends first. Z* = (2 sigma*)^d phi* - 1 is
+models.hyperuniform_Z, the amplitude S(k) itself uses, so S(0) = 0 exactly.
 
 All density bookkeeping is done on log(phi): at d = 200 the optimum is
 5.7e-44 with t = 5e17, and naive products would lose it.
@@ -246,11 +246,12 @@ def _tangency_terms(d: int, sigma: float, k: float):
 
 
 def gap_feasible_t(d: int, sigma: float):
-    """Largest t with S(k) = u - t m >= 0 everywhere, and its binding k.
+    """Largest t with S(k) = u - t m >= 0 everywhere, its binding k, and d(log t)/d(sigma).
 
     Candidates: the k -> 0 cap (d+2)/((d+2) - d sigma^2) when d sigma^2 < d+2,
     plus every interior stationary minimum of u/m on the m > 0 windows. A
-    binding k of 0 means the quadratic cap is the active constraint.
+    binding k of 0 means the quadratic cap is the active constraint. The slope
+    d(log t)/d(sigma) is that of the binding constraint (envelope theorem).
     """
     nu = 0.5 * d
     t_quad = math.inf
@@ -294,43 +295,40 @@ def gap_feasible_t(d: int, sigma: float):
                 t_cand = uu / mm
                 if 1.0 <= t_cand < best_t:
                     best_t, best_k = t_cand, k_root
-    return best_t, best_k
-
-
-def _envelope_derivative(d: int, sigma: float) -> float:
-    """d(log phi)/d(sigma) at fixed binding constraint (envelope theorem)."""
-    t, k_bind = gap_feasible_t(d, sigma)
-    if k_bind == 0.0:
-        # quadratic cap branch
-        dlog_t = 2.0 * d * sigma / ((d + 2.0) - d * sigma * sigma)
-    else:
-        _, m, _, _, neg_m_sigma = _tangency_terms(d, sigma, k_bind)
-        dlog_t = neg_m_sigma / m
-    return dlog_t - d / sigma
+    if best_k == 0.0:
+        return best_t, best_k, 2.0 * d * sigma / ((d + 2.0) - d * sigma * sigma)
+    _, mm, _, _, neg_m_sigma = terms(best_k)
+    return best_t, best_k, neg_m_sigma / mm
 
 
 @functools.lru_cache(maxsize=None)
 def terminal_gap(d: int) -> TerminalDensityRecord:
     """Numeric gap-model optimum: one Brent root of the envelope derivative in sigma.
 
-    The derivative is positive at sigma = 1 + 1e-9 and negative at 1 + 4/d
-    for every supported d, so the whole range is the bracket. Z* is the
-    contact weight that makes S(0) = 0 exactly. Pure function of d; memoized
-    since the table emitters and the test suite ask for the same dimensions
-    repeatedly.
+    The derivative d(log phi)/d(sigma) = d(log t)/d(sigma) - d/sigma is
+    positive at sigma = 1 + 1e-9 and negative at 1 + 4/d for every supported
+    d, so the whole range is the bracket. Z* is the contact weight that makes
+    S(0) = 0 exactly. Pure function of d; memoized since the table emitters
+    and the test suite ask for the same dimensions repeatedly.
     """
     d = check_dimension("gap", d)
 
+    # Brent re-reads the checked bracket ends and returns a point it evaluated
+    feasible = functools.lru_cache(maxsize=None)(functools.partial(gap_feasible_t, d))
+
+    def g(s):
+        return feasible(s)[2] - d / s
+
     a, b = 1.0 + 1e-9, 1.0 + 4.0 / d
-    g_a, g_b = _envelope_derivative(d, a), _envelope_derivative(d, b)
+    g_a, g_b = g(a), g(b)
     if not g_a > 0.0 > g_b:
         raise RuntimeError(
             f"envelope derivative does not change sign on the step-edge range "
             f"at d={d}: g({a:.6f}) = {g_a:.3e}, g({b:.6f}) = {g_b:.3e}"
         )
-    sigma_star = brentq(lambda s: _envelope_derivative(d, s), a, b, xtol=1e-12, maxiter=200)
+    sigma_star = brentq(g, a, b, xtol=1e-12, maxiter=200)
 
-    t_star, k_bind = gap_feasible_t(d, sigma_star)
+    t_star, k_bind, _ = feasible(sigma_star)
     log_phi = math.log(t_star) - d * math.log(2.0 * sigma_star)
     phi_star = math.exp(log_phi)
     Z_star = hyperuniform_Z(d, phi_star, sigma_star)

@@ -107,7 +107,10 @@ def _log_j(d: int, X: np.ndarray) -> np.ndarray:
         x = X[hi]
         # alpha2(d, x, 0.5) is alpha2 at r/2R = x
         J = x**d * alpha2(d, x, 0.5) + 0.5 * cd * math.exp(betaln(a, a)) * betainc(a, a, x * x)
-        out[hi] = np.log(J)
+        # from d = 887 on, J underflows to 0 on the rows R0 < R <= 1; log J = -inf
+        # gives a bracket of exactly 1 there, which is its correctly rounded value
+        with np.errstate(divide="ignore"):
+            out[hi] = np.log(J)
     lo = ~hi
     if np.any(lo):
         x = X[lo]

@@ -15,7 +15,6 @@ from packbound.matern import (
     MAX_ARRIVALS,
     MAX_BINS,
     MaternConfig,
-    MaternResult,
     _ghost_accept,
     _rsa_accept,
     arrivals,
@@ -116,23 +115,35 @@ def test_simulated_configuration_is_packing():
     assert res.ghost_count == len(arrivals(42, 2, 20.0, 30.0)[0]) - len(acc)
 
 
-def test_result_rejects_overlapping_centers():
-    base = simulate(MaternConfig(d=1, L=10.0, T=1.0, kappa=1, seed=0))
-    bad = np.array([[1.0], [1.3]])
-    with pytest.raises(ValueError):
-        MaternResult(
-            config=base.config,
-            accepted_centers=bad,
-            ghost_count=0,
-            phi_hat=0.1,
-            phi_analytic=0.1,
-            bin_centers=base.bin_centers,
-            pair_counts=base.pair_counts,
-            pair_norm=base.pair_norm,
-            g2_hat=base.g2_hat,
-            g2_stderr=base.g2_stderr,
-            g2_analytic=base.g2_analytic,
-        )
+@pytest.mark.parametrize(
+    "centers, valid",
+    [
+        # d = 1: overlap across the periodic wrap, just inside contact, exact contact
+        ([[0.2], [9.7]], False),
+        ([[2.0], [3.0 - 2e-12]], False),
+        ([[2.0], [3.0]], True),
+        # d = 2: the same three, the last one across the wrap
+        ([[0.2, 5.0], [9.9, 5.3]], False),
+        ([[4.0, 1.0], [4.0, 2.0 - 2e-12]], False),
+        ([[0.5, 3.0], [9.5, 3.0]], True),
+    ],
+    ids=["d1-wrap", "d1-inside", "d1-contact", "d2-wrap", "d2-inside", "d2-contact-wrap"],
+)
+def test_pair_histogram_checks_packing(centers, valid):
+    acc = np.array(centers)
+    if valid:
+        counts, _ = mt._pair_histogram(acc, 10.0, 50)
+        assert counts.sum() == 1
+    else:
+        with pytest.raises(ValueError, match="not a valid packing"):
+            mt._pair_histogram(acc, 10.0, 50)
+
+
+def test_simulate_rejects_overlapping_acceptance(monkeypatch):
+    # a rule that keeps every arrival is caught by the packing check
+    monkeypatch.setattr(mt, "_ghost_accept", lambda pos, times, L: np.ones(len(pos), dtype=bool))
+    with pytest.raises(ValueError, match="not a valid packing"):
+        simulate(MaternConfig(d=2, L=10.0, T=1.0, kappa=1, seed=0))
 
 
 def test_ghost_acceptance_order_independent():

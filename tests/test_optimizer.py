@@ -125,9 +125,26 @@ def test_gap_optimum_full_precision_pins(d, table_records):
 def test_gap_search_requires_sign_change(monkeypatch):
     import packbound.optimizer as opt
 
-    monkeypatch.setattr(opt, "_envelope_derivative", lambda d, s: 1.0)
+    # d(log t)/d(sigma) one above d/sigma: the envelope derivative is positive everywhere
+    monkeypatch.setattr(opt, "gap_feasible_t", lambda d, s: (1.0, 0.0, d / s + 1.0))
     with pytest.raises(RuntimeError, match="does not change sign"):
         opt.terminal_gap.__wrapped__(5)
+
+
+@pytest.mark.parametrize("d", [2, 3, 100])
+def test_gap_search_scans_each_step_edge_once(monkeypatch, d):
+    import packbound.optimizer as opt
+
+    real, seen = opt.gap_feasible_t, []
+
+    def recorder(d, sigma):
+        seen.append(sigma)
+        return real(d, sigma)
+
+    monkeypatch.setattr(opt, "gap_feasible_t", recorder)
+    rec = opt.terminal_gap.__wrapped__(d)
+    assert len(seen) == len(set(seen)) > 2
+    assert rec.sigma_star in seen
 
 
 def test_gap_tangency_requires_sign_change(monkeypatch):
@@ -188,7 +205,7 @@ def test_deepest_minimum_is_binding_tangency(d, table_records):
     rec = table_records[d]
     minima = find_minima(d, rec.phi_star, rec.sigma_star, rec.Z_star)
     k_deep = min(minima, key=lambda p: p[1])[0]
-    _, k_bind = gap_feasible_t(d, rec.sigma_star)
+    _, k_bind, _ = gap_feasible_t(d, rec.sigma_star)
     assert abs(k_deep - k_bind) <= 1e-9
 
 
@@ -205,8 +222,6 @@ def test_deepest_minimum_is_binding_tangency(d, table_records):
     ],
 )
 def test_envelope_derivative_central_difference(d, sigma, branch):
-    from packbound.optimizer import _envelope_derivative
-
     def log_phi_part(s):
         # log phi(sigma) up to the constant -d log 2
         return math.log(gap_feasible_t(d, s)[0]) - d * math.log(s)
@@ -214,7 +229,7 @@ def test_envelope_derivative_central_difference(d, sigma, branch):
     assert (gap_feasible_t(d, sigma)[1] == 0.0) == (branch == "cap")
     h = 1e-6
     fd = (log_phi_part(sigma + h) - log_phi_part(sigma - h)) / (2.0 * h)
-    g = _envelope_derivative(d, sigma)
+    g = gap_feasible_t(d, sigma)[2] - d / sigma
     assert abs(fd - g) <= 1e-5 * abs(g)
 
 
@@ -257,7 +272,7 @@ def test_perturbation_certificate(table_records):
         for s in (rec.sigma_star - 0.002, rec.sigma_star + 0.002):
             if s < 1.0:
                 continue
-            t, _ = gap_feasible_t(d, s)
+            t, _, _ = gap_feasible_t(d, s)
             log_phi = math.log(t) - d * math.log(2.0 * s)
             assert log_phi <= log_phi_star + 1e-12
 

@@ -1,6 +1,8 @@
 import math
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -252,6 +254,40 @@ def test_yamada_d1_delta_terminal_violates():
     for r, b in zip(chk.R, chk.yamada_bound):
         if float(r) in vio:
             assert b > 0.1875
+
+
+def _mp_delta_terms(d, phi, Z, R):
+    """(sigma^2, dropped term 2^d phi (2R)^d J(X)) of a delta model, X = 1/(2R), by mpmath."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(d + 1) / 2
+        X = 1 / (2 * mpmath.mpf(R))
+
+        def alpha2(x):
+            return mpmath.betainc(a, 0.5, 0, 1 - x * x, regularized=True)
+
+        # J = X^d int_0^1 d s^(d-1) alpha2(X s) ds, the weight sits within ~1/d of s = 1
+        J = X**d * mpmath.quad(lambda s: d * s ** (d - 1) * alpha2(X * s), [0, 1 - 20.0 / d, 1])
+        count = mpmath.mpf(phi) * (2 * mpmath.mpf(R)) ** d
+        dropped = 2**d * mpmath.mpf(phi) * (2 * mpmath.mpf(R)) ** d * J
+        return float(count * (1 - dropped + Z * alpha2(X))), dropped
+
+
+@pytest.mark.parametrize("d", [887, 900, 1000])
+def test_delta_underflowed_integral_rows_match_mpmath(d):
+    # J(X) underflows to 0 on the rows R0 < R <= 1 from d = 887 on; the
+    # integral term is then dropped without a divide-by-zero warning, and
+    # mpmath puts it below 1e-50 of the bracket
+    model, dens = _delta_model(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chk = yamada_check(model, dens, 10.0)
+    R = np.asarray(chk.R)
+    rows = np.flatnonzero(R <= 1.0)
+    assert rows.size > 400
+    for i in rows[[0, rows.size // 2, -1]]:
+        s2, dropped = _mp_delta_terms(d, dens.phi, model.Z, float(R[i]))
+        assert dropped < 1e-50
+        assert chk.sigma2[i] == pytest.approx(s2, rel=1e-12), f"d={d} R={R[i]}"
 
 
 def test_yamada_d2_delta_terminal_clean():
