@@ -82,6 +82,12 @@ class AsymptoticConstants:
     kiss_exponent: float
 
 
+def _D1(C: float, q1: float) -> float:
+    """D1 = C (2 - e^q1) / (2 e^q1) of a C1 coefficient: the refined C11 or the dominant C1."""
+    e1 = math.exp(q1)
+    return C * (2 - e1) / (2 * e1)
+
+
 @functools.lru_cache(maxsize=1)
 def solve_constants() -> AsymptoticConstants:
     """Solve and assemble every expansion constant."""
@@ -120,8 +126,8 @@ def solve_constants() -> AsymptoticConstants:
     c13 = -385 * 2**0.25 * (13 * math.sqrt(2) * f1 + 8 * A1**1.5 * f2) / (221184 * sqpi)
     C11 = c11 / A1**1.25 + _C12_COEFF / A1**2.75 + c13 / A1**4.25
 
-    D1 = C11 * (2 - e1) / (2 * e1)
-    D1_dom = C1 * (2 - e1) / (2 * e1)
+    D1 = _D1(C11, q1)
+    D1_dom = _D1(C1, q1)
     D2 = (
         C1 * (A1 * (2 * e1 + 6 * q1 / e1 - 7) + 3 * q2 * (q1 - 1)) / (3 * (2 - e1))
         + C2 * D1_dom / C1
@@ -153,10 +159,6 @@ def _check_d(d):
     lo = DIMENSION_RANGE["asymptotics"][0]
     if d < lo:
         raise ValueError(f"expansion is asymptotic; requires d >= {lo}, got {d}")
-
-
-def _dominant_D1(c: AsymptoticConstants) -> float:
-    return c.C1 * (2 - math.exp(c.q1)) / (2 * math.exp(c.q1))
 
 
 def sigma_star_asymptotic(d) -> float:
@@ -217,7 +219,7 @@ def delta_nu_terms(d):
     _check_d(d)
     c = solve_constants()
     nu = 0.5 * d
-    d1 = _dominant_D1(c)
+    d1 = _D1(c.C1, c.q1)
     delta = d1 / nu ** (2.0 / 3.0) + c.D2 / nu ** (4.0 / 3.0)
     kpow = math.exp(c.a1 * nu ** (1.0 / 3.0) + c.Q1) * (
         1.0 + c.E1 / nu ** (1.0 / 3.0) + c.E2 / nu ** (2.0 / 3.0)
@@ -276,7 +278,7 @@ def phi_star_asymptotic(d, form="full") -> float:
         return coef * d ** (1.0 / 6.0) * math.exp(-c.phi_exponent * d * math.log(2.0))
     if form != "full":
         raise ValueError(f"unknown form {form!r}")
-    d1 = _dominant_D1(c)
+    d1 = _D1(c.C1, c.q1)
     expo = (3 - LOG2E) * nu - LOG2E * c.a1 * nu ** (1.0 / 3.0) + (2 * c.q1 - c.Q1) * LOG2E
     bracket = (
         nu ** (1.0 / 6.0)

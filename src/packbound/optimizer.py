@@ -11,14 +11,19 @@ and L the normalized Bessel kernel. The k -> 0 limit of u/m is the
 quadratic-coefficient cap (d+2)/((d+2) - d sigma^2); interior infima are
 tangency points, each found as the Brent root of the derivative numerator
 N = u' m - u m' between the two grid neighbours of a discrete minimum of u/m.
-One k grid (_k_grid) serves this scan and find_minima, and one scalar kernel
-(_tangency_terms) gives u, m and their slopes to N, to t = u/m and to the
-slope d(log t)/d(sigma) at the binding k, which the scan returns with t.
+One scalar kernel (_tangency_terms) gives u, m and their slopes to N, to
+t = u/m and to the slope d(log t)/d(sigma) at the binding k, which the scan
+returns with t. That t already keeps S >= 0 on the scan grid: where m <= 0,
+S = u - t m >= u >= 0 since |L| <= 1, and where m > 0, S = m (u/m - t) with
+t the smallest refined u/m.
 The outer maximization of phi(sigma) = t(sigma)/(2 sigma)^d is one Brent
 root of the envelope derivative d(log t)/d(sigma) - d/sigma over the whole
 step-edge range [1, 1 + 4/d], one memoized scan per step edge; both roots
 are sign-checked at their bracket ends first. Z* = (2 sigma*)^d phi* - 1 is
 models.hyperuniform_Z, the amplitude S(k) itself uses, so S(0) = 0 exactly.
+The printed k_min is the binding tangency at sigma*, where S from the
+independent models.structure_factor_gap formula must vanish to 1e-7.
+find_minima scans the same k grid (_k_grid) for terminal_delta's check.
 
 All density bookkeeping is done on log(phi): at d = 200 the optimum is
 5.7e-44 with t = 5e17, and naive products would lose it.
@@ -27,7 +32,6 @@ All density bookkeeping is done on log(phi): at d = 200 the optimum is
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -55,8 +59,6 @@ __all__ = [
     "classical_bounds",
 ]
 
-log = logging.getLogger(__name__)
-
 #: densest known lattice/packing densities quoted for comparison
 DENSEST_KNOWN = {56: 2.327670e-11, 60: 2.966747e-13, 64: 1.326615e-12}
 
@@ -80,23 +82,17 @@ DIMENSION_RANGE = {
 @dataclass(frozen=True)
 class TerminalDensityRecord:
     d: int
-    kind: str
     sigma_star: float
     Z_star: float
     phi_star: float
     k_min: float
     ratio: float
-    min_S_residual: float
 
     def __post_init__(self):
         if not (0.0 < self.phi_star <= 1.0):
             raise ValueError(f"terminal density must lie in (0,1], got {self.phi_star}")
         if self.sigma_star < 1.0:
             raise ValueError("sigma_star must be >= 1")
-        if self.min_S_residual > 1e-7:
-            raise ValueError(
-                f"record rejected: |S(k_min)| = {self.min_S_residual:.3e} exceeds 1e-7"
-            )
 
 
 @dataclass(frozen=True)
@@ -124,19 +120,31 @@ def _ratio_column(d: int, log_phi: float) -> float:
     return math.exp(log_phi + (d + 1) * math.log(2.0) - math.log(d + 2.0))
 
 
+def _delta_log_phi(d: int) -> float:
+    # log of the contact optimum (d+2)/2^(d+1), which the gap optimum must beat
+    return math.log(d + 2.0) - (d + 1) * math.log(2.0)
+
+
+def _warn_near_grid_end(what: str, k: float, k_end: float) -> None:
+    if k > 0.98 * k_end:
+        warnings.warn(
+            f"{what} at k={k:.4f} sits within 2% of the grid end "
+            f"k={k_end:.4f}; grid may be too short",
+            RuntimeWarning,
+        )
+
+
 def terminal_step(d: int) -> TerminalDensityRecord:
     """phi* = 2^-d with sigma = 1, Z = 0; S(0) = 0 is the binding point."""
     d = check_dimension("step", d)
     log_phi = -d * math.log(2.0)
     return TerminalDensityRecord(
         d=d,
-        kind="step",
         sigma_star=1.0,
         Z_star=0.0,
         phi_star=2.0**-d,
         k_min=0.0,
         ratio=_ratio_column(d, log_phi),
-        min_S_residual=0.0,
     )
 
 
@@ -155,16 +163,13 @@ def terminal_delta(d: int) -> TerminalDensityRecord:
         raise RuntimeError(
             f"closed-form terminal parameters violate S >= 0 at d={d}: min S = {floor:.3e}"
         )
-    log_phi = math.log(d + 2.0) - (d + 1) * math.log(2.0)
     return TerminalDensityRecord(
         d=d,
-        kind="delta",
         sigma_star=1.0,
         Z_star=Z,
         phi_star=phi,
         k_min=0.0,
-        ratio=_ratio_column(d, log_phi),
-        min_S_residual=0.0,
+        ratio=_ratio_column(d, _delta_log_phi(d)),
     )
 
 
@@ -200,13 +205,7 @@ def find_minima(d: int, phi: float, sigma: float, Z: float):
         km = brentq(D, kk[i], kk[i + 1], xtol=1e-12, maxiter=200)
         out.append((float(km), float(structure_factor_gap(d, phi, sigma, Z, km))))
     if out:
-        deepest_k = min(out, key=lambda p: p[1])[0]
-        if deepest_k > 0.98 * kk[-1]:
-            warnings.warn(
-                f"deepest minimum at k={deepest_k:.4f} sits within 2% of the grid end "
-                f"k={kk[-1]:.4f}; grid may be too short",
-                RuntimeWarning,
-            )
+        _warn_near_grid_end("deepest minimum", min(out, key=lambda p: p[1])[0], kk[-1])
     return out
 
 
@@ -308,8 +307,10 @@ def terminal_gap(d: int) -> TerminalDensityRecord:
     The derivative d(log phi)/d(sigma) = d(log t)/d(sigma) - d/sigma is
     positive at sigma = 1 + 1e-9 and negative at 1 + 4/d for every supported
     d, so the whole range is the bracket. Z* is the contact weight that makes
-    S(0) = 0 exactly. Pure function of d; memoized since the table emitters
-    and the test suite ask for the same dimensions repeatedly.
+    S(0) = 0 exactly. The record's k_min is the binding tangency of the scan
+    at sigma*, checked with structure_factor_gap. Pure function of d; memoized
+    since several commands and the test suite ask for the same dimensions
+    repeatedly.
     """
     d = check_dimension("gap", d)
 
@@ -332,41 +333,25 @@ def terminal_gap(d: int) -> TerminalDensityRecord:
     log_phi = math.log(t_star) - d * math.log(2.0 * sigma_star)
     phi_star = math.exp(log_phi)
     Z_star = hyperuniform_Z(d, phi_star, sigma_star)
-
-    delta_phi_log = math.log(d + 2.0) - (d + 1) * math.log(2.0)
-    if log_phi <= delta_phi_log:
+    if log_phi <= _delta_log_phi(d):
         raise RuntimeError(
             f"gap search found no step edge beating the closed-form contact optimum at d={d}"
         )
 
-    minima = find_minima(d, phi_star, sigma_star, Z_star)
-    if minima:
-        k_first, s_first = minima[0]
-        k_min, s_min = min(minima, key=lambda p: p[1])
-        if k_min != k_first:
-            log.info(
-                "d=%d: deepest minimum %.6f is not the first positive one %.6f",
-                d,
-                k_min,
-                k_first,
-            )
-    else:
-        k_min, s_min = k_bind, structure_factor_gap(d, phi_star, sigma_star, Z_star, k_bind)
-    residual = abs(s_min)
+    residual = abs(structure_factor_gap(d, phi_star, sigma_star, Z_star, k_bind))
     if residual > 1e-7:
         raise RuntimeError(
             f"optimum at d={d} fails the structure-factor tangency check: "
-            f"|S({k_min:.6f})| = {residual:.3e}"
+            f"|S({k_bind:.6f})| = {residual:.3e}"
         )
+    _warn_near_grid_end("binding tangency", k_bind, _sigma_free_kernels(d)[0][-1])
     return TerminalDensityRecord(
         d=d,
-        kind="gap",
         sigma_star=float(sigma_star),
         Z_star=Z_star,
         phi_star=phi_star,
-        k_min=k_min,
+        k_min=float(k_bind),
         ratio=_ratio_column(d, log_phi),
-        min_S_residual=residual,
     )
 
 

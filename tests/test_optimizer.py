@@ -147,6 +147,56 @@ def test_gap_search_scans_each_step_edge_once(monkeypatch, d):
     assert rec.sigma_star in seen
 
 
+def test_gap_optimum_fails_tangency_check(monkeypatch, capsys):
+    import packbound.cli as cli
+    import packbound.optimizer as opt
+
+    # the independent S(k) formula reads 1e-6 at the binding k: no record
+    monkeypatch.setattr(opt, "structure_factor_gap", lambda *args: 1e-6)
+    with pytest.raises(RuntimeError, match="fails the structure-factor tangency check"):
+        opt.terminal_gap.__wrapped__(5)
+
+    # past the memo, table reports it as an error row and other commands as a
+    # numerical failure, both with exit 3
+    unmemoized = opt.terminal_gap.__wrapped__
+    monkeypatch.setattr(opt, "terminal_gap", unmemoized)
+    monkeypatch.setattr(cli, "terminal_gap", unmemoized)
+    assert cli.main(["table", "--model", "gap", "--dims", "5"]) == 3
+    assert "# error d=5: optimum at d=5 fails the structure-factor tangency check" in (
+        capsys.readouterr().out
+    )
+    assert cli.main(["classical", "--dims", "5", "--terminal"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: optimum at d=5 fails the structure-factor tangency")
+
+
+def test_gap_binding_tangency_near_grid_end_warns(monkeypatch):
+    import packbound.optimizer as opt
+
+    rec = terminal_gap(5)
+    # a scan grid that ends 1% past the binding tangency
+    monkeypatch.setattr(opt, "_k_grid", lambda d: np.linspace(1e-9, 1.01 * rec.k_min, 3000))
+    opt._sigma_free_kernels.cache_clear()
+    try:
+        with pytest.warns(RuntimeWarning, match="binding tangency at k=5.2971 sits within 2%"):
+            short = opt.terminal_gap.__wrapped__(5)
+    finally:
+        opt._sigma_free_kernels.cache_clear()
+    assert short.k_min == pytest.approx(rec.k_min, rel=1e-9)
+
+
+def test_d2_kink_switches_binding_tangency():
+    # two tangencies bind at the d = 2 optimum: just below sigma* the one near
+    # k = 3.33 binds and phi rises, just above it the one near k = 10.38 binds
+    # and phi falls, so Brent converges to a jump of g, not to a zero of it
+    sigma = terminal_gap(2).sigma_star
+    for s, k_bind, g in ((sigma - 1e-9, 3.32978, 0.048), (sigma + 1e-9, 10.38236, -2.87)):
+        _, k, dlog_t = gap_feasible_t(2, s)
+        assert k == pytest.approx(k_bind, abs=1e-5)
+        assert dlog_t - 2.0 / s == pytest.approx(g, abs=1e-2 * abs(g))
+    assert terminal_gap(2).k_min == pytest.approx(3.32978, abs=1e-5)
+
+
 def test_gap_tangency_requires_sign_change(monkeypatch):
     import packbound.optimizer as opt
 
@@ -200,12 +250,13 @@ def test_no_minima_for_ideal_gas():
 @pytest.mark.parametrize("d", TABLE_DIMS)
 def test_deepest_minimum_is_binding_tangency(d, table_records):
     # find_minima and gap_feasible_t scan one grid, so at the optimum the
-    # deepest minimum of S is the tangency that binds t (d = 2, where two
-    # tangencies bind, is not tabulated)
+    # deepest minimum of S is the tangency that binds t, which the record
+    # prints as k_min (d = 2, where two tangencies bind, is not tabulated)
     rec = table_records[d]
     minima = find_minima(d, rec.phi_star, rec.sigma_star, rec.Z_star)
     k_deep = min(minima, key=lambda p: p[1])[0]
     _, k_bind, _ = gap_feasible_t(d, rec.sigma_star)
+    assert rec.k_min == k_bind
     assert abs(k_deep - k_bind) <= 1e-9
 
 
@@ -249,7 +300,8 @@ def test_gap_optima_hyperuniform(table_records):
         # S(0) = 1 - t + Z cancels exactly at every d, not just to rounding
         assert rec.Z_star == hyperuniform_Z(d, rec.phi_star, rec.sigma_star)
         assert structure_factor_gap(d, rec.phi_star, rec.sigma_star, rec.Z_star, 0.0) == 0.0
-        assert rec.min_S_residual <= 1e-7
+        s_bind = structure_factor_gap(d, rec.phi_star, rec.sigma_star, rec.Z_star, rec.k_min)
+        assert abs(s_bind) <= 1e-7
 
 
 def test_monotone_improvement(table_records):
@@ -317,7 +369,7 @@ def test_domain_errors():
 
 
 def test_record_validation():
-    with pytest.raises(ValueError):
-        TerminalDensityRecord(3, "gap", 1.2, 7.9, 1.5, 4.0, 1.8, 0.0)
-    with pytest.raises(ValueError):
-        TerminalDensityRecord(3, "gap", 1.2, 7.9, 0.5, 4.0, 1.8, 1e-6)
+    with pytest.raises(ValueError, match="terminal density must lie in"):
+        TerminalDensityRecord(3, 1.2, 7.9, 1.5, 4.0, 1.8)
+    with pytest.raises(ValueError, match="sigma_star must be >= 1"):
+        TerminalDensityRecord(3, 0.9, 7.9, 0.5, 4.0, 1.8)
