@@ -21,8 +21,9 @@ import numpy as np
 
 from . import asymptotics as asym
 from . import matern as mt
-from .models import PackingDensity, RadialModel, make_curve
-from .optimizer import check_dimension, classical_bounds, terminal_gap, terminal_record
+from .models import PackingDensity, RadialModel, default_k_max, log_amplitude, make_curve
+from .optimizer import MAX_CLOSED_FORM_D, check_dimension, classical_bounds
+from .optimizer import terminal_gap, terminal_record
 from .variance import yamada_check
 
 TABLE_COLUMNS = ("d", "sigma_star", "Z_star", "phi_star", "ratio", "k_min")
@@ -131,7 +132,10 @@ def cmd_table(args) -> tuple[str, int]:
     else:
         rows = [_row_or_error(partial(_record_row, args.model, d), d) for d in dims]
 
-    code = 3 if any("error" in r for r in rows) else 0
+    errors = [r for r in rows if "error" in r]
+    for r in errors:  # stderr names each failure, also when --out takes the rows
+        print(f"numerical failure: d={r['d']}: {r['error']}", file=sys.stderr)
+    code = 3 if errors else 0
     if args.format == "json":
         return _dump({"command": "table", "model": args.model, "rows": rows}), code
     body = []
@@ -144,9 +148,18 @@ def cmd_table(args) -> tuple[str, int]:
 
 
 def cmd_sk(args) -> tuple[str, int]:
-    model = RadialModel(kind=args.model, sigma=args.sigma, Z=args.Z)
-    density = PackingDensity(args.d, args.phi)
-    curve = make_curve(model, density, k_max=args.kmax, n=args.samples)
+    d, phi, sigma = args.d, args.phi, args.sigma
+    if not 1 <= d <= MAX_CLOSED_FORM_D:
+        raise ValueError(f"--d must be an integer in [1, {MAX_CLOSED_FORM_D}], got {d}")
+    model = RadialModel(kind=args.model, sigma=sigma, Z=args.Z)
+    density = PackingDensity(d, phi)
+    if phi > 0.0 and log_amplitude(d, phi, sigma) > math.log(sys.float_info.max):
+        raise ValueError(f"(2 sigma)^d phi overflows at --d {d}, --phi {phi}, --sigma {sigma}")
+    k_max = default_k_max(d) if args.kmax is None else args.kmax
+    # make_curve rejects a nonfinite --kmax
+    if math.isfinite(k_max) and not math.isfinite(k_max * sigma):
+        raise ValueError(f"curve end k_max * --sigma overflows: {k_max} * {sigma}")
+    curve = make_curve(model, density, k_max=k_max, n=args.samples)
     if args.format == "json":
         obj = {
             "command": "sk",

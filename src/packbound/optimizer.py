@@ -23,7 +23,9 @@ are sign-checked at their bracket ends first. Z* = (2 sigma*)^d phi* - 1 is
 models.hyperuniform_Z, the amplitude S(k) itself uses, so S(0) = 0 exactly.
 The printed k_min is the binding tangency at sigma*, where S from the
 independent models.structure_factor_gap formula must vanish to 1e-7.
-find_minima scans the same k grid (_k_grid) for terminal_delta's check.
+terminal_delta's S >= 0 check scans the same k grid with find_minima: at the
+delta terminal S'(k) is a positive multiple of k^3 L_{nu+2}(k), so the minima
+of S are the - to + sign changes of that one kernel, and S is read there once.
 
 All density bookkeeping is done on log(phi): at d = 200 the optimum is
 5.7e-44 with t = 5e17, and naive products would lose it.
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta
 
-from .models import _step_amplitude, hyperuniform_Z, structure_factor_gap
+from .models import hyperuniform_Z, structure_factor_gap
 from .rootfind import brentq
 from .specialfn import bessel_lambda
 
@@ -149,7 +151,7 @@ def terminal_step(d: int) -> TerminalDensityRecord:
 
 
 def terminal_delta(d: int) -> TerminalDensityRecord:
-    """phi* = (d+2)/2^(d+1), Z* = d/2; verified against the numeric minima scan.
+    """phi* = (d+2)/2^(d+1), Z* = d/2; S is checked at every local minimum find_minima finds.
 
     At these values both S(0) and the quadratic coefficient vanish, so the
     binding wavenumber is k = 0.
@@ -157,12 +159,15 @@ def terminal_delta(d: int) -> TerminalDensityRecord:
     d = check_dimension("delta", d)
     phi = (d + 2.0) / 2.0 ** (d + 1)
     Z = 0.5 * d
-    minima = find_minima(d, phi, 1.0, Z)
-    floor = min((s for _, s in minima), default=0.0)
-    if floor < -1e-9:
-        raise RuntimeError(
-            f"closed-form terminal parameters violate S >= 0 at d={d}: min S = {floor:.3e}"
-        )
+    k = find_minima(d)
+    if k.size:
+        S = structure_factor_gap(d, phi, 1.0, Z, k)
+        i = int(np.argmin(S))
+        if S[i] < -1e-9:
+            raise RuntimeError(
+                f"closed-form terminal parameters violate S >= 0 at d={d}: min S = {S[i]:.3e}"
+            )
+        _warn_near_grid_end("deepest minimum", k[i], _k_grid(d)[-1])
     return TerminalDensityRecord(
         d=d,
         sigma_star=1.0,
@@ -173,40 +178,21 @@ def terminal_delta(d: int) -> TerminalDensityRecord:
     )
 
 
-def find_minima(d: int, phi: float, sigma: float, Z: float):
-    """Local minima of S on the scan grid of _k_grid(d), as a list of (k, S(k)).
+def find_minima(d: int) -> np.ndarray:
+    """Wavenumbers of the local minima of S at the delta terminal, on the scan grid _k_grid(d).
 
-    S'(k) is a positive multiple of D(k) = t sigma^2 L_{nu+1}(k sigma)/(d+2)
-    - Z L_nu(k)/d (t = (2 sigma)^d phi), which is the quoted
-    J_{nu+1}/J_nu derivative condition cleared of its k^nu denominators, so
-    sign changes of D from - to + are exactly the minima. Each crossing is
-    refined by Brent to well under 1e-10 in k.
+    With sigma = 1, t = (d+2)/2 and Z = d/2, the recurrence
+    L_{mu-1} - L_mu = -x^2 L_{mu+1} / (4 mu (mu+1)) turns the two-kernel slope
+    of S into one kernel: S'(k) = k^3 L_{nu+2}(k) / (8 (nu+1) (nu+2)). So the
+    minima are exactly the sign changes of L_{nu+2} from - to +, each refined
+    by Brent to well under 1e-10 in k.
     """
-    if d < 1 or d != int(d):
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    if not (0.0 <= phi <= 1.0) or sigma < 1.0 or Z < 0.0:
-        raise ValueError("infeasible parameters")
-    if phi == 0.0 and Z == 0.0:
-        return []
-    d = int(d)
-    nu = 0.5 * d
-    t = _step_amplitude(d, phi, sigma)
-
-    def D(k):
-        return t * sigma**2 * bessel_lambda(nu + 1.0, k * sigma) / (d + 2.0) - Z * bessel_lambda(
-            nu, k
-        ) / d
-
+    mu = 0.5 * d + 2.0
     kk = _k_grid(d)
-    dd = D(kk)
-    flips = np.flatnonzero((dd[:-1] < 0.0) & (dd[1:] >= 0.0))
-    out = []
-    for i in flips:
-        km = brentq(D, kk[i], kk[i + 1], xtol=1e-12, maxiter=200)
-        out.append((float(km), float(structure_factor_gap(d, phi, sigma, Z, km))))
-    if out:
-        _warn_near_grid_end("deepest minimum", min(out, key=lambda p: p[1])[0], kk[-1])
-    return out
+    lam = bessel_lambda(mu, kk)
+    flips = np.flatnonzero((lam[:-1] < 0.0) & (lam[1:] >= 0.0))
+    lam_mu = functools.partial(bessel_lambda, mu)
+    return np.array([brentq(lam_mu, kk[i], kk[i + 1], xtol=1e-12, maxiter=200) for i in flips])
 
 
 def _k_grid(d: int) -> np.ndarray:

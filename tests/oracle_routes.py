@@ -5,8 +5,9 @@ quadrature S(k) for the closed models, and O(n^2) minimum-image references
 for the ghost and standard RSA rules. Also the reference formulas that only
 the tests evaluate: the center density, the pointwise g2 and small-k
 expansion of the models, the Watson form and large-order zero expansion of
-J_nu, large-d alpha2, the saturated ghost-process g2 and saturation time, and
-the asymptotic and exact Bessel slope halves. No command uses any of them.
+J_nu, large-d alpha2, the saturated ghost-process g2 and saturation time, the
+asymptotic and exact Bessel slope halves, and the general minima scan of S
+for any (phi, sigma, Z). No command uses any of them.
 """
 
 from __future__ import annotations
@@ -20,13 +21,16 @@ from scipy.special import gammaln, jv
 
 from packbound.asymptotics import solve_constants
 from packbound.geometry import _cd, _check_dr, beta2
-from packbound.models import PackingDensity, RadialModel, _step_amplitude
+from packbound.models import PackingDensity, RadialModel, _step_amplitude, structure_factor_gap
+from packbound.optimizer import _k_grid, _warn_near_grid_end
+from packbound.rootfind import brentq
 from packbound.specialfn import (
     A1,
     A2,
     A3,
     _check_order,
     bessel_j,
+    bessel_lambda,
     first_zero,
     log_sphere_volume,
     sphere_surface,
@@ -306,3 +310,39 @@ def c_exact_triple(nu):
     b2 = 0.5 * (bessel_j(nu, y0) - bessel_j(nu + 2, y0))
     b3 = 0.5 * (bessel_j(nu - 2, z0) - bessel_j(nu, z0))
     return (b1, b2, b3)
+
+
+def structure_factor_minima(d: int, phi: float, sigma: float, Z: float):
+    """Local minima of S on the scan grid of _k_grid(d), as a list of (k, S(k)).
+
+    S'(k) is a positive multiple of D(k) = t sigma^2 L_{nu+1}(k sigma)/(d+2)
+    - Z L_nu(k)/d (t = (2 sigma)^d phi), which is the quoted
+    J_{nu+1}/J_nu derivative condition cleared of its k^nu denominators, so
+    sign changes of D from - to + are exactly the minima. Each crossing is
+    refined by Brent to well under 1e-10 in k.
+    """
+    if d < 1 or d != int(d):
+        raise ValueError(f"dimension must be a positive integer, got {d}")
+    if not (0.0 <= phi <= 1.0) or sigma < 1.0 or Z < 0.0:
+        raise ValueError("infeasible parameters")
+    if phi == 0.0 and Z == 0.0:
+        return []
+    d = int(d)
+    nu = 0.5 * d
+    t = _step_amplitude(d, phi, sigma)
+
+    def D(k):
+        return t * sigma**2 * bessel_lambda(nu + 1.0, k * sigma) / (d + 2.0) - Z * bessel_lambda(
+            nu, k
+        ) / d
+
+    kk = _k_grid(d)
+    dd = D(kk)
+    flips = np.flatnonzero((dd[:-1] < 0.0) & (dd[1:] >= 0.0))
+    out = []
+    for i in flips:
+        km = brentq(D, kk[i], kk[i + 1], xtol=1e-12, maxiter=200)
+        out.append((float(km), float(structure_factor_gap(d, phi, sigma, Z, km))))
+    if out:
+        _warn_near_grid_end("deepest minimum", min(out, key=lambda p: p[1])[0], kk[-1])
+    return out

@@ -123,7 +123,13 @@ def test_min_S_nonnegative_at_terminal():
         Z = hyperuniform_Z(d, 0.999 * phi, sigma)
         cases.append((RadialModel("gap", sigma, Z), PackingDensity(d, 0.999 * phi)))
     for model, dens in cases:
-        curve = make_curve(model, dens, n=1024)
+        if model.kind == "gap" and dens.d == 3:
+            # make_curve's fixed 0.05 tail tolerance fires on this correct curve,
+            # whose contact term decays only like k^-(d-1)/2 (a FOUND in CHANGES.md)
+            with pytest.warns(RuntimeWarning, match="tail has not settled"):
+                curve = make_curve(model, dens, n=1024)
+        else:
+            curve = make_curve(model, dens, n=1024)
         assert curve.S.min() >= -1e-9, (model.kind, dens.d, curve.S.min())
 
 

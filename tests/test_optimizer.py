@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_TABLE, TABLE_DIMS
+from oracle_routes import structure_factor_minima
 from packbound.models import hyperuniform_Z, structure_factor_gap
 from packbound.optimizer import (
     MAX_CLOSED_FORM_D,
@@ -228,7 +229,7 @@ def test_d200_binding_wavenumber(table_records):
 
 def test_d12_first_minimum_is_deepest():
     rec = terminal_gap(12)
-    minima = find_minima(rec.d, rec.phi_star, rec.sigma_star, rec.Z_star)
+    minima = structure_factor_minima(rec.d, rec.phi_star, rec.sigma_star, rec.Z_star)
     assert minima
     depths = [s for _, s in minima]
     assert depths[0] == min(depths)
@@ -244,16 +245,16 @@ def test_minima_refined_to_stationarity(table_records):
 
 
 def test_no_minima_for_ideal_gas():
-    assert find_minima(3, 0.0, 1.0, 0.0) == []
+    assert structure_factor_minima(3, 0.0, 1.0, 0.0) == []
 
 
 @pytest.mark.parametrize("d", TABLE_DIMS)
 def test_deepest_minimum_is_binding_tangency(d, table_records):
-    # find_minima and gap_feasible_t scan one grid, so at the optimum the
-    # deepest minimum of S is the tangency that binds t, which the record
-    # prints as k_min (d = 2, where two tangencies bind, is not tabulated)
+    # the general minima scan and gap_feasible_t scan one grid, so at the
+    # optimum the deepest minimum of S is the tangency that binds t, which the
+    # record prints as k_min (d = 2, where two tangencies bind, is not tabulated)
     rec = table_records[d]
-    minima = find_minima(d, rec.phi_star, rec.sigma_star, rec.Z_star)
+    minima = structure_factor_minima(d, rec.phi_star, rec.sigma_star, rec.Z_star)
     k_deep = min(minima, key=lambda p: p[1])[0]
     _, k_bind, _ = gap_feasible_t(d, rec.sigma_star)
     assert rec.k_min == k_bind
@@ -373,3 +374,73 @@ def test_record_validation():
         TerminalDensityRecord(3, 1.2, 7.9, 1.5, 4.0, 1.8)
     with pytest.raises(ValueError, match="sigma_star must be >= 1"):
         TerminalDensityRecord(3, 0.9, 7.9, 0.5, 4.0, 1.8)
+
+
+@pytest.mark.parametrize("d", [1, 5, 24, 200])
+def test_delta_terminal_slope_is_one_kernel(d):
+    # at sigma = 1, t = (d+2)/2, Z = d/2: S'(k) = k^3 L_{nu+2}(k) / (8 (nu+1) (nu+2)),
+    # with L_mu(x) = 0F1(; mu+1; -x^2/4) and the slope of the two-kernel S
+    # taken by mpmath's numerical differentiation
+    mpmath = pytest.importorskip("mpmath")
+    minima = find_minima(d)
+    assert minima.size
+    with mpmath.workdps(60):
+        nu = mpmath.mpf(d) / 2
+
+        def lam(mu, k):
+            return mpmath.hyp0f1(mu + 1, -k * k / 4)
+
+        def S(k):
+            return 1 - (nu + 1) * lam(nu, k) + nu * lam(nu - 1, k)
+
+        def one_kernel(k):
+            return k**3 * lam(nu + 2, k) / (8 * (nu + 1) * (nu + 2))
+
+        for k in (0.5, float(nu) + 2.5, 0.5 * (minima[0] + minima[-1]), minima[-1] + 1.0):
+            k = mpmath.mpf(k)
+            assert abs(mpmath.diff(S, k) - one_kernel(k)) <= 1e-20 * abs(one_kernel(k))
+        # the scan's minima are where that slope turns from - to +
+        for k in minima[:3]:
+            assert one_kernel(mpmath.mpf(k) - 1e-7) < 0 < one_kernel(mpmath.mpf(k) + 1e-7)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 24, 100, 357, 501, 700])
+def test_delta_minima_match_general_scan(d):
+    # the general two-kernel scan also lists a rounding flip next to k = 0,
+    # where S ~ k^4 / (32 (nu+1) (nu+2)) has no minimum; only its interior
+    # minima are compared
+    phi = (d + 2.0) / 2.0 ** (d + 1)
+    general = [k for k, _ in structure_factor_minima(d, phi, 1.0, 0.5 * d) if k > 1e-3]
+    minima = find_minima(d)
+    assert minima.size == len(general) > 0
+    assert np.max(np.abs(minima - general)) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [720, 800, 1000])
+def test_delta_minima_skip_underflowed_kernels(d):
+    # past the series switch jv underflows for these orders; the two-kernel
+    # difference flips sign there, but L_{nu+2} only reads 0 on its positive
+    # stretch before the first zero of J_{nu+2}, which lies past nu + 2
+    minima = find_minima(d)
+    assert minima.size and minima.min() > 0.5 * d + 2.0
+    assert terminal_delta(d).Z_star == 0.5 * d
+
+
+def test_delta_check_raises_below_floor(monkeypatch):
+    import packbound.optimizer as opt
+
+    real = opt.structure_factor_gap
+
+    def dent(depth):
+        def patched(*args):
+            S = real(*args)
+            S[len(S) // 2] = depth
+            return S
+
+        monkeypatch.setattr(opt, "structure_factor_gap", patched)
+
+    dent(-1e-9)
+    assert terminal_delta(24).phi_star == 26 / 2.0**25
+    dent(-1.5e-9)
+    with pytest.raises(RuntimeError, match=r"violate S >= 0 at d=24: min S = -1\.500e-09"):
+        terminal_delta(24)

@@ -1,8 +1,11 @@
 """rootfind.brentq against scipy.optimize.brentq, its reference: the same
 double, a Python float, and the same exception type and message."""
 
+import inspect
 import math
 import random
+import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -36,6 +39,36 @@ def _family(name: str, rng: random.Random):
     return (lambda x: jv(nu, x)), a, a + rng.uniform(0.01, 10.0)
 
 
+def _zero_denominator_hits(run) -> int:
+    """How often run() makes brentq enter its ``except ZeroDivisionError`` handler."""
+    lines, start = inspect.getsourcelines(brentq)
+    handler = start + next(i for i, line in enumerate(lines) if "except ZeroDivisionError" in line)
+    hits = 0
+
+    def trace(frame, event, arg):
+        if frame.f_code is not brentq.__code__:
+            return None
+
+        def line(frame, event, arg):
+            nonlocal hits
+            hits += event == "line" and frame.f_lineno == handler
+            return line
+
+        return line
+
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return hits
+
+
+def _tiny_cubic(x):
+    # the product of three 1e-200 slopes in the interpolation denominator underflows to 0
+    return 1e-200 * ((x - 0.3) ** 3 - 0.5 * (x - 0.3))
+
+
 @pytest.mark.parametrize("maxiter", [100, 200, 8])
 @pytest.mark.parametrize("xtol", [1e-12, 1e-15, 2e-12])
 @pytest.mark.parametrize("name", ["tanh", "cubic", "jv"])
@@ -49,6 +82,10 @@ def test_brentq_matches_scipy_bitwise(name, xtol, maxiter):
         kinds.add(got[0])
     # every family finds roots, and same-sign brackets raise ValueError
     assert float in kinds and ValueError in kinds
+    # a direct case through the zero-denominator fallback to bisection
+    ours = partial(_outcome, brentq, _tiny_cubic, -1.0, 2.5, xtol=xtol, maxiter=maxiter)
+    assert _zero_denominator_hits(ours)
+    assert ours() == _outcome(scipy_brentq, _tiny_cubic, -1.0, 2.5, xtol=xtol, maxiter=maxiter)
 
 
 def _nan_right(x):
@@ -84,13 +121,14 @@ def test_brentq_defaults_and_edge_cases_match_scipy():
 
 
 def test_delta_table_rows_match_scipy_root_finder(capsys, monkeypatch):
-    # at these d the interpolation denominator of find_minima's root search is
-    # exactly zero, where the step must fall back to bisection as in C
-    argv = ["table", "--model", "delta", "--dims", "908,920,1000"]
+    # at d = 1000 the interpolation denominator of find_minima's root search is
+    # exactly zero 7 times, where the step must fall back to bisection as in C
+    assert _zero_denominator_hits(partial(optimizer.find_minima, 1000))
+    argv = ["table", "--model", "delta", "--dims", "1000"]
     assert main(argv) == 0
     ours = capsys.readouterr()
     monkeypatch.setattr(optimizer, "brentq", scipy_brentq)
     monkeypatch.setattr(specialfn, "brentq", scipy_brentq)
     assert main(argv) == 0
     assert capsys.readouterr() == ours
-    assert "error" not in ours.out and ours.out.count("\n") == 4
+    assert "error" not in ours.out and ours.out.count("\n") == 2
