@@ -22,7 +22,7 @@ import numpy as np
 from . import asymptotics as asym
 from . import matern as mt
 from .models import PackingDensity, RadialModel, default_k_max, log_amplitude, make_curve
-from .optimizer import MAX_CLOSED_FORM_D, check_dimension, classical_bounds
+from .optimizer import DIMENSION_RANGE, MAX_CLOSED_FORM_D, check_dimension, classical_bounds
 from .optimizer import terminal_gap, terminal_record
 from .variance import yamada_check
 
@@ -189,30 +189,38 @@ def _flatten(prefix: str, report: dict):
 
 
 def cmd_asymptotics(args) -> tuple[str, int]:
+    # the numeric comparison runs the gap optimizer, whose range ends first
+    gap_hi, asym_hi = DIMENSION_RANGE["gap"][1], DIMENSION_RANGE["asymptotics"][1]
+    if not args.skip_numeric and gap_hi < args.d <= asym_hi:
+        raise ValueError(
+            f"--d {args.d} is past the gap optimizer's last dimension {gap_hi}; "
+            f"add --skip-numeric to print the expansions alone"
+        )
     report = asym.build_report(args.d, include_numeric=not args.skip_numeric)
     if args.format == "json":
         return _dump({"command": "asymptotics", "d": args.d, "report": report}), 0
     return _csv(("quantity", "value"), _flatten("", report)), 0
 
 
-def _yamada_model(args) -> tuple[RadialModel, PackingDensity]:
+def _yamada_model(args) -> tuple[RadialModel, PackingDensity, float]:
+    """The model, the density and the relative error of its phi (0 for a given --phi)."""
     d = args.d
     rec = terminal_record(args.model, d)
-    sigma, Z, phi = rec.sigma_star, rec.Z_star, rec.phi_star
+    sigma, Z, phi, phi_rel_err = rec.sigma_star, rec.Z_star, rec.phi_star, rec.phi_rel_err
     if args.phi is not None:
         if not 0.0 < args.phi < 1.0:
             raise ValueError(f"phi must lie in (0, 1), got {args.phi}")
-        phi = args.phi
+        phi, phi_rel_err = args.phi, 0.0
     if args.sigma is not None:
         sigma = args.sigma
     if args.Z is not None:
         Z = args.Z
-    return RadialModel(kind=args.model, sigma=sigma, Z=Z), PackingDensity(d, phi)
+    return RadialModel(kind=args.model, sigma=sigma, Z=Z), PackingDensity(d, phi), phi_rel_err
 
 
 def cmd_yamada(args) -> tuple[str, int]:
-    model, density = _yamada_model(args)
-    check = yamada_check(model, density, args.Rmax, n_grid=args.grid)
+    model, density, phi_rel_err = _yamada_model(args)
+    check = yamada_check(model, density, args.Rmax, n_grid=args.grid, phi_rel_err=phi_rel_err)
     if args.format == "json":
         obj = {
             "command": "yamada",

@@ -11,6 +11,8 @@ and L the normalized Bessel kernel. The k -> 0 limit of u/m is the
 quadratic-coefficient cap (d+2)/((d+2) - d sigma^2); interior infima are
 tangency points, each found as the Brent root of the derivative numerator
 N = u' m - u m' between the two grid neighbours of a discrete minimum of u/m.
+The grid (_k_grid) only has to separate those roots, not resolve them, so it
+holds 16/pi points per unit k: Brent refines each bracket to 1e-12 in k.
 One scalar kernel (_tangency_terms) gives u, m and their slopes to N, to
 t = u/m and to the slope d(log t)/d(sigma) at the binding k, which the scan
 returns with t. That t already keeps S >= 0 on the scan grid: where m <= 0,
@@ -22,7 +24,10 @@ step-edge range [1, 1 + 4/d], one memoized scan per step edge; both roots
 are sign-checked at their bracket ends first. Z* = (2 sigma*)^d phi* - 1 is
 models.hyperuniform_Z, the amplitude S(k) itself uses, so S(0) = 0 exactly.
 The printed k_min is the binding tangency at sigma*, where S from the
-independent models.structure_factor_gap formula must vanish to 1e-7.
+independent models.structure_factor_gap formula must vanish to 1e-7. The
+record carries phi_rel_err, the relative error bound of the numeric phi*
+(1e-11), so that the Yamada check can tell which expected counts have a
+fractional part that phi* fixes.
 terminal_delta's S >= 0 check scans the same k grid with find_minima: at the
 delta terminal S'(k) is a positive multiple of k^3 L_{nu+2}(k), so the minima
 of S are the - to + sign changes of that one kernel, and S is read there once.
@@ -36,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import zeta
@@ -80,6 +85,12 @@ DIMENSION_RANGE = {
     "asymptotics": (20, MAX_CLOSED_FORM_D),
 }
 
+# relative error bound of terminal_gap's phi*: over ten times the largest change
+# of phi* between scans at 64/pi and 16/pi points per unit k over d = 2..300
+# (9.4e-13, at d = 296), and above the sigma xtol (1e-12) times the slope
+# jump of log phi at the d = 2 kink (2.9), 2.9e-12
+_GAP_PHI_REL_ERR = 1e-11
+
 
 @dataclass(frozen=True)
 class TerminalDensityRecord:
@@ -89,6 +100,8 @@ class TerminalDensityRecord:
     phi_star: float
     k_min: float
     ratio: float
+    #: relative error of phi_star beyond rounding: 0 for the closed forms
+    phi_rel_err: float = field(default=0.0, repr=False)
 
     def __post_init__(self):
         if not (0.0 < self.phi_star <= 1.0):
@@ -199,12 +212,21 @@ def _k_grid(d: int) -> np.ndarray:
     """The one scan grid of find_minima and gap_feasible_t.
 
     It runs from 1e-9 to nu + 12 max(nu, 1)^(1/3) + 30, past the binding
-    tangency at every supported d, at 64/pi points per unit of k and never
-    fewer than 3000.
+    tangency at every supported d, at 16/pi points per unit of k and never
+    fewer than 750, so its spacing is at most pi/15.9. Brent refines every
+    bracket to 1e-12, so the grid only has to separate roots, not resolve them:
+    - sign changes of L_{nu+2} (find_minima) are zeros of J_{nu+2}, which lie
+      more than pi apart for orders above 1/2, so at least 15 grid points fall
+      between two of them and each minimum gets its own bracket;
+    - an m > 0 window that gap_feasible_t skips (under 5 points) is shorter
+      than 5 spacings, about pi/3. At the optima of d = 2..300 there are three,
+      at d = 5, 22 and 23, each cut off by the grid end, where u/m exceeds
+      600 t.
+    The tests check S >= 0 at each tabulated optimum at 512/pi points per unit.
     """
     nu = 0.5 * d
     k_hi = nu + 12.0 * max(nu, 1.0) ** (1.0 / 3.0) + 30.0
-    return np.linspace(1e-9, k_hi, max(3000, int(k_hi * 64.0 / math.pi)))
+    return np.linspace(1e-9, k_hi, max(750, int(k_hi * 16.0 / math.pi)))
 
 
 @functools.lru_cache(maxsize=4)
@@ -338,6 +360,7 @@ def terminal_gap(d: int) -> TerminalDensityRecord:
         phi_star=phi_star,
         k_min=float(k_bind),
         ratio=_ratio_column(d, log_phi),
+        phi_rel_err=_GAP_PHI_REL_ERR,
     )
 
 

@@ -56,6 +56,11 @@ __all__ = [
 # expected count is unresolvable, and the bound is capped at its maximum
 _COUNT_RESOLUTION = 2.0**53
 
+# a count whose absolute error (count times the relative error of its density)
+# exceeds this has an unknown fractional part and is capped too; below it,
+# theta(1 - theta) is known to this much, a tenth of the last digit printed of 1/4
+_THETA_TOL = 1e-8
+
 #: most geometric R-grid points yamada_check accepts (the half-integer-count
 #: radii it adds on top are capped at twice this)
 MAX_R_GRID = 2**20
@@ -161,18 +166,23 @@ def number_variance(model: RadialModel, density: PackingDensity, R):
     return float(out) if Ra.ndim == 0 else out
 
 
-def fractional_count_bound(expected_count):
+def fractional_count_bound(expected_count, rel_err: float = 0.0):
     """theta(1-theta) for theta the fractional part of the expected count.
 
-    Counts at or beyond the integer resolution of doubles get the worst-case
-    1/4, which keeps the check conservative instead of silently passing.
-    Scalar or ndarray; a scalar count gives a float.
+    rel_err is the relative error of the count beyond rounding, that of a
+    numeric density. Counts at or beyond the integer resolution of doubles,
+    and counts with count * rel_err above 1e-8, get the worst-case 1/4, which
+    keeps the check conservative instead of silently passing. Scalar or
+    ndarray; a scalar count gives a float.
     """
     c = np.asarray(expected_count, dtype=float)
     if np.any(c < 0.0):
         raise ValueError("expected count must be nonnegative")
-    resolved = np.isfinite(c) & (c < _COUNT_RESOLUTION)
-    cr = np.where(resolved, c, 0.0)
+    if not 0.0 <= rel_err < math.inf:
+        raise ValueError(f"count relative error must be finite and nonnegative, got {rel_err}")
+    below = c < _COUNT_RESOLUTION  # false for inf and nan
+    cr = np.where(below, c, 0.0)
+    resolved = below & (cr * rel_err <= _THETA_TOL)
     theta = cr - np.floor(cr)
     out = np.where(resolved, theta * (1.0 - theta), 0.25)
     return float(out) if c.ndim == 0 else out
@@ -196,12 +206,18 @@ def _r_grid(d: int, phi: float, R0: float, R_max: float, n_grid: int) -> np.ndar
 
 
 def yamada_check(
-    model: RadialModel, density: PackingDensity, R_max: float, n_grid: int = 500
+    model: RadialModel,
+    density: PackingDensity,
+    R_max: float,
+    n_grid: int = 500,
+    phi_rel_err: float = 0.0,
 ) -> VarianceCheck:
     """Test sigma^2(R) >= theta(1-theta) on (R0, R_max]; collect violating R.
 
     n_grid must satisfy 2 <= n_grid <= MAX_R_GRID (2^20); a larger grid raises
-    ValueError before anything is allocated.
+    ValueError before anything is allocated. phi_rel_err is the relative error
+    of a numeric density (TerminalDensityRecord.phi_rel_err); the counts it
+    leaves unresolved get the bound 1/4 (fractional_count_bound).
     """
     if not 2 <= n_grid <= MAX_R_GRID:
         raise ValueError(f"need 2 <= grid points <= {MAX_R_GRID}, got {n_grid}")
@@ -211,6 +227,6 @@ def yamada_check(
         raise ValueError(f"R_max={R_max} must be finite and exceed R0={R0:.6g}")
     rr = _r_grid(d, phi, R0, R_max, n_grid)
     sigma2 = number_variance(model, density, rr)
-    bounds = fractional_count_bound(_expected_counts(d, phi, rr)[1])
+    bounds = fractional_count_bound(_expected_counts(d, phi, rr)[1], phi_rel_err)
     violations = [float(r) for r in rr[sigma2 < bounds - 1e-10]]
     return VarianceCheck(R=rr, sigma2=sigma2, yamada_bound=bounds, R0=R0, violations=violations)

@@ -22,7 +22,7 @@ from scipy.special import gammaln, jv
 from packbound.asymptotics import solve_constants
 from packbound.geometry import _cd, _check_dr, beta2
 from packbound.models import PackingDensity, RadialModel, _step_amplitude, structure_factor_gap
-from packbound.optimizer import _k_grid, _warn_near_grid_end
+from packbound.optimizer import _warn_near_grid_end
 from packbound.rootfind import brentq
 from packbound.specialfn import (
     A1,
@@ -312,8 +312,20 @@ def c_exact_triple(nu):
     return (b1, b2, b3)
 
 
+def oracle_k_grid(d: int) -> np.ndarray:
+    """The scan grid of structure_factor_minima, kept apart from the program's _k_grid.
+
+    It spans the program's k range, 1e-9 to nu + 12 max(nu, 1)^(1/3) + 30, at
+    64/pi points per unit of k and never fewer than 3000, so coarsening the
+    program's scan never coarsens the oracle it is held to.
+    """
+    nu = 0.5 * d
+    k_hi = nu + 12.0 * max(nu, 1.0) ** (1.0 / 3.0) + 30.0
+    return np.linspace(1e-9, k_hi, max(3000, int(k_hi * 64.0 / math.pi)))
+
+
 def structure_factor_minima(d: int, phi: float, sigma: float, Z: float):
-    """Local minima of S on the scan grid of _k_grid(d), as a list of (k, S(k)).
+    """Local minima of S on oracle_k_grid(d), as a list of (k, S(k)).
 
     S'(k) is a positive multiple of D(k) = t sigma^2 L_{nu+1}(k sigma)/(d+2)
     - Z L_nu(k)/d (t = (2 sigma)^d phi), which is the quoted
@@ -336,7 +348,7 @@ def structure_factor_minima(d: int, phi: float, sigma: float, Z: float):
             nu, k
         ) / d
 
-    kk = _k_grid(d)
+    kk = oracle_k_grid(d)
     dd = D(kk)
     flips = np.flatnonzero((dd[:-1] < 0.0) & (dd[1:] >= 0.0))
     out = []

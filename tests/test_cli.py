@@ -8,6 +8,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import packbound.cli as cli
@@ -180,6 +181,25 @@ def test_yamada_gap_default_density(capsys):
     assert obj["violations"] == []
     rec = terminal_gap(2)
     assert obj["phi"] == pytest.approx(rec.phi_star, rel=1e-6)
+
+
+def test_yamada_gap_caps_counts_past_phi_accuracy(capsys):
+    # the default density is the numeric gap optimum: counts whose fractional
+    # part depends on phi* below its accuracy print the cap 1/4. A given --phi
+    # is taken as exact and keeps the rule of the closed forms
+    rec = terminal_gap(12)
+    argv = ["yamada", "--model", "gap", "--d", "12", "--format", "json"]
+    _, out = run_main(capsys, argv)
+    _, given = run_main(capsys, argv + ["--phi", repr(rec.phi_star)])
+    optimum, given = json.loads(out), json.loads(given)
+    assert optimum["R"] == given["R"]
+    counts = rec.phi_star * (2.0 * np.array(optimum["R"])) ** 12
+    bound, given_bound = np.array(optimum["yamada_bound"]), np.array(given["yamada_bound"])
+    past = counts * rec.phi_rel_err > 1.01e-8
+    assert past.sum() > 300 and np.all(bound[past] == 0.25)
+    assert np.any(given_bound[past] < 0.25)
+    near = counts * rec.phi_rel_err < 0.99e-8
+    assert np.array_equal(bound[near], given_bound[near])
 
 
 def test_matern_csv_layout(capsys, tmp_path):
@@ -383,6 +403,21 @@ def test_asymptotics_dimension_capped_up_front(capsys, d):
     assert captured.out == ""
     assert captured.err == (
         f"error: asymptotics dimension must be an integer in [20, {MAX_CLOSED_FORM_D}], got {d}\n"
+    )
+
+
+@pytest.mark.parametrize("d", ["301", "1000"])
+def test_asymptotics_numeric_past_gap_range_rejected_up_front(capsys, monkeypatch, d):
+    def never(*args, **kwargs):
+        raise AssertionError("report built")
+
+    monkeypatch.setattr(cli.asym, "build_report", never)
+    assert main(["asymptotics", "--d", d]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --d {d} is past the gap optimizer's last dimension 300; "
+        "add --skip-numeric to print the expansions alone\n"
     )
 
 

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_TABLE, TABLE_DIMS
-from oracle_routes import structure_factor_minima
+from oracle_routes import oracle_k_grid, structure_factor_minima
 from packbound.models import hyperuniform_Z, structure_factor_gap
 from packbound.optimizer import (
     MAX_CLOSED_FORM_D,
     TerminalDensityRecord,
+    _k_grid,
     classical_bounds,
     find_minima,
     gap_feasible_t,
@@ -286,11 +287,26 @@ def test_envelope_derivative_central_difference(d, sigma, branch):
 
 
 def test_structure_factor_nonnegative_on_grid(table_records):
-    for d in (2, 3, 8, 24, 100):
+    # until S >= 0 is certified for every k, each printed optimum is checked by
+    # brute force at 512/pi points per unit k (32x the scan, 8x its former
+    # 64/pi) up to the scan's grid end: a window or minimum the scan skipped shows here
+    for d in (2,) + TABLE_DIMS:
         rec = table_records[d] if d in table_records else terminal_gap(d)
-        kk = np.linspace(1e-9, rec.d / 2 + 40.0, 4000)
+        k_end = oracle_k_grid(d)[-1]
+        assert _k_grid(d)[-1] <= k_end
+        kk = np.linspace(1e-9, k_end, int(k_end * 512.0 / math.pi) + 1)
         s = structure_factor_gap(d, rec.phi_star, rec.sigma_star, rec.Z_star, kk)
-        assert s.min() >= -1e-9
+        assert s.min() >= -1e-9, f"d={d}: min S = {s.min():.3e} at k={kk[np.argmin(s)]:.6f}"
+
+
+@pytest.mark.parametrize("d", [1, 2, 12, 100, 300, 1000])
+def test_oracle_grid_stays_dense(d):
+    # the oracle minima scan keeps its own grid, 4x denser than the program's
+    # over the same k range, so coarsening the program never coarsens it
+    kk, ref = _k_grid(d), oracle_k_grid(d)
+    assert ref[0] == kk[0] and ref[-1] == kk[-1]
+    assert np.diff(ref).max() <= np.diff(kk).min() / 4.0 * (1.0 + 1e-9)
+    assert ref.size >= 3000
 
 
 def test_gap_optima_hyperuniform(table_records):

@@ -15,6 +15,7 @@ from packbound.models import PackingDensity, RadialModel
 from packbound.optimizer import terminal_delta, terminal_gap
 from packbound.variance import (
     VarianceCheck,
+    _expected_counts,
     fractional_count_bound,
     number_variance,
     yamada_check,
@@ -326,6 +327,38 @@ def test_fractional_count_bound():
     assert fractional_count_bound(math.inf) == 0.25
     with pytest.raises(ValueError):
         fractional_count_bound(-1.0)
+
+
+def test_fractional_count_bound_count_error():
+    # a count known to rel_err is resolved while count * rel_err <= 1e-8
+    assert_allclose(fractional_count_bound(999.25, 1e-11), 0.1875, rtol=1e-12)
+    assert fractional_count_bound(1001.25, 1e-11) == 0.25
+    assert_allclose(fractional_count_bound(1001.25), 0.1875, rtol=1e-12)
+    assert_allclose(
+        fractional_count_bound(np.array([7.25, 2.0**60, math.inf, 2e9 + 0.25]), 1e-17),
+        [0.1875, 0.25, 0.25, 0.25],
+    )
+    for bad in (-1e-11, math.nan, math.inf):
+        with pytest.raises(ValueError, match="count relative error"):
+            fractional_count_bound(7.25, bad)
+
+
+@pytest.mark.parametrize("d", [3, 12, 24, 200])
+def test_gap_bound_rows_stable_under_phi_error(d):
+    # phi* of the gap optimum is known to rec.phi_rel_err. Moving it by that
+    # much moves every bound the check resolves by at most 1e-8 (a tenth of the
+    # last digit printed of 1/4), and every other row prints the cap 1/4
+    rec = terminal_gap(d)
+    model, dens = _gap_model(d)
+    chk = yamada_check(model, dens, 10.0, phi_rel_err=rec.phi_rel_err)
+    resolved = _expected_counts(d, rec.phi_star, chk.R)[1] * rec.phi_rel_err <= 1e-8
+    assert 0 < resolved.sum() < resolved.size
+    assert np.all(chk.yamada_bound[~resolved] == 0.25)
+    for shift in (-rec.phi_rel_err, rec.phi_rel_err):
+        counts = _expected_counts(d, rec.phi_star * (1.0 + shift), chk.R)[1]
+        moved = np.abs(fractional_count_bound(counts) - chk.yamada_bound)[resolved]
+        # 1e-8 plus the rounding of counts up to 1e3
+        assert moved.max() <= 1e-8 + 1e-11
 
 
 def test_grid_contains_half_count_radii():
