@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 from scipy.special import ai_zeros, gammaln
 
-from .models import log_amplitude
+from .models import hyperuniform_Z
 from .optimizer import DIMENSION_RANGE, check_dimension, terminal_gap
 from .rootfind import brentq
 from .specialfn import A1, A2, A3, bessel_j, first_zero
@@ -310,7 +310,7 @@ def kissing_asymptotic(d, form="compact") -> float:
         raise ValueError(f"unknown form {form!r}")
     sigma = sigma_star_asymptotic(d)
     phi = phi_star_asymptotic(d, form="full")
-    return math.exp(log_amplitude(d, phi, sigma)) - 1.0
+    return hyperuniform_Z(d, phi, sigma)
 
 
 def build_report(d, include_numeric=True) -> dict:

@@ -5,7 +5,11 @@ in both formats (JSON numbers are rounded before serialization), so identical
 invocations produce byte-identical streams. This module is the only place
 that turns results into text: the library returns numbers, and every CSV and
 JSON byte comes from ``_csv`` and ``_dump`` below. Exit codes: 0 success, 2
-bad usage or parameter validation, 3 numerical failure during computation.
+bad usage, parameter validation or an unwritable output path, 3 numerical
+failure during computation. ``table`` checks every input before it computes
+a row, so any failure while computing a row is the library's: the row
+becomes an error row, stderr names it and the exit code is 3, whether the
+rows come from a process pool or one after another.
 """
 
 from __future__ import annotations
@@ -92,19 +96,13 @@ def _parse_dims(text: str, kind: str) -> list[int]:
     return [d for lo, hi in spans for d in range(lo, hi + 1)]
 
 
-def _record_row(kind: str, d: int) -> dict:
-    rec = terminal_record(kind, d)
-    return {c: getattr(rec, c) for c in TABLE_COLUMNS}
-
-
-def _row_or_error(fetch, d: int) -> dict:
-    """fetch()'s row; a bad argument (ValueError) aborts, other failures become error rows."""
+def _table_row(kind: str, d: int) -> dict:
+    """The TABLE_COLUMNS of d's record, or {"d": d, "error": ...} if computing it fails."""
     try:
-        return fetch()
-    except ValueError:
-        raise
+        rec = terminal_record(kind, d)
     except Exception as exc:
         return {"d": d, "error": str(exc)}
+    return {c: getattr(rec, c) for c in TABLE_COLUMNS}
 
 
 def _worker_count(threads: int, n_dims: int) -> int:
@@ -118,19 +116,14 @@ def cmd_table(args) -> tuple[str, int]:
     dims = _parse_dims(args.dims, args.model)
     workers = _worker_count(args.threads, len(dims))
 
+    row = partial(_table_row, args.model)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_record_row, args.model, d) for d in dims]
-            try:
-                rows = [_row_or_error(fut.result, d) for fut, d in zip(futures, dims)]
-            except ValueError:
-                # abort like the sequential path instead of finishing queued dims
-                pool.shutdown(cancel_futures=True)
-                raise
+            rows = list(pool.map(row, dims))
     else:
-        rows = [_row_or_error(partial(_record_row, args.model, d), d) for d in dims]
+        rows = list(map(row, dims))
 
     errors = [r for r in rows if "error" in r]
     for r in errors:  # stderr names each failure, also when --out takes the rows
@@ -159,7 +152,7 @@ def cmd_sk(args) -> tuple[str, int]:
     # make_curve rejects a nonfinite --kmax
     if math.isfinite(k_max) and not math.isfinite(k_max * sigma):
         raise ValueError(f"curve end k_max * --sigma overflows: {k_max} * {sigma}")
-    curve = make_curve(model, density, k_max=k_max, n=args.samples)
+    k, S = make_curve(model, density, k_max=k_max, n=args.samples)
     if args.format == "json":
         obj = {
             "command": "sk",
@@ -168,11 +161,11 @@ def cmd_sk(args) -> tuple[str, int]:
             "phi": density.phi,
             "sigma": model.sigma,
             "Z": model.Z,
-            "S0": curve.S0,
-            "points": np.column_stack((curve.k, curve.S)),
+            "S0": float(S[0]),  # the grid starts at k = 0
+            "points": np.column_stack((k, S)),
         }
         return _dump(obj), 0
-    return _csv(("k", "S"), zip(curve.k, curve.S)), 0
+    return _csv(("k", "S"), zip(k, S)), 0
 
 
 def _flatten(prefix: str, report: dict):
@@ -253,8 +246,7 @@ def cmd_matern(args) -> tuple[str, int]:
         # centers keep 10 significant digits, not the 7 of every other number
         fmt = ",".join(["{:.9e}"] * config.d)
         rows = ([fmt.format(*row)] for row in result.accepted_centers.tolist())
-        with open(args.centers_out, "w") as fh:
-            fh.write(_csv(header, rows))
+        _write(args.centers_out, _csv(header, rows))
     n_accepted = len(result.accepted_centers)
     if args.format == "json":
         obj = {
@@ -373,20 +365,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path; a path that cannot be written is bad input naming it."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text, code = args.handler(args)
+        if args.out:
+            _write(args.out, text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, OverflowError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return code
 

@@ -27,7 +27,6 @@ from .specialfn import bessel_lambda, first_zero
 __all__ = [
     "RadialModel",
     "PackingDensity",
-    "StructureFactorCurve",
     "hyperuniform_Z",
     "log_amplitude",
     "structure_factor_gap",
@@ -80,17 +79,6 @@ class PackingDensity:
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
         if not (0.0 <= self.phi <= 1.0):
             raise ValueError(f"volume fraction must lie in [0,1], got {self.phi}")
-
-
-@dataclass(frozen=True)
-class StructureFactorCurve:
-    """Sampled S(k) for one model/density, with the k=0 limit kept explicitly."""
-
-    k: np.ndarray
-    S: np.ndarray
-    S0: float
-    model: RadialModel
-    density: PackingDensity
 
 
 def log_amplitude(d: int, phi: float, sigma: float) -> float:
@@ -146,8 +134,8 @@ def make_curve(
     density: PackingDensity,
     k_max: float | None = None,
     n: int = 2048,
-) -> StructureFactorCurve:
-    """Sample the closed-form S on a uniform grid, densified around local minima.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(k, S): the closed-form S on a uniform grid from k = 0, densified around local minima.
 
     The grid has n points, 16 <= n <= MAX_CURVE_SAMPLES (2^20), on [0, k_max]
     with k_max finite and positive. A larger n raises ValueError up front
@@ -166,8 +154,7 @@ def make_curve(
     if extra:
         k = np.unique(np.concatenate([k] + extra))
         S = structure_factor(model, density, k)
-    S0 = float(structure_factor(model, density, 0.0))
     tail = S[k > 0.9 * k_max]
     if tail.size and np.max(np.abs(tail - 1.0)) > 0.05:
         warnings.warn("structure-factor tail has not settled to 1 on this grid", RuntimeWarning)
-    return StructureFactorCurve(k=k, S=S, S0=S0, model=model, density=density)
+    return k, S

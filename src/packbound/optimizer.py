@@ -316,7 +316,8 @@ def terminal_gap(d: int) -> TerminalDensityRecord:
     positive at sigma = 1 + 1e-9 and negative at 1 + 4/d for every supported
     d, so the whole range is the bracket. Z* is the contact weight that makes
     S(0) = 0 exactly. The record's k_min is the binding tangency of the scan
-    at sigma*, checked with structure_factor_gap. Pure function of d; memoized
+    at sigma*, checked with structure_factor_gap; a scan that finds no binding
+    constraint at sigma* (t* infinite) is a RuntimeError. Pure function of d; memoized
     since several commands and the test suite ask for the same dimensions
     repeatedly.
     """
@@ -338,6 +339,8 @@ def terminal_gap(d: int) -> TerminalDensityRecord:
     sigma_star = brentq(g, a, b, xtol=1e-12, maxiter=200)
 
     t_star, k_bind, _ = feasible(sigma_star)
+    if not math.isfinite(t_star):
+        raise RuntimeError(f"no binding constraint at d={d}, sigma*={sigma_star:.12g}")
     log_phi = math.log(t_star) - d * math.log(2.0 * sigma_star)
     phi_star = math.exp(log_phi)
     Z_star = hyperuniform_Z(d, phi_star, sigma_star)

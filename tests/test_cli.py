@@ -1,17 +1,25 @@
 import ast
+import concurrent.futures as cf
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 import warnings
 from functools import partial
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import packbound.cli as cli
+import packbound.optimizer as opt
 from packbound.cli import _parse_dims, _worker_count, main
 from packbound.matern import MAX_ARRIVALS, MAX_BINS
 from packbound.models import PackingDensity, RadialModel, make_curve
@@ -123,16 +131,14 @@ def test_options_only_where_used(capsys, argv):
 
 
 def test_table_error_rows_annotated(capsys, monkeypatch):
-    import packbound.cli as cli
-
-    real = cli._record_row
+    real = cli.terminal_record
 
     def flaky(kind, d):
         if d == 4:
             raise RuntimeError("contrived failure")
         return real(kind, d)
 
-    monkeypatch.setattr(cli, "_record_row", flaky)
+    monkeypatch.setattr(cli, "terminal_record", flaky)
     code, out = run_main(capsys, ["table", "--dims", "3,4,5", "--model", "delta"])
     assert code == 3
     lines = out.strip().split("\n")
@@ -299,13 +305,13 @@ def test_sk_csv_and_json_layout(capsys):
     tail = partial(pytest.warns, RuntimeWarning, match="tail has not settled")
     model = RadialModel("delta", 1.0, 1.5)
     with tail():
-        curve = make_curve(model, PackingDensity(3, 5.0 / 16.0), k_max=20.0, n=64)
+        k, S = make_curve(model, PackingDensity(3, 5.0 / 16.0), k_max=20.0, n=64)
     with tail():
         code, out = run_main(capsys, argv)
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "k,S"
-    assert len(lines) == curve.k.size + 1
+    assert len(lines) == k.size + 1
     assert all(len(row.split(",")) == 2 for row in lines[1:])
     with tail():
         code, out = run_main(capsys, argv + ["--format", "json"])
@@ -314,7 +320,8 @@ def test_sk_csv_and_json_layout(capsys):
     assert obj["command"] == "sk"
     assert obj["model"] == "delta" and obj["d"] == 3
     assert obj["Z"] == 1.5 and obj["sigma"] == 1.0
-    assert len(obj["points"]) == curve.k.size and len(obj["points"][0]) == 2
+    assert len(obj["points"]) == k.size and len(obj["points"][0]) == 2
+    assert obj["S0"] == float(cli._fmt(S[0]))
 
 
 def test_yamada_csv_violated_column(capsys):
@@ -577,10 +584,6 @@ def test_public_names_serve_a_command():
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_table_failure_reported_on_stderr(capsys, monkeypatch, tmp_path, threads):
-    import concurrent.futures as cf
-
-    import packbound.optimizer as opt
-
     # the pool runs in threads here, so the patched S reaches its workers
     monkeypatch.setattr(cf, "ProcessPoolExecutor", cf.ThreadPoolExecutor)
     real = opt.structure_factor_gap
@@ -631,3 +634,93 @@ def test_sk_input_checked_up_front(capsys, monkeypatch, argv, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and bad in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["table", "--model", "step", "--dims", "3"], "--out"),
+        (["matern", "--d", "1", "--L", "20", "--T", "1"], "--centers-out"),
+    ],
+)
+def test_unwritable_output_path_rejected(capsys, tmp_path, argv, flag):
+    path = str(tmp_path / "missing" / "x.csv")
+    assert main(argv + [flag, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and path in captured.err
+
+
+@pytest.fixture
+def coarse_k_grid(monkeypatch):
+    """_k_grid at 1/pi points per unit, too coarse to find the gap model's tangencies."""
+    real = opt._k_grid
+
+    def coarse(d):
+        k_hi = real(d)[-1]
+        return np.linspace(1e-9, k_hi, int(k_hi / math.pi))
+
+    # no record or kernel cached on either grid reaches the other
+    opt._sigma_free_kernels.cache_clear()
+    opt.terminal_gap.cache_clear()
+    monkeypatch.setattr(opt, "_k_grid", coarse)
+    yield
+    opt._sigma_free_kernels.cache_clear()
+    opt.terminal_gap.cache_clear()
+
+
+def test_gap_without_binding_constraint_is_numerical_failure(capsys, coarse_k_grid):
+    with pytest.raises(RuntimeError, match="no binding constraint at d=80"):
+        terminal_gap.__wrapped__(80)
+    assert main(["table", "--model", "gap", "--dims", "80"]) == 3
+    shown = capsys.readouterr()
+    assert "\n# error d=80: no binding constraint at d=80" in shown.out
+    assert shown.err.startswith("numerical failure: d=80: no binding constraint")
+
+
+def _run_quiet(argv):
+    """main(argv)'s stdout, stderr and exit code, captured without pytest fixtures."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return out.getvalue(), err.getvalue(), code
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    model=st.sampled_from(["step", "delta"]),
+    dims=st.lists(st.integers(-2, 1005), min_size=1, max_size=6),
+)
+def test_pooled_table_matches_sequential(model, dims):
+    # out-of-range dims exit 2 before any row; the rest print the same rows
+    argv = ["table", "--model", model, "--dims=" + ",".join(map(str, dims))]
+    assert _run_quiet(argv + ["--threads", "2"]) == _run_quiet(argv + ["--threads", "1"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    model=st.sampled_from(["step", "delta"]),
+    dims=st.lists(st.integers(1, 1000), min_size=1, max_size=6),
+    pick=st.integers(0, 5),
+    exc=st.sampled_from([ValueError, RuntimeError, ZeroDivisionError]),
+)
+def test_failing_row_is_error_row_on_both_paths(model, dims, pick, exc):
+    bad = dims[pick % len(dims)]
+    real = cli.terminal_record
+
+    def failing(kind, d):
+        if d == bad:
+            raise exc("injected failure")
+        return real(kind, d)
+
+    argv = ["table", "--model", model, "--dims=" + ",".join(map(str, dims))]
+    # the pool runs in threads here, so the patched record reaches its workers
+    with mock.patch.object(cli, "terminal_record", failing), \
+            mock.patch.object(cf, "ProcessPoolExecutor", cf.ThreadPoolExecutor):
+        pooled = _run_quiet(argv + ["--threads", "2"])
+        sequential = _run_quiet(argv + ["--threads", "1"])
+    assert pooled == sequential
+    out, err, code = sequential
+    assert code == 3
+    assert f"\n# error d={bad}: injected failure\n" in out
+    assert f"numerical failure: d={bad}: injected failure\n" in err

@@ -127,10 +127,10 @@ def test_min_S_nonnegative_at_terminal():
             # make_curve's fixed 0.05 tail tolerance fires on this correct curve,
             # whose contact term decays only like k^-(d-1)/2 (a FOUND in CHANGES.md)
             with pytest.warns(RuntimeWarning, match="tail has not settled"):
-                curve = make_curve(model, dens, n=1024)
+                _, S = make_curve(model, dens, n=1024)
         else:
-            curve = make_curve(model, dens, n=1024)
-        assert curve.S.min() >= -1e-9, (model.kind, dens.d, curve.S.min())
+            _, S = make_curve(model, dens, n=1024)
+        assert S.min() >= -1e-9, (model.kind, dens.d, S.min())
 
 
 def _richardson_c2(f, s0, h):
@@ -201,12 +201,14 @@ def test_curve_refinement_and_tail():
     # grid end, so the settled-tail check must warn rather than hold
     sigma, Z, phi = GAP_D3
     with pytest.warns(RuntimeWarning):
-        curve = make_curve(RadialModel("gap", sigma, Z), PackingDensity(3, phi))
-    assert curve.S0 == pytest.approx(structure_factor_gap(3, phi, sigma, Z, 0.0), rel=1e-14)
+        k, S = make_curve(RadialModel("gap", sigma, Z), PackingDensity(3, phi))
+    # the grid starts at k = 0, so S[0] is the k -> 0 limit
+    assert k[0] == 0.0
+    assert S[0] == pytest.approx(structure_factor_gap(3, phi, sigma, Z, 0.0), rel=1e-14)
     # refinement adds points beyond the base grid
-    assert curve.k.size > 2048
+    assert k.size > 2048
 
     # by d=8 the same default grid does settle within 0.05
-    curve8 = make_curve(RadialModel("gap", 1.137967, 70.88348), PackingDensity(8, 0.09985085))
-    tail = curve8.S[curve8.k > 0.9 * curve8.k.max()]
+    k8, S8 = make_curve(RadialModel("gap", 1.137967, 70.88348), PackingDensity(8, 0.09985085))
+    tail = S8[k8 > 0.9 * k8.max()]
     assert np.all(np.abs(tail - 1.0) < 0.05)
