@@ -4,17 +4,21 @@ Output contract: floats are printed as 7-significant-digit scientific notation
 in both formats (JSON numbers are rounded before serialization), so identical
 invocations produce byte-identical streams. This module is the only place
 that turns results into text: the library returns numbers, and every CSV and
-JSON byte comes from ``_csv`` and ``_dump`` below. Exit codes: 0 success, 2
-bad usage, parameter validation or an unwritable output path, 3 numerical
-failure during computation. ``table`` checks every input before it computes
-a row, so any failure while computing a row is the library's: the row
-becomes an error row, stderr names it and the exit code is 3, whether the
-rows come from a process pool or one after another.
+JSON document is put together by ``_csv`` and ``_dump`` below (the rows of
+``matern --centers-out`` are formatted in one pass in ``cmd_matern`` and
+passed to ``_csv`` as one cell). Exit codes: 0 success, 2 bad usage,
+parameter validation or an unwritable output path, 3 numerical failure
+during computation. Output paths are checked before any work starts, and
+``table`` checks every input before it computes a row, so any failure while
+computing a row is the library's: the row becomes an error row, stderr names
+it and the exit code is 3, whether the rows come from a process pool or one
+after another.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -241,13 +245,15 @@ def cmd_matern(args) -> tuple[str, int]:
         d=args.d, L=args.L, T=args.T, kappa=args.kappa, seed=args.seed, bins=args.bins
     )
     result = mt.simulate(config)
+    centers = result.accepted_centers
+    n_accepted = len(centers)
     if args.centers_out:
         header = [f"x{i + 1}" for i in range(config.d)]
-        # centers keep 10 significant digits, not the 7 of every other number
-        fmt = ",".join(["{:.9e}"] * config.d)
-        rows = ([fmt.format(*row)] for row in result.accepted_centers.tolist())
-        _write(args.centers_out, _csv(header, rows))
-    n_accepted = len(result.accepted_centers)
+        # centers keep 10 significant digits, not the 7 of every other number;
+        # one % over all coordinates formats every row at once
+        line = ",".join(["%.9e"] * config.d)
+        body = "\n".join([line] * n_accepted) % tuple(centers.ravel().tolist())
+        _write(args.centers_out, _csv(header, [[body]] if n_accepted else []))
     if args.format == "json":
         obj = {
             "command": "matern",
@@ -365,6 +371,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Reject path before any work if it, or the directory that would hold it, is
+    missing or cannot be written; _write still reports what this cannot foresee."""
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise ValueError(f"cannot write {path}: {os.strerror(errno.ENOENT)}")
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise ValueError(f"cannot write {path}: {os.strerror(errno.EACCES)}")
+
+
 def _write(path: str, text: str) -> None:
     """Write text to path; a path that cannot be written is bad input naming it."""
     try:
@@ -377,6 +393,9 @@ def _write(path: str, text: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for path in (args.out, vars(args).get("centers_out")):
+            if path:
+                _check_writable(path)
         text, code = args.handler(args)
         if args.out:
             _write(args.out, text)

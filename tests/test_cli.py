@@ -636,19 +636,61 @@ def test_sk_input_checked_up_front(capsys, monkeypatch, argv, bad):
     assert captured.err.startswith("error: ") and bad in captured.err
 
 
+def _never_reached(*args, **kwargs):
+    raise AssertionError("work started before the output path was checked")
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
         (["table", "--model", "step", "--dims", "3"], "--out"),
         (["matern", "--d", "1", "--L", "20", "--T", "1"], "--centers-out"),
+        (["matern", "--d", "1", "--L", "20", "--T", "1"], "--out"),
+        (["yamada", "--model", "delta", "--d", "3"], "--out"),
     ],
 )
-def test_unwritable_output_path_rejected(capsys, tmp_path, argv, flag):
+def test_unwritable_output_path_rejected(capsys, monkeypatch, tmp_path, argv, flag):
+    # the path is checked before any row is computed or any simulation runs
+    monkeypatch.setattr(cli.mt, "simulate", _never_reached)
+    monkeypatch.setattr(cli, "terminal_record", _never_reached)
     path = str(tmp_path / "missing" / "x.csv")
     assert main(argv + [flag, path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and path in captured.err
+    assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_output_path_in_unwritable_directory_rejected_up_front(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli.mt, "simulate", _never_reached)
+    real_access = cli.os.access
+    monkeypatch.setattr(cli.os, "access", lambda p, mode: p != str(tmp_path) and real_access(p, mode))
+    path = str(tmp_path / "c.csv")
+    argv = ["matern", "--d", "1", "--L", "20", "--T", "1", "--centers-out", path]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {path}: Permission denied\n"
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_late_write_failure_still_reported(capsys, monkeypatch, tmp_path):
+    # a path that passes the early check but fails to open still exits 2
+    monkeypatch.setattr(cli, "_check_writable", lambda path: None)
+    path = str(tmp_path / "missing" / "x.csv")
+    assert main(["table", "--model", "step", "--dims", "3", "--out", path]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("T", ["5", "1e-9"])
+def test_centers_out_rows_match_per_row_format(tmp_path, T):
+    # one % over every coordinate prints what {:.9e} prints row by row
+    centers = tmp_path / "centers.csv"
+    argv = ["matern", "--d", "3", "--L", "7", "--T", T, "--seed", "4", "--format", "json"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv + ["--centers-out", str(centers)]) == 0
+    n = json.loads(out.getvalue())["n_accepted"]
+    acc = cli.mt.simulate(cli.mt.MaternConfig(d=3, L=7.0, T=float(T), seed=4)).accepted_centers
+    rows = ["{:.9e},{:.9e},{:.9e}".format(*row) for row in acc.tolist()]
+    assert len(rows) == n
+    assert centers.read_text() == "\n".join(["x1,x2,x3"] + rows) + "\n"
 
 
 @pytest.fixture

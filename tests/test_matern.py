@@ -1,4 +1,6 @@
+import concurrent.futures as cf
 import math
+import threading
 
 import mpmath
 import numpy as np
@@ -22,6 +24,7 @@ from packbound.matern import (
     phi_of_t,
     simulate,
 )
+from packbound.cli import main
 from packbound.specialfn import sphere_volume
 from oracle_routes import (
     g2_matern_limit,
@@ -250,21 +253,98 @@ def _shuffled_arrivals(seed, d, L, T):
     return pos[perm], times[perm]
 
 
-@pytest.mark.parametrize("slab_points", [mt._GHOST_SLAB_POINTS, 40])
-@pytest.mark.parametrize("d,T", [(1, 20.0), (2, 6.0), (3, 1.5)])
-@pytest.mark.parametrize("L", [6.0, 7.3, 9.0])
-def test_ghost_matches_brute_force(monkeypatch, slab_points, d, T, L):
-    # 40 points per slab cuts the box into many slabs, thinner than the halo
-    monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", slab_points)
+def _assert_ghost_matches_brute_force(d, T, L):
     for seed in (1, 2):
         pos, times = _shuffled_arrivals(seed, d, L, T)
         assert np.array_equal(_ghost_accept(pos, times, L), ghost_survivors_brute(pos, times, L))
 
 
+@pytest.mark.parametrize("slab_points", [2**17, 40])
+@pytest.mark.parametrize("d,T", [(1, 20.0), (2, 6.0), (3, 1.5)])
+@pytest.mark.parametrize("L", [6.0, 7.3, 9.0])
+def test_ghost_matches_brute_force(monkeypatch, slab_points, d, T, L):
+    # these runs hold fewer than 2^16 arrivals, so 2^17 points per slab cuts
+    # the box into the two slabs of the default; 40 cuts it into many slabs,
+    # thinner than the halo
+    monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", slab_points)
+    _assert_ghost_matches_brute_force(d, T, L)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_ghost_pairs_across_slab_seam_and_wrap(d):
+    _assert_ghost_pairs_across_slab_seam_and_wrap(d)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("d,T", [(1, 20.0), (2, 6.0), (3, 1.5)])
+def test_ghost_matches_brute_force_on_any_worker_count(monkeypatch, cpus, d, T):
+    # the pool takes one worker per CPU; 40 points per slab gives it many slabs
+    monkeypatch.setattr(mt.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", 40)
+    for L in (6.0, 7.3, 9.0):
+        _assert_ghost_matches_brute_force(d, T, L)
+    _assert_ghost_pairs_across_slab_seam_and_wrap(d)
+
+
+def test_ghost_pool_has_at_most_one_worker_per_slab_and_cpu(monkeypatch):
+    sizes, threads = [], set()
+
+    class RecordingPool(cf.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    real_tree = mt._tree
+
+    def tree(points, L):
+        threads.add(threading.get_ident())
+        return real_tree(points, L)
+
+    monkeypatch.setattr(mt.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", 40)
+    monkeypatch.setattr(cf, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(mt, "_tree", tree)
+    pos, times = _shuffled_arrivals(1, 2, 6.0, 3.0)
+    slabs = -(-len(pos) // 40)
+    assert 2 < slabs < 8
+    assert np.array_equal(_ghost_accept(pos, times, 6.0), ghost_survivors_brute(pos, times, 6.0))
+    assert len(sizes) == 1 and sizes[0] <= slabs
+    assert len(threads) <= sizes[0]
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, ValueError])
+def test_failing_slab_surfaces_as_in_a_sequential_run(monkeypatch, capsys, exc):
+    failure = exc("injected slab failure")
+    calls = []
+    real_tree = mt._tree
+
+    def second_call_fails(points, L):
+        calls.append(points)
+        if len(calls) == 2:
+            raise failure
+        return real_tree(points, L)
+
+    monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", 40)
+    monkeypatch.setattr(mt, "_tree", second_call_fails)
+    with pytest.raises(exc) as info:
+        simulate(MaternConfig(d=2, L=8.0, T=3.0, kappa=1, seed=5))
+    assert info.value is failure
+
+    argv = ["matern", "--d", "2", "--L", "8", "--T", "3", "--seed", "5"]
+    shown = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(mt.os, "cpu_count", lambda: cpus)
+        calls.clear()
+        code = main(argv)
+        shown.append((code, capsys.readouterr()))
+    assert shown[0] == shown[1]
+    assert shown[0][0] == (2 if exc is ValueError else 3)
+    assert shown[0][1].err.endswith("injected slab failure\n")
+
+
+def _assert_ghost_pairs_across_slab_seam_and_wrap(d):
     L = 9.0
-    w = L / 2  # two slabs for fewer than 2^17 points
+    w = L / 2  # two slabs for fewer than 2^16 points
     x0 = [w - 0.3, w + 0.3, 0.2, L - 0.3, 2.0]
     rest = [[1.0, 1.0], [1.2, 1.1], [5.0, 5.0], [5.1, 4.9], [7.0, 3.0]]
     pos = np.array([[x] + r[: d - 1] for x, r in zip(x0, rest)])
