@@ -15,9 +15,15 @@ The grid (_k_grid) only has to separate those roots, not resolve them, so it
 holds 16/pi points per unit k: Brent refines each bracket to 1e-12 in k.
 One scalar kernel (_tangency_terms) gives u, m and their slopes to N, to
 t = u/m and to the slope d(log t)/d(sigma) at the binding k, which the scan
-returns with t. That t already keeps S >= 0 on the scan grid: where m <= 0,
-S = u - t m >= u >= 0 since |L| <= 1, and where m > 0, S = m (u/m - t) with
-t the smallest refined u/m.
+returns with t. That t keeps S >= 0 in two parts. Below the tail point k*
+it holds on the scan grid: where m <= 0, S = u - t m >= u >= 0 since
+|L| <= 1, and where m > 0, S = m (u/m - t) with t the smallest refined u/m.
+Past k* it holds for every k, by Landau's envelope B_mu of |L_mu|:
+S = 1 - t L_nu(k sigma) + (t - 1) L_{nu-1}(k) > 0 once
+t B_nu(k sigma) + (t - 1) B_{nu-1}(k) < 1 (_tail_k). So the scan runs up the
+grid and stops at the first point past k* that no open m > 0 window holds,
+recomputing k* each time t falls: a window that opened at or below k* is
+refined in full, and one that would open past k* is never evaluated.
 The outer maximization of phi(sigma) = t(sigma)/(2 sigma)^d is one Brent
 root of the envelope derivative d(log t)/d(sigma) - d/sigma over the whole
 step-edge range [1, 1 + 4/d], one memoized scan per step edge; both roots
@@ -48,7 +54,7 @@ from scipy.special import zeta
 
 from .models import hyperuniform_Z, structure_factor_gap
 from .rootfind import brentq
-from .specialfn import bessel_lambda
+from .specialfn import bessel_lambda, log_lambda_envelope
 
 __all__ = [
     "TerminalDensityRecord",
@@ -90,6 +96,9 @@ DIMENSION_RANGE = {
 # (9.4e-13, at d = 296), and above the sigma xtol (1e-12) times the slope
 # jump of log phi at the d = 2 kink (2.9), 2.9e-12
 _GAP_PHI_REL_ERR = 1e-11
+
+#: grid points per bessel_lambda call in gap_feasible_t's ascending scan
+_SCAN_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -222,7 +231,11 @@ def _k_grid(d: int) -> np.ndarray:
       than 5 spacings, about pi/3. At the optima of d = 2..300 there are three,
       at d = 5, 22 and 23, each cut off by the grid end, where u/m exceeds
       600 t.
-    The tests check S >= 0 at each tabulated optimum at 512/pi points per unit.
+    gap_feasible_t reads the grid only up to the window that closes after the
+    Landau tail point k* (_tail_k), so the grid end bounds the scan only while
+    t is infinite; at the optima k* lies at 14.1 (d = 3) to 163.4 (d = 300),
+    against grid ends of 45.2 to 243.8. The tests check S >= 0 at each
+    tabulated optimum at 512/pi points per unit up to the grid end.
     """
     nu = 0.5 * d
     k_hi = nu + 12.0 * max(nu, 1.0) ** (1.0 / 3.0) + 30.0
@@ -252,6 +265,41 @@ def _tangency_terms(d: int, sigma: float, k: float):
     return 1.0 - lam_nm1, lam_n_s - lam_nm1, up, mp, neg_m_sigma
 
 
+def _tail_k(d: int, sigma: float, t: float) -> float:
+    """k* of the step edge sigma at amplitude t >= 1: past it S = u - t m > 0 for every k.
+
+    S = 1 - t L_nu(k sigma) + (t - 1) L_{nu-1}(k) >= 1 - t B_nu(k sigma) - (t - 1) B_{nu-1}(k)
+    with B_mu = min(1, Landau's envelope). The envelope sum decreases in k, so
+    k* is the one Brent root (to 1e-12 in ln k) of the log of that sum,
+    bracketed by the k where both envelopes still read 1 and the k where each
+    term is 1/4. Infinite t gives k* = inf; t = 1 gives the lower bracket end.
+    """
+    if math.isinf(t):
+        return math.inf
+    nu = 0.5 * d
+    log_t = math.log(t)
+    log_t1 = math.log(t - 1.0) if t > 1.0 else -math.inf
+    log_sigma = math.log(sigma)
+
+    def log_sum(y):
+        k = math.exp(y)
+        return np.logaddexp(
+            log_t + min(0.0, log_lambda_envelope(nu, k * sigma)),
+            log_t1 + min(0.0, log_lambda_envelope(nu - 1.0, k)),
+        )
+
+    def log_x_at(mu, b):
+        # ln x where log B_mu(x) = b, as log B_mu(x) = log B_mu(1) - (mu + 1/3) ln x
+        return (log_lambda_envelope(mu, 1.0) - b) / (mu + 1.0 / 3.0)
+
+    lo = min(log_x_at(nu, 0.0) - log_sigma, log_x_at(nu - 1.0, 0.0))
+    if log_sum(lo) <= 0.0:
+        return math.exp(lo)
+    ln4 = math.log(4.0)
+    hi = max(log_x_at(nu, -log_t - ln4) - log_sigma, log_x_at(nu - 1.0, -log_t1 - ln4))
+    return math.exp(brentq(log_sum, lo, hi, xtol=1e-12, maxiter=200))
+
+
 def gap_feasible_t(d: int, sigma: float):
     """Largest t with S(k) = u - t m >= 0 everywhere, its binding k, and d(log t)/d(sigma).
 
@@ -259,14 +307,26 @@ def gap_feasible_t(d: int, sigma: float):
     plus every interior stationary minimum of u/m on the m > 0 windows. A
     binding k of 0 means the quadratic cap is the active constraint. The slope
     d(log t)/d(sigma) is that of the binding constraint (envelope theorem).
+
+    The scan runs up the grid, evaluating m _SCAN_CHUNK points at a time and
+    refining each m > 0 window once it closes. It stops at the first grid point
+    past k* = _tail_k(d, sigma, best t so far) that no open window holds: a
+    window that opened at or below k* is finished, and one that would open
+    past k* holds no u/m below t.
     """
     nu = 0.5 * d
     t_quad = math.inf
     if d * sigma * sigma < d + 2.0:
         t_quad = (d + 2.0) / ((d + 2.0) - d * sigma * sigma)
     kk, lam_nm1_k = _sigma_free_kernels(d)
-    u = 1.0 - lam_nm1_k
-    m = bessel_lambda(nu, kk * sigma) - lam_nm1_k
+    n = kk.size
+    m = np.empty(n)
+    done = 0  # m[:done] is evaluated
+
+    def evaluate_to(stop):
+        nonlocal done
+        m[done:stop] = bessel_lambda(nu, kk[done:stop] * sigma) - lam_nm1_k[done:stop]
+        done = stop
 
     # Brent re-reads the checked bracket ends and returns a point it evaluated
     terms = functools.lru_cache(maxsize=None)(functools.partial(_tangency_terms, d, sigma))
@@ -275,33 +335,57 @@ def gap_feasible_t(d: int, sigma: float):
         uk, mk, up, mp, _ = terms(k)
         return up * mk - uk * mp
 
+    def first_past_tail(t):
+        return int(np.searchsorted(kk, _tail_k(d, sigma, t), side="right"))
+
     best_t, best_k = t_quad, 0.0
-    pos = np.flatnonzero(m > 0.0)
-    if pos.size:
-        runs = np.split(pos, np.flatnonzero(np.diff(pos) > 1) + 1)
-        for run in runs:
-            if run.size < 5:
+    cut = first_past_tail(best_t)
+    i = 0
+    while i < cut:
+        if i == done:
+            evaluate_to(min(i + _SCAN_CHUNK, cut))
+        pos = np.flatnonzero(m[i:done] > 0.0)
+        if not pos.size:
+            i = done
+            continue
+        a = i + int(pos[0])
+        if a >= cut:
+            break
+        # the window [a, e) opened at or below k*: read on to its close
+        e = a + 1
+        while True:
+            closed = np.flatnonzero(m[e:done] <= 0.0)
+            if closed.size:
+                e += int(closed[0])
+                break
+            e = done
+            if done == n:
+                break
+            evaluate_to(min(done + _SCAN_CHUNK, n))
+        i = e
+        if e - a < 5:
+            continue
+        ratio = (1.0 - lam_nm1_k[a:e]) / m[a:e]
+        # discrete local minima of the ratio, interior to the window
+        loc = np.flatnonzero(
+            (ratio[1:-1] <= ratio[:-2]) & (ratio[1:-1] <= ratio[2:])
+        ) + 1
+        # 1 <= j <= e - a - 2, so j - 1 and j + 1 stay inside the window
+        for j in loc:
+            j = a + j
+            if not N_of(kk[j - 1]) < 0.0 < N_of(kk[j + 1]):
+                raise RuntimeError(
+                    f"tangency numerator does not change sign next to k={kk[j]:.6f} "
+                    f"at d={d}, sigma={sigma:.12g}"
+                )
+            k_root = brentq(N_of, kk[j - 1], kk[j + 1], xtol=1e-12, maxiter=200)
+            uu, mm, *_ = terms(k_root)
+            if mm <= 0.0:
                 continue
-            ratio = u[run] / m[run]
-            # discrete local minima of the ratio, interior to the window
-            loc = np.flatnonzero(
-                (ratio[1:-1] <= ratio[:-2]) & (ratio[1:-1] <= ratio[2:])
-            ) + 1
-            # 1 <= j <= run.size - 2, so i - 1 and i + 1 stay inside the window
-            for j in loc:
-                i = run[j]
-                if not N_of(kk[i - 1]) < 0.0 < N_of(kk[i + 1]):
-                    raise RuntimeError(
-                        f"tangency numerator does not change sign next to k={kk[i]:.6f} "
-                        f"at d={d}, sigma={sigma:.12g}"
-                    )
-                k_root = brentq(N_of, kk[i - 1], kk[i + 1], xtol=1e-12, maxiter=200)
-                uu, mm, *_ = terms(k_root)
-                if mm <= 0.0:
-                    continue
-                t_cand = uu / mm
-                if 1.0 <= t_cand < best_t:
-                    best_t, best_k = t_cand, k_root
+            t_cand = uu / mm
+            if 1.0 <= t_cand < best_t:
+                best_t, best_k = t_cand, k_root
+                cut = first_past_tail(best_t)
     if best_k == 0.0:
         return best_t, best_k, 2.0 * d * sigma / ((d + 2.0) - d * sigma * sigma)
     _, mm, _, _, neg_m_sigma = terms(best_k)

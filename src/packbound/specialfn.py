@@ -2,7 +2,9 @@
 
 Bessel evaluation is delegated to scipy's AMOS-backed ``jv``. (Closed
 half-integer forms, the Watson asymptotic form and the large-order zero
-expansion survive only as oracles in the tests.)
+expansion survive only as oracles in the tests.) Landau's bound
+|J_mu(x)| <= c x^(-1/3) gives a closed-form envelope of the normalized
+kernel's tail (log_lambda_envelope).
 All sphere volumes/surfaces go through log space so nothing overflows
 before d is well past 300.
 """
@@ -19,6 +21,7 @@ from .rootfind import brentq
 __all__ = [
     "bessel_j",
     "bessel_lambda",
+    "log_lambda_envelope",
     "first_zero",
     "sphere_volume",
     "log_sphere_volume",
@@ -36,6 +39,12 @@ A2 = 1.033150
 A3 = -0.003971
 
 _NU_MAX = 1.0e4
+
+#: Landau's constant (J. London Math. Soc. 61, 2000): |J_mu(x)| <= c x^(-1/3)
+#: for every mu >= 0 and x > 0. It is the supremum of x^(1/3) J_0(x),
+#: 0.78574687049851... at x = 0.78366, rounded up.
+LANDAU_C = 0.7857468705
+_LN_LANDAU_C = math.log(LANDAU_C)
 
 
 def _check_order(nu) -> float:
@@ -124,6 +133,16 @@ def _bessel_lambda_scalar(mu: float, x: float) -> float:
     j = jv(mu, x)
     mag = mu * LN2 + gammaln(mu + 1.0) + np.log(np.abs(j) + 1e-320) - mu * np.log(x)
     return float(np.sign(j) * np.exp(mag))
+
+
+def log_lambda_envelope(mu: float, x):
+    """log B_mu(x) = mu ln 2 + ln Gamma(mu+1) + ln c - (mu + 1/3) ln x, with c = LANDAU_C.
+
+    B_mu(x) bounds |bessel_lambda(mu, x)| for mu >= 0 and x > 0, and so does
+    1 (the kernel's maximum, at x = 0), so min(1, B_mu) is the envelope. It
+    decreases in x, like x^-(mu + 1/3). Scalar or ndarray x.
+    """
+    return mu * LN2 + math.lgamma(mu + 1.0) + _LN_LANDAU_C - (mu + 1.0 / 3.0) * np.log(x)
 
 
 def first_zero(nu: float) -> float:

@@ -6,12 +6,15 @@ for the ghost and standard RSA rules. Also the reference formulas that only
 the tests evaluate: the center density, the pointwise g2 and small-k
 expansion of the models, the Watson form and large-order zero expansion of
 J_nu, large-d alpha2, the saturated ghost-process g2 and saturation time, the
-asymptotic and exact Bessel slope halves, and the general minima scan of S
-for any (phi, sigma, Z). No command uses any of them.
+asymptotic and exact Bessel slope halves, the general minima scan of S
+for any (phi, sigma, Z), and the full-grid gap_feasible_t scan that the
+program's tail-cut scan must reproduce bit for bit. No command uses any of
+them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -22,7 +25,7 @@ from scipy.special import gammaln, jv
 from packbound.asymptotics import solve_constants
 from packbound.geometry import _cd, _check_dr, beta2
 from packbound.models import PackingDensity, RadialModel, _step_amplitude, structure_factor_gap
-from packbound.optimizer import _warn_near_grid_end
+from packbound.optimizer import _sigma_free_kernels, _tangency_terms, _warn_near_grid_end
 from packbound.rootfind import brentq
 from packbound.specialfn import (
     A1,
@@ -358,3 +361,58 @@ def structure_factor_minima(d: int, phi: float, sigma: float, Z: float):
     if out:
         _warn_near_grid_end("deepest minimum", min(out, key=lambda p: p[1])[0], kk[-1])
     return out
+
+
+def gap_feasible_t_full(d: int, sigma: float):
+    """gap_feasible_t as it was before the tail cut: m on the whole _k_grid(d).
+
+    Every m > 0 window of the grid is refined, however far past the Landau
+    tail point k* it lies, so it returns the same (t, k, dlog_t) as the
+    program's scan only if the cut drops nothing that could bind.
+    """
+    nu = 0.5 * d
+    t_quad = math.inf
+    if d * sigma * sigma < d + 2.0:
+        t_quad = (d + 2.0) / ((d + 2.0) - d * sigma * sigma)
+    kk, lam_nm1_k = _sigma_free_kernels(d)
+    u = 1.0 - lam_nm1_k
+    m = bessel_lambda(nu, kk * sigma) - lam_nm1_k
+
+    # Brent re-reads the checked bracket ends and returns a point it evaluated
+    terms = functools.lru_cache(maxsize=None)(functools.partial(_tangency_terms, d, sigma))
+
+    def N_of(k):
+        uk, mk, up, mp, _ = terms(k)
+        return up * mk - uk * mp
+
+    best_t, best_k = t_quad, 0.0
+    pos = np.flatnonzero(m > 0.0)
+    if pos.size:
+        runs = np.split(pos, np.flatnonzero(np.diff(pos) > 1) + 1)
+        for run in runs:
+            if run.size < 5:
+                continue
+            ratio = u[run] / m[run]
+            # discrete local minima of the ratio, interior to the window
+            loc = np.flatnonzero(
+                (ratio[1:-1] <= ratio[:-2]) & (ratio[1:-1] <= ratio[2:])
+            ) + 1
+            # 1 <= j <= run.size - 2, so i - 1 and i + 1 stay inside the window
+            for j in loc:
+                i = run[j]
+                if not N_of(kk[i - 1]) < 0.0 < N_of(kk[i + 1]):
+                    raise RuntimeError(
+                        f"tangency numerator does not change sign next to k={kk[i]:.6f} "
+                        f"at d={d}, sigma={sigma:.12g}"
+                    )
+                k_root = brentq(N_of, kk[i - 1], kk[i + 1], xtol=1e-12, maxiter=200)
+                uu, mm, *_ = terms(k_root)
+                if mm <= 0.0:
+                    continue
+                t_cand = uu / mm
+                if 1.0 <= t_cand < best_t:
+                    best_t, best_k = t_cand, k_root
+    if best_k == 0.0:
+        return best_t, best_k, 2.0 * d * sigma / ((d + 2.0) - d * sigma * sigma)
+    _, mm, _, _, neg_m_sigma = terms(best_k)
+    return best_t, best_k, neg_m_sigma / mm

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_TABLE, TABLE_DIMS
-from oracle_routes import oracle_k_grid, structure_factor_minima
+from oracle_routes import gap_feasible_t_full, oracle_k_grid, structure_factor_minima
 from packbound.models import hyperuniform_Z, structure_factor_gap
 from packbound.optimizer import (
     MAX_CLOSED_FORM_D,
     TerminalDensityRecord,
     _k_grid,
+    _tail_k,
     classical_bounds,
     find_minima,
     gap_feasible_t,
@@ -205,8 +206,94 @@ def test_gap_tangency_requires_sign_change(monkeypatch):
     real = opt.bessel_lambda
     # the grid arrays stay real; scalar calls read 0, so N is 0 at every cell end
     monkeypatch.setattr(opt, "bessel_lambda", lambda mu, x: real(mu, x) if np.ndim(x) else 0.0)
-    with pytest.raises(RuntimeError, match="tangency numerator does not change sign"):
+    with pytest.raises(RuntimeError, match="tangency numerator does not change sign") as err:
         opt.gap_feasible_t(5, 1.2)
+    # the check ran on a window below k*, which the tail cut never drops
+    monkeypatch.undo()
+    k = float(str(err.value).split("k=")[1].split()[0])
+    assert k < _tail_k(5, 1.2, gap_feasible_t(5, 1.2)[0])
+
+
+# k* at the gap optimum (t* = Z* + 1), to 0.1: past it the Landau envelope
+# keeps S > 0, against a grid end of 45.2, 53.1, 69.5, 124.2, 185.7 and 243.8
+TAIL_K_AT_OPTIMUM = {3: 14.1, 8: 11.8, 24: 20.0, 100: 60.3, 200: 112.1, 300: 163.4}
+
+
+@pytest.mark.parametrize("d", sorted(TAIL_K_AT_OPTIMUM))
+def test_tail_k_at_gap_optimum(d):
+    from packbound.specialfn import log_lambda_envelope
+
+    rec = terminal_gap(d)
+    sigma, t = rec.sigma_star, rec.Z_star + 1.0
+    k_star = _tail_k(d, sigma, t)
+    assert round(k_star, 1) == TAIL_K_AT_OPTIMUM[d]
+    assert rec.k_min < k_star < _k_grid(d)[-1]
+
+    def envelope_sum(k):
+        def bound(mu, x):
+            return min(1.0, math.exp(log_lambda_envelope(mu, x)))
+
+        return t * bound(0.5 * d, k * sigma) + (t - 1.0) * bound(0.5 * d - 1.0, k)
+
+    assert envelope_sum(k_star) == pytest.approx(1.0, rel=1e-9)
+    assert envelope_sum(1.001 * k_star) < 1.0 < envelope_sum(0.999 * k_star)
+    # S itself stays clear of 0 from k* to past the grid end
+    kk = np.linspace(k_star, 2.0 * _k_grid(d)[-1], 4000)
+    assert structure_factor_gap(d, rec.phi_star, sigma, rec.Z_star, kk).min() > 0.0
+    assert _tail_k(d, sigma, math.inf) == math.inf
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 12, 24, 56, 100, 200, 300])
+def test_tail_cut_scan_matches_full_grid_oracle(d):
+    # the scan that stops past k* returns the bits of the full-grid scan, at the
+    # ends of the step-edge range and on both sides of the optimum
+    sigma = terminal_gap(d).sigma_star
+    got = {}
+    for s in (1.0 + 1e-9, sigma - 1e-9, sigma, sigma + 1e-9, 1.0 + 2.0 / d, 1.0 + 4.0 / d):
+        got[s] = gap_feasible_t(d, s)
+        assert [v.hex() for v in got[s]] == [v.hex() for v in gap_feasible_t_full(d, s)], s
+    if d == 2:
+        # both tangencies that bind at the d = 2 kink went through the cut scan
+        assert got[sigma - 1e-9][1] == pytest.approx(3.32978, abs=1e-5)
+        assert got[sigma + 1e-9][1] == pytest.approx(10.38236, abs=1e-5)
+
+
+def test_scan_stops_after_window_through_tail_k(monkeypatch):
+    import packbound.optimizer as opt
+
+    d, nu = 100, 50.0
+    sigma = terminal_gap(d).sigma_star
+    kk, lam_nm1_k = opt._sigma_free_kernels(d)
+    real = opt.bessel_lambda
+    grid_x, point_x = [], []
+
+    def recorder(mu, x):
+        if isinstance(x, float):
+            point_x.append(x)
+        elif mu == nu:
+            grid_x.append(x)
+        return real(mu, x)
+
+    monkeypatch.setattr(opt, "bessel_lambda", recorder)
+    t, k_bind, _ = opt.gap_feasible_t(d, sigma)
+    monkeypatch.undo()
+
+    # the grid points where L_nu(k sigma) was read: one run from the start
+    read = np.searchsorted(kk * sigma, np.concatenate(grid_x))
+    assert np.array_equal(read, np.arange(read.size))
+    # the m > 0 windows of the full grid, and the one that closes after k*
+    m = real(nu, kk * sigma) - lam_nm1_k
+    edges = np.flatnonzero(np.diff((m > 0.0).astype(int))) + 1
+    opens, closes = edges[m[edges] > 0.0], edges[m[edges] <= 0.0]
+    k_star = _tail_k(d, sigma, t)
+    close = closes[kk[closes] > k_star][0]
+    next_open = opens[opens > close][0]
+    assert kk[close] < kk[next_open] < kk[-1]
+    # the scan read through that close and stopped in the gap after it, so no
+    # point of a later window was read and no tangency past it refined
+    assert close <= read[-1] < next_open
+    assert read.size < 0.6 * kk.size
+    assert k_bind < k_star and max(point_x) <= kk[close] * sigma
 
 
 def test_sigma_free_kernels_read_only():

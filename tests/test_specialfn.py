@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from packbound.optimizer import _k_grid
 from packbound.specialfn import (
+    LANDAU_C,
     bessel_j,
     bessel_lambda,
     first_zero,
+    log_lambda_envelope,
     log_sphere_volume,
     sphere_surface,
     sphere_volume,
@@ -177,6 +180,33 @@ def test_bessel_lambda_scalar_matches_array_bitwise(mu):
             got = bessel_lambda(mu, scalar)
             assert type(got) is float
             assert got == via_array, (mu, x)
+
+
+def test_landau_envelope_bounds_kernel():
+    # log B_mu(x) >= log |L_mu(x)| for every order the gap scan reads (L_{nu-1}(k)
+    # and L_nu(k sigma), nu = d/2 for d = 2..300, and one order above), up to the
+    # largest k sigma it reads, at the scan grid's 16/pi points per unit. mpmath's
+    # hyp0f1 costs up to 1 ms a point there, so the grid reads the kernel (held
+    # to mpmath to 1e-12 above) and mpmath checks the three tightest grid
+    # points of each order. The bound is tight only at order 0, x = 0.78366
+    # (checked exactly below); from order 1/2 on, the peak of x^(1/3) |J_mu(x)|
+    # stays 5% or more below c, more than the grid can miss near a peak.
+    x_end = max(_k_grid(d)[-1] * (1.0 + 4.0 / d) for d in range(2, 301))
+    x = np.linspace(1e-3, x_end, int(x_end * 16.0 / math.pi))
+    with mpmath.workdps(20):
+        for mu in np.arange(0.0, 151.5, 0.5):
+            with np.errstate(divide="ignore"):
+                margin = log_lambda_envelope(mu, x) - np.log(np.abs(bessel_lambda(mu, x)))
+            assert margin.min() > 0.0, (mu, x[np.argmin(margin)], margin.min())
+            for i in np.argsort(margin)[:3]:
+                ref = mpmath.hyp0f1(mu + 1, -mpmath.mpf(x[i]) ** 2 / 4)
+                assert log_lambda_envelope(mu, x[i]) > float(mpmath.log(abs(ref))), (mu, x[i])
+    # the bound is attained at order 0: c is the maximum of x^(1/3) J_0(x)
+    j0_peak = 0.78366281850347
+    assert math.exp(log_lambda_envelope(0.0, j0_peak)) == pytest.approx(
+        float(bessel_j(0.0, j0_peak)), rel=1e-10
+    )
+    assert LANDAU_C == pytest.approx(0.785746870498513, rel=1e-10)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1e-300, -2.0])
