@@ -13,10 +13,13 @@ share their arrival prefix exactly, so acceptance is monotone along T, which
 the coupling property test exploits.
 
 Neither rule holds every pair or scans every kept sphere. The ghost rule
-finds the pairs within unit distance slab by slab along axis 0, at most about
-2^16 arrivals per tree query, with the slabs spread over a thread pool of one
-worker per CPU (cKDTree releases the GIL while it builds and queries), so
-memory stays bounded by the workers times 2^16 arrivals as the box grows.
+finds the pairs within unit distance band by band along axis 0, about 2^16
+arrivals per band, with the bands spread over a thread pool of one worker per
+CPU (cKDTree releases the GIL while it builds and queries). Each band is cut
+along its last axis into pieces of at most about 2^14 arrivals, one tree
+each, so as the box grows at most the workers times 2^16 arrivals and the
+pairs of the workers times 2^14 arrivals are held at once. The arrival arrays
+are freed before the pair histogram of the accepted centers is built.
 Standard RSA takes the arrivals in batches of doubling size, capped, screens
 each batch against the kept bed with one tree query and settles the survivors
 of the batch among themselves from their pairs. Both give the accepted set of
@@ -59,8 +62,12 @@ MAX_ARRIVALS = 2**24
 # most arrivals per standard-RSA batch; fixes the batch sizes, not the answer
 _RSA_BATCH = 20000
 
-# most arrivals per ghost-rule slab query; fixes the slab count, not the answer
+# most arrivals per ghost-rule band; fixes the band count, not the answer
 _GHOST_SLAB_POINTS = 2**16
+
+# most arrivals per ghost-rule tree, before its halo; fixes the piece count
+# of a band, not the answer
+_GHOST_TREE_POINTS = 2**14
 
 
 def _tree(points: np.ndarray, L: float):
@@ -204,25 +211,42 @@ def arrivals(seed: int, d: int, L: float, T: float) -> tuple[np.ndarray, np.ndar
     return pos, times
 
 
+def _window(x: np.ndarray, lo: float, width: float, L: float) -> np.ndarray:
+    """Indices of the coordinates x in [lo, lo + width + 2) on the circle [0, L).
+
+    The halo of 2 is one wider than the unit reach, so rounding in this test
+    cannot drop a pair whose lower member lies in [lo, lo + width).
+    """
+    hi = lo + width + 2.0
+    inside = (x >= lo) & (x < hi)
+    if hi > L:
+        inside |= x < hi - L
+    return np.flatnonzero(inside)
+
+
 def _ghost_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
     """Boolean mask of survivors under the ghost rule (all arrivals block).
 
     Every pair within unit distance rejects its later member (on equal times,
-    the one with the higher index). The pairs are found slab by slab along
-    axis 0: S = max(2, ceil(n / _GHOST_SLAB_POINTS)) slabs of width w = L/S,
-    each queried together with a halo of width 2 beyond its upper edge. Each
-    subset keeps the full periodic box, so a pair's distance is computed as in
-    one whole-box query and every pair found is a real pair; every real pair
-    has its lower member in some slab and its upper one within that slab's
-    halo, also across a slab seam and across the box wrap. The halo is one
-    wider than the reach so rounding in the slab test cannot drop a pair.
+    the one with the higher index). The pairs are found band by band along
+    axis 0: S = max(2, ceil(n / _GHOST_SLAB_POINTS)) bands of width w = L/S,
+    each taken together with a halo of width 2 beyond its upper edge
+    (`_window`). For d >= 2 each band's points are cut the same way along the
+    last axis into P = ceil(m / _GHOST_TREE_POINTS) pieces (at least 1) for a
+    band of m points, each with its halo and the periodic wrap, and each piece
+    is one tree query; for d = 1 the band is one query. Each subset keeps the
+    full periodic box, so a pair's distance is computed as in one whole-box
+    query and every pair found is a real pair; every real pair has its lower
+    member (along axis 0, and then along the last axis) in some band and
+    piece and its upper one within their halos, also across a seam and across
+    the box wrap.
 
-    Each slab is one task on a thread pool of min(S, CPUs) workers, which
-    returns the global indices of the later members of its pairs; this thread
-    marks them rejected in slab order. At most about workers x 2^16 points
-    and their pairs are held at once, not all of them.
+    Each band is one task on a thread pool of min(S, CPUs) workers, which
+    returns the global indices of the later members of its pairs, each once;
+    this thread marks them rejected. At most about workers x 2^16 points and
+    the pairs of workers x 2^14 points are held at once, not all of them.
     """
-    n = len(pos)
+    n, d = pos.shape
     rejected = np.zeros(n, dtype=bool)
     if n > 1:
         # imported here, on this thread, so that no worker runs the import
@@ -234,17 +258,19 @@ def _ghost_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
         x0 = pos[:, 0]
 
         def later_members(s: int) -> np.ndarray:
-            lo = s * w
-            hi = lo + w + 2.0
-            inside = (x0 >= lo) & (x0 < hi)
-            if hi > L:
-                inside |= x0 < hi - L
-            idx = np.flatnonzero(inside)
-            pairs = _tree(pos[idx], L).query_pairs(1.0, output_type="ndarray")
-            # idx is increasing, so local index order is global index order
-            i, j = pairs[:, 0], pairs[:, 1]
-            t = times[idx]
-            return idx[np.where(t[i] > t[j], i, j)]
+            idx = _window(x0, s * w, w, L)
+            sub = pos[idx]
+            rej = np.zeros(len(idx), dtype=bool)
+            pieces = max(1, -(-len(idx) // _GHOST_TREE_POINTS)) if d > 1 else 1
+            for p in range(pieces):
+                part = _window(sub[:, -1], p * L / pieces, L / pieces, L)
+                pairs = _tree(sub[part], L).query_pairs(1.0, output_type="ndarray")
+                # idx and part are increasing, so local index order is global
+                # index order
+                i, j = pairs[:, 0], pairs[:, 1]
+                t = times[idx[part]]
+                rej[part[np.where(t[i] > t[j], i, j)]] = True
+            return idx[rej]
 
         with ThreadPoolExecutor(max_workers=min(slabs, os.cpu_count() or 1)) as pool:
             for later in pool.map(later_members, range(slabs)):
@@ -282,14 +308,31 @@ def _rsa_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
     return kept
 
 
+def _pair_distances(acc: np.ndarray, L: float) -> np.ndarray:
+    """Minimum-image distances of the pairs within _RMAX, in query_pairs order.
+
+    The same arithmetic as sqrt(((diff - L*round(diff/L))**2).sum(1)), bit for
+    bit, done in place: no pair-sized array is held beyond diff and q.
+    """
+    pairs = _tree(acc, L).query_pairs(_RMAX, output_type="ndarray")
+    diff = acc[pairs[:, 0]]
+    diff -= acc[pairs[:, 1]]
+    del pairs
+    q = diff / L
+    np.round(q, out=q)
+    q *= L
+    diff -= q
+    del q
+    diff *= diff
+    r = diff.sum(axis=1)
+    return np.sqrt(r, out=r)
+
+
 def _pair_histogram(acc: np.ndarray, L: float, bins: int) -> tuple[np.ndarray, np.ndarray]:
     edges = np.linspace(0.999, _RMAX, bins + 1)
     if len(acc) < 2:
         return np.zeros(bins, dtype=np.int64), edges
-    pairs = _tree(acc, L).query_pairs(_RMAX, output_type="ndarray")
-    diff = acc[pairs[:, 0]] - acc[pairs[:, 1]]
-    diff -= L * np.round(diff / L)
-    r = np.sqrt((diff * diff).sum(axis=1))
+    r = _pair_distances(acc, L)
     # the packing check: every pair closer than 1 is among the pairs within _RMAX
     if r.size and r.min() < 1.0 - 1e-12:
         raise ValueError("accepted configuration is not a valid packing")
@@ -308,6 +351,10 @@ def simulate(config: MaternConfig) -> MaternResult:
         acc = _rsa_accept(pos, times, L)
         phi_analytic = math.nan
     n = len(acc)
+    ghost_count = len(pos) - n
+    # the arrivals are not needed past this point; free them before the
+    # histogram's pair query
+    del pos, times
     vol = L**d
     phi_hat = n * sphere_volume(d, 0.5) / vol
 
@@ -327,7 +374,7 @@ def simulate(config: MaternConfig) -> MaternResult:
     return MaternResult(
         config=config,
         accepted_centers=acc,
-        ghost_count=len(pos) - n,
+        ghost_count=ghost_count,
         phi_hat=phi_hat,
         phi_analytic=phi_analytic,
         bin_centers=mids,

@@ -1,6 +1,7 @@
 import concurrent.futures as cf
 import math
 import threading
+import weakref
 
 import mpmath
 import numpy as np
@@ -342,7 +343,8 @@ def test_failing_slab_surfaces_as_in_a_sequential_run(monkeypatch, capsys, exc):
     assert shown[0][1].err.endswith("injected slab failure\n")
 
 
-def _assert_ghost_pairs_across_slab_seam_and_wrap(d):
+def _seam_and_wrap_case(d):
+    """Two pairs along axis 0, one across x = L/2 and one across the wrap."""
     L = 9.0
     w = L / 2  # two slabs for fewer than 2^16 points
     x0 = [w - 0.3, w + 0.3, 0.2, L - 0.3, 2.0]
@@ -350,10 +352,115 @@ def _assert_ghost_pairs_across_slab_seam_and_wrap(d):
     pos = np.array([[x] + r[: d - 1] for x, r in zip(x0, rest)])
     times = np.array([0.5, 0.3, 0.1, 0.2, 0.4])
     expected = np.array([False, True, True, False, True])
+    return pos, times, expected, L
+
+
+def _assert_ghost_pairs_across_slab_seam_and_wrap(d):
+    _assert_ghost_case(*_seam_and_wrap_case(d))
+
+
+def _assert_ghost_case(pos, times, expected, L):
     assert np.array_equal(ghost_survivors_brute(pos, times, L), expected)
     assert np.array_equal(_ghost_accept(pos, times, L), expected)
     perm = np.array([3, 0, 4, 2, 1])
     assert np.array_equal(_ghost_accept(pos[perm], times[perm], L), expected[perm])
+
+
+def _record_tree_sizes(monkeypatch):
+    """Point counts of every tree `_tree` builds from now on, in a list."""
+    sizes = []
+    real_tree = mt._tree
+
+    def tree(points, L):
+        sizes.append(len(points))
+        return real_tree(points, L)
+
+    monkeypatch.setattr(mt, "_tree", tree)
+    return sizes
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("d,T", [(2, 6.0), (3, 1.5)])
+def test_ghost_matches_brute_force_with_many_pieces(monkeypatch, cpus, d, T):
+    # 40 points per tree cuts each band along the last axis into many
+    # pieces, thinner than the halo
+    monkeypatch.setattr(mt.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(mt, "_GHOST_TREE_POINTS", 40)
+    trees = _record_tree_sizes(monkeypatch)
+    for L in (6.0, 7.3, 9.0):
+        _assert_ghost_matches_brute_force(d, T, L)
+    # six runs of two bands each, cut into more than four pieces per band
+    assert len(trees) > 4 * 6 * 2
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+@pytest.mark.parametrize("d", [2, 3])
+def test_ghost_pairs_across_piece_seam_and_wrap(monkeypatch, cpus, d):
+    # the slab case with axis 0 and the last axis swapped: its pairs cross
+    # the last axis at L/2 and across its wrap. One to four points per tree
+    # cut each of the two bands into one to five pieces; at two (d = 2) and
+    # three (d = 3) points per tree, a band that holds both pairs has two
+    # pieces, with their seam at L/2
+    monkeypatch.setattr(mt.os, "cpu_count", lambda: cpus)
+    pos, times, expected, L = _seam_and_wrap_case(d)
+    pos = pos[:, ::-1].copy()
+    for tree_points in (1, 2, 3, 4):
+        monkeypatch.setattr(mt, "_GHOST_TREE_POINTS", tree_points)
+        _assert_ghost_case(pos, times, expected, L)
+
+
+def test_ghost_trees_hold_at_most_2_14_arrivals_and_halo(monkeypatch):
+    sizes = _record_tree_sizes(monkeypatch)
+    L = 224.0
+    pos, times = arrivals(11, 2, L, 4.0)
+    n = len(pos)
+    assert 190_000 < n < 210_000
+    _ghost_accept(pos, times, L)
+    # a band of m points (about n (w + 2) / L, w = L / bands) is cut into
+    # P = ceil(m / 2^14) pieces, each with about m / P <= 2^14 points plus a
+    # halo share 2 m / L; five standard deviations of a Poisson count on top
+    bands = -(-n // mt._GHOST_SLAB_POINTS)
+    m = n * (L / bands + 2.0) / L
+    bound = 2**14 + 2.0 * m / L + 5.0 * math.sqrt(2**14)
+    assert len(sizes) >= bands * math.ceil(m / 2**14)
+    assert max(sizes) <= bound
+
+
+@pytest.mark.parametrize("kappa", [0, 1])
+def test_arrivals_are_freed_before_the_pair_histogram(monkeypatch, kappa):
+    refs = []
+    real_arrivals, real_histogram = mt.arrivals, mt._pair_histogram
+
+    def recording_arrivals(*args):
+        pos, times = real_arrivals(*args)
+        refs.extend([weakref.ref(pos), weakref.ref(times)])
+        return pos, times
+
+    def checking_histogram(acc, L, bins):
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+        return real_histogram(acc, L, bins)
+
+    monkeypatch.setattr(mt, "arrivals", recording_arrivals)
+    monkeypatch.setattr(mt, "_pair_histogram", checking_histogram)
+    res = simulate(MaternConfig(d=2, L=12.0, T=3.0, kappa=kappa, seed=4))
+    assert len(res.accepted_centers) > 10
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pair_distances_match_out_of_place_formula(d, seed):
+    # random points, so many pairs lie across the box wrap and many overlap
+    rng = np.random.default_rng(seed)
+    L = [6.0, 7.3, 9.0][seed]
+    acc = rng.random((60 * d, d)) * L
+    r = mt._pair_distances(acc, L)
+    pairs = mt._tree(acc, L).query_pairs(mt._RMAX, output_type="ndarray")
+    diff = acc[pairs[:, 0]] - acc[pairs[:, 1]]
+    assert np.any(np.abs(diff) > L / 2)
+    assert np.array_equal(r, np.sqrt(((diff - L * np.round(diff / L)) ** 2).sum(1)))
+    assert r.min() < 1.0
+    with pytest.raises(ValueError, match="not a valid packing"):
+        mt._pair_histogram(acc, L, 50)
 
 
 def test_equal_times_reject_the_higher_index():

@@ -95,13 +95,17 @@ def test_gap_Z_reproduction_band(d, table_records):
 def test_ratio_matches_reference(d, table_records):
     ratio_ref = REFERENCE_TABLE[d][3]
     rec = table_records[d]
-    assert abs(rec.ratio - ratio_ref) / ratio_ref <= 1e-4, (
-        f"improvement column mismatch at d={d}: ours {rec.ratio:.7e} is "
-        f"2^(d+1) phi/(d+2) of our phi_star (phi agrees with the reference row "
-        f"to {abs(rec.phi_star - REFERENCE_TABLE[d][2]) / REFERENCE_TABLE[d][2]:.1e}), "
-        f"but the quoted column value {ratio_ref:.7e} is not consistent with the "
-        f"quoted phi_star in the same row"
-    )
+    rel_err = abs(rec.ratio - ratio_ref) / ratio_ref
+    # pytest.fail, not assert, so the failure shows only this message and
+    # not the record's repr, whose last digits move with phi_star's
+    if not rel_err <= 1e-4:
+        pytest.fail(
+            f"improvement column mismatch at d={d}: ours {rec.ratio:.7e} is "
+            f"2^(d+1) phi/(d+2) of our phi_star (phi agrees with the reference row "
+            f"to {abs(rec.phi_star - REFERENCE_TABLE[d][2]) / REFERENCE_TABLE[d][2]:.1e}), "
+            f"but the quoted column value {ratio_ref:.7e} is not consistent with the "
+            f"quoted phi_star in the same row"
+        )
 
 
 def test_ratio_identity(table_records):
