@@ -25,6 +25,9 @@ import os
 import sys
 from functools import partial
 
+# packbound never calls BLAS: set before numpy loads, so OpenBLAS starts no idle threads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import asymptotics as asym
@@ -110,10 +113,10 @@ def _table_row(kind: str, d: int) -> dict:
 
 
 def _worker_count(threads: int, n_dims: int) -> int:
-    """Worker processes for --threads: never more than the dims or the CPUs."""
+    """Worker processes for --threads: never more than the dims or the usable CPUs."""
     if threads < 1:
         raise ValueError(f"--threads must be at least 1, got {threads}")
-    return min(threads, n_dims, os.cpu_count() or 1)
+    return min(threads, n_dims, mt.usable_cpus())
 
 
 def cmd_table(args) -> tuple[str, int]:

@@ -15,11 +15,12 @@ the coupling property test exploits.
 Neither rule holds every pair or scans every kept sphere. The ghost rule
 finds the pairs within unit distance band by band along axis 0, about 2^16
 arrivals per band, with the bands spread over a thread pool of one worker per
-CPU (cKDTree releases the GIL while it builds and queries). Each band is cut
-along its last axis into pieces of at most about 2^14 arrivals, one tree
-each, so as the box grows at most the workers times 2^16 arrivals and the
-pairs of the workers times 2^14 arrivals are held at once. The arrival arrays
-are freed before the pair histogram of the accepted centers is built.
+CPU the process may run on (cKDTree releases the GIL while it builds and
+queries). Each band is cut along its last axis into pieces of at most about
+2^14 arrivals, one tree each, so as the box grows at most the workers times
+2^16 arrivals and the pairs of the workers times 2^14 arrivals are held at
+once. The arrival arrays are freed before the pair histogram of the accepted
+centers is built.
 Standard RSA takes the arrivals in batches of doubling size, capped, screens
 each batch against the kept bed with one tree query and settles the survivors
 of the batch among themselves from their pairs. Both give the accepted set of
@@ -181,34 +182,40 @@ def g2_matern(d: int, r: float, t: float) -> float:
     return 2.0 * (math.expm1(-v * b * t) - b * e1) / (b * (b - 1.0) * e1 * e1)
 
 
+def _arrival_times(rng: np.random.Generator, rate: float, T: float) -> np.ndarray:
+    """Sorted Poisson arrival times in [0, T], as chunks of 8192 exponential gaps."""
+    chunks = []
+    total = 0.0
+    while True:
+        cum = np.cumsum(rng.exponential(1.0 / rate, size=8192)) + total
+        stop = int(np.searchsorted(cum, T, side="right"))
+        if stop < cum.size:
+            chunks.append(cum[:stop])
+            return np.concatenate(chunks)
+        chunks.append(cum)
+        total = float(cum[-1])
+
+
 def arrivals(seed: int, d: int, L: float, T: float) -> tuple[np.ndarray, np.ndarray]:
     """Poisson rain on [0,L)^d x [0,T]: positions and sorted arrival times.
 
     Times come from one child stream as exponential gaps, positions from the
     other as a single block, so a longer horizon extends the same realization.
+    The time chunks are freed before the positions are drawn, so at most the
+    two returned arrays are held at once.
     """
     ss = np.random.SeedSequence(seed)
     st, sx = ss.spawn(2)
-    rng_t = np.random.default_rng(st)
-    rng_x = np.random.default_rng(sx)
-    rate = float(L) ** d
-    chunks = []
-    total = 0.0
-    n = 0
-    while True:
-        gaps = rng_t.exponential(1.0 / rate, size=8192)
-        cum = np.cumsum(gaps) + total
-        stop = int(np.searchsorted(cum, T, side="right"))
-        if stop < cum.size:
-            chunks.append(cum[:stop])
-            n += stop
-            break
-        chunks.append(cum)
-        total = float(cum[-1])
-        n += cum.size
-    times = np.concatenate(chunks) if n else np.empty(0)
-    pos = rng_x.random((n, d)) * L
+    times = _arrival_times(np.random.default_rng(st), float(L) ** d, T)
+    pos = np.random.default_rng(sx).random((len(times), d)) * L
     return pos, times
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _window(x: np.ndarray, lo: float, width: float, L: float) -> np.ndarray:
@@ -241,10 +248,11 @@ def _ghost_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
     piece and its upper one within their halos, also across a seam and across
     the box wrap.
 
-    Each band is one task on a thread pool of min(S, CPUs) workers, which
-    returns the global indices of the later members of its pairs, each once;
-    this thread marks them rejected. At most about workers x 2^16 points and
-    the pairs of workers x 2^14 points are held at once, not all of them.
+    Each band is one task on a thread pool of min(S, usable_cpus()) workers,
+    which returns the global indices of the later members of its pairs, each
+    once; this thread marks them rejected. At most about workers x 2^16
+    points and the pairs of workers x 2^14 points are held at once, not all
+    of them.
     """
     n, d = pos.shape
     rejected = np.zeros(n, dtype=bool)
@@ -272,7 +280,7 @@ def _ghost_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
                 rej[part[np.where(t[i] > t[j], i, j)]] = True
             return idx[rej]
 
-        with ThreadPoolExecutor(max_workers=min(slabs, os.cpu_count() or 1)) as pool:
+        with ThreadPoolExecutor(max_workers=min(slabs, usable_cpus())) as pool:
             for later in pool.map(later_members, range(slabs)):
                 rejected[later] = True
     return ~rejected

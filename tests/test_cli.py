@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 import packbound.cli as cli
 import packbound.optimizer as opt
 from packbound.cli import _parse_dims, _worker_count, main
-from packbound.matern import MAX_ARRIVALS, MAX_BINS
+from packbound.matern import MAX_ARRIVALS, MAX_BINS, usable_cpus
 from packbound.models import PackingDensity, RadialModel, make_curve
 from packbound.optimizer import MAX_CLOSED_FORM_D, terminal_delta, terminal_gap
 from packbound.variance import MAX_R_GRID, yamada_check
@@ -488,14 +489,37 @@ def test_bad_table_input_rejected_up_front(capsys, monkeypatch, argv, bad):
 
 
 def test_worker_count_rule(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli.mt, "usable_cpus", lambda: 4)
     assert [_worker_count(n, 17) for n in (1, 3, 100000)] == [1, 3, 4]
     assert _worker_count(3, 2) == 2
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(cli.mt, "usable_cpus", lambda: 1)
     assert _worker_count(8, 17) == 1
     for bad in (0, -4):
         with pytest.raises(ValueError, match="--threads must be at least 1"):
             _worker_count(bad, 17)
+
+
+def test_usable_cpus_reads_the_affinity_set(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert usable_cpus() == 2
+    # where the OS has no affinity call, the CPU count, or 1 if it is unknown
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert usable_cpus() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert usable_cpus() == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS")
+def test_pools_take_one_worker_under_one_cpu_affinity():
+    script = (
+        "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "import packbound.cli as cli\n"
+        "print(cli.mt.usable_cpus(), cli._worker_count(8, 17))"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["1", "1"]
 
 
 _LOADED_SCRIPT = """
@@ -524,6 +548,60 @@ def test_commands_import_only_what_they_run():
     assert got["loaded"]["import"] == []
     assert got["loaded"]["gap, yamada"] == []
     assert "scipy.spatial" in got["loaded"]["matern"]
+
+
+_THREADS_SCRIPT = """
+import contextlib, io, json, os, time
+
+def threads():
+    # a pool thread that has been joined may take a moment to leave the task
+    # list; an OpenBLAS worker never leaves it
+    for _ in range(200):
+        n = len(os.listdir("/proc/self/task"))
+        if n == 1:
+            break
+        time.sleep(0.01)
+    return n
+
+import packbound.cli as cli
+counts = {"import": threads()}
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["table", "--model", "gap", "--dims", "3"],
+                 ["yamada", "--model", "delta", "--d", "1"],
+                 ["matern", "--d", "2", "--L", "20", "--T", "2"]):
+        counts[argv[0]] = [cli.main(argv), threads()]
+counts["OPENBLAS_NUM_THREADS"] = os.environ.get("OPENBLAS_NUM_THREADS")
+print(json.dumps(counts))
+"""
+
+
+def _run_threads_script(blas_threads):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    res = subprocess.run(
+        [sys.executable, "-c", _THREADS_SCRIPT], capture_output=True, text=True, env=env
+    )
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+def test_cli_process_runs_one_thread_outside_its_pools():
+    # the CLI sets OPENBLAS_NUM_THREADS=1 before numpy loads, so neither
+    # numpy's nor scipy's OpenBLAS starts a worker thread
+    got = _run_threads_script(None)
+    assert got == {
+        "import": 1,
+        "table": [0, 1],
+        "yamada": [0, 1],
+        "matern": [0, 1],
+        "OPENBLAS_NUM_THREADS": "1",
+    }
+
+
+def test_cli_keeps_a_preset_openblas_thread_count():
+    assert _run_threads_script("3")["OPENBLAS_NUM_THREADS"] == "3"
 
 
 def _unreached_public_names(pkg: Path) -> list[str]:

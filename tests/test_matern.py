@@ -1,6 +1,7 @@
 import concurrent.futures as cf
 import math
 import threading
+import tracemalloc
 import weakref
 
 import mpmath
@@ -280,7 +281,7 @@ def test_ghost_pairs_across_slab_seam_and_wrap(d):
 @pytest.mark.parametrize("d,T", [(1, 20.0), (2, 6.0), (3, 1.5)])
 def test_ghost_matches_brute_force_on_any_worker_count(monkeypatch, cpus, d, T):
     # the pool takes one worker per CPU; 40 points per slab gives it many slabs
-    monkeypatch.setattr(mt.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(mt, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", 40)
     for L in (6.0, 7.3, 9.0):
         _assert_ghost_matches_brute_force(d, T, L)
@@ -301,7 +302,7 @@ def test_ghost_pool_has_at_most_one_worker_per_slab_and_cpu(monkeypatch):
         threads.add(threading.get_ident())
         return real_tree(points, L)
 
-    monkeypatch.setattr(mt.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(mt, "usable_cpus", lambda: 64)
     monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", 40)
     monkeypatch.setattr(cf, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(mt, "_tree", tree)
@@ -334,7 +335,7 @@ def test_failing_slab_surfaces_as_in_a_sequential_run(monkeypatch, capsys, exc):
     argv = ["matern", "--d", "2", "--L", "8", "--T", "3", "--seed", "5"]
     shown = []
     for cpus in (1, 3):
-        monkeypatch.setattr(mt.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(mt, "usable_cpus", lambda: cpus)
         calls.clear()
         code = main(argv)
         shown.append((code, capsys.readouterr()))
@@ -384,7 +385,7 @@ def _record_tree_sizes(monkeypatch):
 def test_ghost_matches_brute_force_with_many_pieces(monkeypatch, cpus, d, T):
     # 40 points per tree cuts each band along the last axis into many
     # pieces, thinner than the halo
-    monkeypatch.setattr(mt.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(mt, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(mt, "_GHOST_TREE_POINTS", 40)
     trees = _record_tree_sizes(monkeypatch)
     for L in (6.0, 7.3, 9.0):
@@ -401,7 +402,7 @@ def test_ghost_pairs_across_piece_seam_and_wrap(monkeypatch, cpus, d):
     # cut each of the two bands into one to five pieces; at two (d = 2) and
     # three (d = 3) points per tree, a band that holds both pairs has two
     # pieces, with their seam at L/2
-    monkeypatch.setattr(mt.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(mt, "usable_cpus", lambda: cpus)
     pos, times, expected, L = _seam_and_wrap_case(d)
     pos = pos[:, ::-1].copy()
     for tree_points in (1, 2, 3, 4):
@@ -444,6 +445,23 @@ def test_arrivals_are_freed_before_the_pair_histogram(monkeypatch, kappa):
     monkeypatch.setattr(mt, "_pair_histogram", checking_histogram)
     res = simulate(MaternConfig(d=2, L=12.0, T=3.0, kappa=kappa, seed=4))
     assert len(res.accepted_centers) > 10
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_arrivals_hold_no_more_than_what_they_return(d):
+    # the time chunks (n floats) are freed before the positions are drawn, so
+    # the peak is that of the concatenation (2n floats) or the returned
+    # n (d + 1) floats, plus a few 8192-gap chunks, and not their sum
+    L = {1: 200_000.0, 2: 400.0, 3: 50.0}[d]
+    tracemalloc.start()
+    try:
+        pos, times = arrivals(3, d, L, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(times)
+    assert 100_000 < n < 250_000
+    assert peak < 8 * n * max(2, d + 1) + 2**18
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
