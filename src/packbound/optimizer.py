@@ -34,9 +34,15 @@ independent models.structure_factor_gap formula must vanish to 1e-7. The
 record carries phi_rel_err, the relative error bound of the numeric phi*
 (1e-11), so that the Yamada check can tell which expected counts have a
 fractional part that phi* fixes.
-terminal_delta's S >= 0 check scans the same k grid with find_minima: at the
-delta terminal S'(k) is a positive multiple of k^3 L_{nu+2}(k), so the minima
-of S are the - to + sign changes of that one kernel, and S is read there once.
+
+terminal_delta proves S >= 0 for every k. At the delta terminal (sigma = 1,
+t = (d+2)/2, Z = d/2), S(k) = 1 - L_nu(k) - k^2 L_{nu+1}(k)/(4(nu+1)) and
+S'(k) = k^3 L_{nu+2}(k)/(8(nu+1)(nu+2)) with S(0) = 0, so S rises on
+(0, nu + 2], where J_{nu+2} > 0 (its first zero lies past its order, DLMF
+10.21). For d >= 2, |1 - S| is at most B_nu(k) + k^2 B_{nu+1}(k)/(4(nu+1)) with
+Landau's envelope B, and both terms fall in k, as k^-(nu+1/3) and k^(2/3-nu)
+with nu >= 1. So that sum below 1 at k = nu + 2 proves S > 0 past it
+(_delta_tail_bound); as k0^2 >= 4(nu+1), it also puts both envelopes below 1.
 
 All density bookkeeping is done on log(phi): at d = 200 the optimum is
 5.7e-44 with t = 5e17, and naive products would lose it.
@@ -67,7 +73,6 @@ __all__ = [
     "check_dimension",
     "DIMENSION_RANGE",
     "MAX_CLOSED_FORM_D",
-    "find_minima",
     "gap_feasible_t",
     "classical_bounds",
 ]
@@ -173,64 +178,55 @@ def terminal_step(d: int) -> TerminalDensityRecord:
 
 
 def terminal_delta(d: int) -> TerminalDensityRecord:
-    """phi* = (d+2)/2^(d+1), Z* = d/2; S is checked at every local minimum find_minima finds.
+    """phi* = (d+2)/2^(d+1), Z* = d/2; S >= 0 is proved for every k, reading no kernel.
 
-    At these values both S(0) and the quadratic coefficient vanish, so the
-    binding wavenumber is k = 0.
+    Both S(0) and the quadratic coefficient vanish, so the binding wavenumber
+    is k = 0. For d >= 2 see the module docstring. For d = 1,
+    S(k) = 1 + cos(k)/2 - 3 sin(k)/(2k) rises on (0, j_{5/2,1} = 5.76...) and
+    is at least 1/2 - 3/(2k) > 0 past k = 3.
     """
     d = check_dimension("delta", d)
-    phi = (d + 2.0) / 2.0 ** (d + 1)
-    Z = 0.5 * d
-    k = find_minima(d)
-    if k.size:
-        S = structure_factor_gap(d, phi, 1.0, Z, k)
-        i = int(np.argmin(S))
-        if S[i] < -1e-9:
-            raise RuntimeError(
-                f"closed-form terminal parameters violate S >= 0 at d={d}: min S = {S[i]:.3e}"
-            )
-        _warn_near_grid_end("deepest minimum", k[i], _k_grid(d)[-1])
+    if d >= 2:
+        _delta_tail_bound(d)
     return TerminalDensityRecord(
         d=d,
         sigma_star=1.0,
-        Z_star=Z,
-        phi_star=phi,
+        Z_star=0.5 * d,
+        phi_star=(d + 2.0) / 2.0 ** (d + 1),
         k_min=0.0,
         ratio=_ratio_column(d, _delta_log_phi(d)),
     )
 
 
-def find_minima(d: int) -> np.ndarray:
-    """Wavenumbers of the local minima of S at the delta terminal, on the scan grid _k_grid(d).
+def _delta_tail_bound(d: int) -> tuple[float, float]:
+    """(k0, b): |1 - S(k)| <= b < 1 at the delta terminal for every k >= k0 = nu + 2, d >= 2.
 
-    With sigma = 1, t = (d+2)/2 and Z = d/2, the recurrence
-    L_{mu-1} - L_mu = -x^2 L_{mu+1} / (4 mu (mu+1)) turns the two-kernel slope
-    of S into one kernel: S'(k) = k^3 L_{nu+2}(k) / (8 (nu+1) (nu+2)). So the
-    minima are exactly the sign changes of L_{nu+2} from - to +, each refined
-    by Brent to well under 1e-10 in k.
+    b is B_nu(k0) + k0^2 B_{nu+1}(k0)/(4(nu+1)) for Landau's envelope B; a b
+    of 1 or more (or NaN) is a RuntimeError.
     """
-    mu = 0.5 * d + 2.0
-    kk = _k_grid(d)
-    lam = bessel_lambda(mu, kk)
-    flips = np.flatnonzero((lam[:-1] < 0.0) & (lam[1:] >= 0.0))
-    lam_mu = functools.partial(bessel_lambda, mu)
-    return np.array([brentq(lam_mu, kk[i], kk[i + 1], xtol=1e-12, maxiter=200) for i in flips])
+    nu = 0.5 * d
+    k0 = nu + 2.0
+    b = math.exp(log_lambda_envelope(nu, k0)) + k0 * k0 * math.exp(
+        log_lambda_envelope(nu + 1.0, k0)
+    ) / (4.0 * (nu + 1.0))
+    if not b < 1.0:
+        raise RuntimeError(
+            f"Landau envelope does not certify S >= 0 at the delta terminal, d={d}: "
+            f"bound {b:.3e} at k={k0:g}"
+        )
+    return k0, b
 
 
 def _k_grid(d: int) -> np.ndarray:
-    """The one scan grid of find_minima and gap_feasible_t.
+    """The scan grid of gap_feasible_t.
 
     It runs from 1e-9 to nu + 12 max(nu, 1)^(1/3) + 30, past the binding
     tangency at every supported d, at 16/pi points per unit of k and never
     fewer than 750, so its spacing is at most pi/15.9. Brent refines every
-    bracket to 1e-12, so the grid only has to separate roots, not resolve them:
-    - sign changes of L_{nu+2} (find_minima) are zeros of J_{nu+2}, which lie
-      more than pi apart for orders above 1/2, so at least 15 grid points fall
-      between two of them and each minimum gets its own bracket;
-    - an m > 0 window that gap_feasible_t skips (under 5 points) is shorter
-      than 5 spacings, about pi/3. At the optima of d = 2..300 there are three,
-      at d = 5, 22 and 23, each cut off by the grid end, where u/m exceeds
-      600 t.
+    bracket to 1e-12, so the grid only has to separate roots, not resolve them.
+    An m > 0 window that gap_feasible_t skips (under 5 points) is shorter than
+    5 spacings, about pi/3. At the optima of d = 2..300 there are three, at
+    d = 5, 22 and 23, each cut off by the grid end, where u/m exceeds 600 t.
     gap_feasible_t reads the grid only up to the window that closes after the
     Landau tail point k* (_tail_k), so the grid end bounds the scan only while
     t is infinite; at the optima k* lies at 14.1 (d = 3) to 163.4 (d = 300),

@@ -660,22 +660,37 @@ def test_public_names_serve_a_command():
     assert not unreached, f"{len(unreached)} public names no command reaches: {unreached}"
 
 
+def test_delta_path_reads_no_kernel(capsys, monkeypatch):
+    # the delta terminal is certified in closed form: with every bessel_lambda
+    # replaced by a stub that raises, its commands print the same bytes
+    runs = (
+        ["table", "--model", "delta", "--dims", "1..1000"],
+        ["yamada", "--model", "delta", "--d", "24"],
+    )
+    expected = [run_main(capsys, argv) for argv in runs]
+
+    def no_kernel(*args):
+        raise AssertionError("bessel_lambda called on the delta path")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "packbound" and hasattr(module, "bessel_lambda"):
+            monkeypatch.setattr(module, "bessel_lambda", no_kernel)
+    assert [run_main(capsys, argv) for argv in runs] == expected
+    assert all(code == 0 for code, _ in expected)
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_table_failure_reported_on_stderr(capsys, monkeypatch, tmp_path, threads):
-    # the pool runs in threads here, so the patched S reaches its workers
+    # the pool runs in threads here, so the patched envelope reaches its workers
     monkeypatch.setattr(cf, "ProcessPoolExecutor", cf.ThreadPoolExecutor)
-    real = opt.structure_factor_gap
-
-    def dented(d, *args):
-        # S reads below the -1e-9 floor at the first minimum of d = 4 only
-        S = real(d, *args)
-        if d == 4:
-            S[0] = -2e-9
-        return S
-
-    monkeypatch.setattr(opt, "structure_factor_gap", dented)
+    real = opt.log_lambda_envelope
+    # a log-envelope above 0 for L_2, which only d = 4 reads (nu = 2 there)
+    monkeypatch.setattr(opt, "log_lambda_envelope", lambda mu, x: 0.5 if mu == 2.0 else real(mu, x))
     argv = ["table", "--model", "delta", "--dims", "3..5", "--threads", threads]
-    msg = "closed-form terminal parameters violate S >= 0 at d=4: min S = -2.000e-09"
+    msg = (
+        "Landau envelope does not certify S >= 0 at the delta terminal, d=4: "
+        "bound 2.144e+00 at k=4"
+    )
     assert main(argv) == 3
     shown = capsys.readouterr()
     assert f"\n4,nan,nan,nan,nan,nan\n# error d=4: {msg}\n5," in shown.out

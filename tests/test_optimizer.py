@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,15 +13,16 @@ from packbound.models import hyperuniform_Z, structure_factor_gap
 from packbound.optimizer import (
     MAX_CLOSED_FORM_D,
     TerminalDensityRecord,
+    _delta_tail_bound,
     _k_grid,
     _tail_k,
     classical_bounds,
-    find_minima,
     gap_feasible_t,
     terminal_delta,
     terminal_gap,
     terminal_step,
 )
+from packbound.specialfn import first_zero, log_lambda_envelope
 
 # regression pins from this implementation, tighter than the 7-digit references
 SIGMA_PINS = {
@@ -225,8 +227,6 @@ TAIL_K_AT_OPTIMUM = {3: 14.1, 8: 11.8, 24: 20.0, 100: 60.3, 200: 112.1, 300: 163
 
 @pytest.mark.parametrize("d", sorted(TAIL_K_AT_OPTIMUM))
 def test_tail_k_at_gap_optimum(d):
-    from packbound.specialfn import log_lambda_envelope
-
     rec = terminal_gap(d)
     sigma, t = rec.sigma_star, rec.Z_star + 1.0
     k_star = _tail_k(d, sigma, t)
@@ -489,8 +489,7 @@ def test_delta_terminal_slope_is_one_kernel(d):
     # with L_mu(x) = 0F1(; mu+1; -x^2/4) and the slope of the two-kernel S
     # taken by mpmath's numerical differentiation
     mpmath = pytest.importorskip("mpmath")
-    minima = find_minima(d)
-    assert minima.size
+    j1 = first_zero(0.5 * d + 2.0)
     with mpmath.workdps(60):
         nu = mpmath.mpf(d) / 2
 
@@ -503,51 +502,85 @@ def test_delta_terminal_slope_is_one_kernel(d):
         def one_kernel(k):
             return k**3 * lam(nu + 2, k) / (8 * (nu + 1) * (nu + 2))
 
-        for k in (0.5, float(nu) + 2.5, 0.5 * (minima[0] + minima[-1]), minima[-1] + 1.0):
+        for k in (0.5, float(nu) + 2.5, j1 + 0.7, j1 + 9.3):
             k = mpmath.mpf(k)
             assert abs(mpmath.diff(S, k) - one_kernel(k)) <= 1e-20 * abs(one_kernel(k))
-        # the scan's minima are where that slope turns from - to +
-        for k in minima[:3]:
-            assert one_kernel(mpmath.mpf(k) - 1e-7) < 0 < one_kernel(mpmath.mpf(k) + 1e-7)
+        # the form the certificate bounds: S = 1 - L_nu - k^2 L_{nu+1} / (4 (nu+1))
+        k = mpmath.mpf(j1 + 0.7)
+        assert abs(S(k) - (1 - lam(nu, k) - k * k * lam(nu + 1, k) / (4 * (nu + 1)))) < 1e-50
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 24, 100, 357, 501, 700])
 def test_delta_minima_match_general_scan(d):
-    # the general two-kernel scan also lists a rounding flip next to k = 0,
-    # where S ~ k^4 / (32 (nu+1) (nu+2)) has no minimum; only its interior
-    # minima are compared
+    # the oracle's two-kernel scan finds every interior minimum of S where the
+    # certificate says S only rises before it, past nu + 2, and S >= 0 there;
+    # it also lists a rounding flip next to k = 0, where S ~ k^4 / (32 (nu+1) (nu+2))
+    # has no minimum. Past d = 700 its difference of kernels flips where jv
+    # underflows, so d stops there.
     phi = (d + 2.0) / 2.0 ** (d + 1)
-    general = [k for k, _ in structure_factor_minima(d, phi, 1.0, 0.5 * d) if k > 1e-3]
-    minima = find_minima(d)
-    assert minima.size == len(general) > 0
-    assert np.max(np.abs(minima - general)) <= 1e-9
+    general = [(k, S) for k, S in structure_factor_minima(d, phi, 1.0, 0.5 * d) if k > 1e-3]
+    assert general
+    for k, S in general:
+        assert k > 0.5 * d + 2.0 and S >= -1e-9, (k, S)
 
 
 @pytest.mark.parametrize("d", [720, 800, 1000])
 def test_delta_minima_skip_underflowed_kernels(d):
-    # past the series switch jv underflows for these orders; the two-kernel
-    # difference flips sign there, but L_{nu+2} only reads 0 on its positive
-    # stretch before the first zero of J_{nu+2}, which lies past nu + 2
-    minima = find_minima(d)
-    assert minima.size and minima.min() > 0.5 * d + 2.0
-    assert terminal_delta(d).Z_star == 0.5 * d
+    # where jv underflows past the series switch, the certificate reads no
+    # kernel, so no RuntimeWarning can surface
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert terminal_delta(d).Z_star == 0.5 * d
 
 
-def test_delta_check_raises_below_floor(monkeypatch):
+def test_delta_certificate_holds_for_every_dimension():
+    worst = 0.0
+    for d in range(2, MAX_CLOSED_FORM_D + 1):
+        nu = 0.5 * d
+        k0, b = _delta_tail_bound(d)
+        assert k0 == nu + 2.0
+        assert log_lambda_envelope(nu, k0) <= 0.0 and log_lambda_envelope(nu + 1.0, k0) <= 0.0
+        worst = max(worst, b)
+    assert worst <= 0.91
+    assert _delta_tail_bound(2)[1] == pytest.approx(0.908, abs=1e-3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 24, 100, 300, 1000])
+def test_delta_certificate_starts_before_first_zero(d):
+    # S rises only while J_{nu+2} > 0, so the tail bound must take over before
+    # the first zero of J_{nu+2}
+    assert _delta_tail_bound(d)[0] <= first_zero(0.5 * d + 2.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 24, 100, 200, 300])
+def test_delta_certificate_bounds_the_curve(d):
+    k0, b = _delta_tail_bound(d)
+    kk = np.concatenate(
+        (np.linspace(k0, k0 + 40.0, 4000), np.geomspace(k0 + 40.0, 50.0 * k0, 4000))
+    )
+    one_minus_S = 1.0 - structure_factor_gap(d, (d + 2.0) / 2.0 ** (d + 1), 1.0, 0.5 * d, kk)
+    assert np.abs(one_minus_S).max() <= b < 1.0
+
+
+def test_delta_d1_closed_form():
+    kk = np.linspace(1e-2, 200.0, 200_000)
+    S = structure_factor_gap(1, 3.0 / 4.0, 1.0, 0.5, kk)
+    closed = 1.0 + np.cos(kk) / 2.0 - 3.0 * np.sin(kk) / (2.0 * kk)
+    assert np.abs(S - closed).max() <= 1e-14
+    assert S.min() > 0.0
+    assert terminal_delta(1).Z_star == 0.5
+
+
+def test_delta_check_raises_when_envelope_fails(monkeypatch):
     import packbound.optimizer as opt
 
-    real = opt.structure_factor_gap
-
-    def dent(depth):
-        def patched(*args):
-            S = real(*args)
-            S[len(S) // 2] = depth
-            return S
-
-        monkeypatch.setattr(opt, "structure_factor_gap", patched)
-
-    dent(-1e-9)
-    assert terminal_delta(24).phi_star == 26 / 2.0**25
-    dent(-1.5e-9)
-    with pytest.raises(RuntimeError, match=r"violate S >= 0 at d=24: min S = -1\.500e-09"):
-        terminal_delta(24)
+    real = opt.log_lambda_envelope
+    # a log-envelope above 0 for L_2 at d = 4 only (nu = 2 there)
+    monkeypatch.setattr(opt, "log_lambda_envelope", lambda mu, x: 0.5 if mu == 2.0 else real(mu, x))
+    assert terminal_delta(3).phi_star == 5 / 2.0**4
+    with pytest.raises(
+        RuntimeError,
+        match=r"Landau envelope does not certify S >= 0 at the delta terminal, d=4: "
+        r"bound 2\.144e\+00 at k=4$",
+    ):
+        terminal_delta(4)

@@ -12,8 +12,6 @@ import pytest
 from scipy.optimize import brentq as scipy_brentq
 from scipy.special import jv
 
-from packbound import optimizer, specialfn
-from packbound.cli import main
 from packbound.rootfind import brentq
 
 
@@ -118,17 +116,3 @@ def test_brentq_defaults_and_edge_cases_match_scipy():
     assert _outcome(brentq, _nan_right, 0.0, 1.0)[1] == (
         "The function value at x=1.0 is NaN; solver cannot continue."
     )
-
-
-def test_delta_table_rows_match_scipy_root_finder(capsys, monkeypatch):
-    # at d = 1000 the interpolation denominator of find_minima's root search is
-    # exactly zero 7 times, where the step must fall back to bisection as in C
-    assert _zero_denominator_hits(partial(optimizer.find_minima, 1000))
-    argv = ["table", "--model", "delta", "--dims", "1000"]
-    assert main(argv) == 0
-    ours = capsys.readouterr()
-    monkeypatch.setattr(optimizer, "brentq", scipy_brentq)
-    monkeypatch.setattr(specialfn, "brentq", scipy_brentq)
-    assert main(argv) == 0
-    assert capsys.readouterr() == ours
-    assert "error" not in ours.out and ours.out.count("\n") == 2
