@@ -33,7 +33,7 @@ import numpy as np
 from . import asymptotics as asym
 from . import matern as mt
 from .models import PackingDensity, RadialModel, default_k_max, log_amplitude, make_curve
-from .optimizer import DIMENSION_RANGE, MAX_CLOSED_FORM_D, check_dimension, classical_bounds
+from .optimizer import MAX_CLOSED_FORM_D, check_dimension, classical_bounds
 from .optimizer import terminal_gap, terminal_record
 from .variance import yamada_check
 
@@ -189,13 +189,6 @@ def _flatten(prefix: str, report: dict):
 
 
 def cmd_asymptotics(args) -> tuple[str, int]:
-    # the numeric comparison runs the gap optimizer, whose range ends first
-    gap_hi, asym_hi = DIMENSION_RANGE["gap"][1], DIMENSION_RANGE["asymptotics"][1]
-    if not args.skip_numeric and gap_hi < args.d <= asym_hi:
-        raise ValueError(
-            f"--d {args.d} is past the gap optimizer's last dimension {gap_hi}; "
-            f"add --skip-numeric to print the expansions alone"
-        )
     report = asym.build_report(args.d, include_numeric=not args.skip_numeric)
     if args.format == "json":
         return _dump({"command": "asymptotics", "d": args.d, "report": report}), 0
@@ -290,8 +283,7 @@ def cmd_matern(args) -> tuple[str, int]:
 
 
 def cmd_classical(args) -> tuple[str, int]:
-    # --terminal adds a gap optimum per row, so the gap range applies up front
-    dims = _parse_dims(args.dims, "gap" if args.terminal else "classical")
+    dims = _parse_dims(args.dims, "classical")
     rows = []
     for d in dims:
         b = classical_bounds(d)

@@ -87,19 +87,21 @@ MAX_CLOSED_FORM_D = 1000
 
 #: supported integer dimensions, inclusive, of each model, of classical_bounds
 #: and of the asymptotics report (its expansions need d >= 20, and it stays
-#: finite up to about d = 1380)
+#: finite up to about d = 1380). All end at MAX_CLOSED_FORM_D; the gap
+#: optimizer reads bessel_lambda up to order d/2 + 1 = 501 there
 DIMENSION_RANGE = {
     "step": (1, MAX_CLOSED_FORM_D),
     "delta": (1, MAX_CLOSED_FORM_D),
-    "gap": (2, 300),
+    "gap": (2, MAX_CLOSED_FORM_D),
     "classical": (2, MAX_CLOSED_FORM_D),
     "asymptotics": (20, MAX_CLOSED_FORM_D),
 }
 
-# relative error bound of terminal_gap's phi*: over ten times the largest change
-# of phi* between scans at 64/pi and 16/pi points per unit k over d = 2..300
-# (9.4e-13, at d = 296), and above the sigma xtol (1e-12) times the slope
-# jump of log phi at the d = 2 kink (2.9), 2.9e-12
+# relative error bound of terminal_gap's phi*: above the largest change of phi*
+# between scans at 64/pi and 16/pi points per unit k, over ten times it over
+# d = 2..300 (9.4e-13, at d = 296) and 2.9 times it over d = 301..1000
+# (3.5e-12, at d = 911), and above the sigma xtol (1e-12) times the slope jump
+# of log phi at the d = 2 kink (2.9), 2.9e-12
 _GAP_PHI_REL_ERR = 1e-11
 
 #: grid points per bessel_lambda call in gap_feasible_t's ascending scan
@@ -225,13 +227,14 @@ def _k_grid(d: int) -> np.ndarray:
     fewer than 750, so its spacing is at most pi/15.9. Brent refines every
     bracket to 1e-12, so the grid only has to separate roots, not resolve them.
     An m > 0 window that gap_feasible_t skips (under 5 points) is shorter than
-    5 spacings, about pi/3. At the optima of d = 2..300 there are three, at
+    5 spacings, about pi/3. At the optima of d = 2..1000 there are three, at
     d = 5, 22 and 23, each cut off by the grid end, where u/m exceeds 600 t.
     gap_feasible_t reads the grid only up to the window that closes after the
     Landau tail point k* (_tail_k), so the grid end bounds the scan only while
-    t is infinite; at the optima k* lies at 14.1 (d = 3) to 163.4 (d = 300),
-    against grid ends of 45.2 to 243.8. The tests check S >= 0 at each
-    tabulated optimum at 512/pi points per unit up to the grid end.
+    t is infinite; at the optima k* lies at 11.2 (d = 5) to 518.5 (d = 1000),
+    against grid ends of 43.0 (d = 2) to 625.2 (d = 1000), and k_min stays
+    below 0.83 of the grid end (514.5 at d = 1000). The tests check S >= 0 at
+    each tabulated optimum at 512/pi points per unit up to the grid end.
     """
     nu = 0.5 * d
     k_hi = nu + 12.0 * max(nu, 1.0) ** (1.0 / 3.0) + 30.0

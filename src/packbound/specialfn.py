@@ -1,12 +1,14 @@
 """Bessel J of real order, its first zeros, and n-sphere geometry.
 
-Bessel evaluation is delegated to scipy's AMOS-backed ``jv``. (Closed
-half-integer forms, the Watson asymptotic form and the large-order zero
-expansion survive only as oracles in the tests.) Landau's bound
+Bessel evaluation is delegated to scipy's AMOS-backed ``jv``, except where
+the normalized kernel bessel_lambda sums its ascending series instead: below
+one switch point per order (_series_end), past which jv is a normal double.
+(Closed half-integer forms, the Watson asymptotic form and the large-order
+zero expansion survive only as oracles in the tests.) Landau's bound
 |J_mu(x)| <= c x^(-1/3) gives a closed-form envelope of the normalized
 kernel's tail (log_lambda_envelope).
 All sphere volumes/surfaces go through log space so nothing overflows
-before d is well past 300.
+before d is well past 1000.
 """
 
 from __future__ import annotations
@@ -46,6 +48,16 @@ _NU_MAX = 1.0e4
 LANDAU_C = 0.7857468705
 _LN_LANDAU_C = math.log(LANDAU_C)
 
+# ln 1e-290: bessel_lambda hands x to jv only past the point where the leading
+# term of J_mu(x), (x/2)^mu / Gamma(mu+1), reaches this, so J_mu stays a normal
+# double (DBL_MIN is 2.2e-308) wherever jv is read
+_LN_JV_FLOOR = math.log(1e-290)
+
+# largest bessel_lambda order: nu + 2 at d = 1000, the most any caller reads.
+# The series holds 3.3e-13 of mpmath at its end x_u at this order, but its
+# cancellation grows fast past it (7e-10 at order 600, garbage at 1000)
+_LAMBDA_MU_MAX = 502.0
+
 
 def _check_order(nu) -> float:
     nu = float(nu)
@@ -69,23 +81,28 @@ def bessel_lambda(mu: float, x):
 
     This is the radial profile that every structure-factor expression in the
     package is built from (it is, up to constants, the Fourier transform of a
-    ball indicator). Two regimes:
+    ball indicator). Two regimes, split at _series_end(mu):
 
-    * x <= 2*sqrt(mu+1): ascending series. Terms decay immediately in this
-      range, and the x=0 limit comes out exactly 1 with no 0/0 evaluated.
-    * larger x: scipy jv combined in log space, sign carried separately, so
-      the 2^mu Gamma(mu+1) / x^mu prefactor never overflows even at mu=150.
+    * x <= max(2 sqrt(mu+1), x_u), x_u = min(mu, the x where the leading term
+      (x/2)^mu / Gamma(mu+1) of J_mu reaches 1e-290): ascending series. Up to
+      2 sqrt(mu+1) its terms decay at once; x_u only moves the split for
+      mu >= 346, where jv is subnormal or 0 just past 2 sqrt(mu+1), and there
+      the series needs at most 38 terms up to mu = 502. The x=0 limit comes
+      out exactly 1 with no 0/0 evaluated.
+    * larger x: scipy jv, a normal double there (J_mu rises up to its first
+      maximum, past mu), combined in log space with the sign carried
+      separately, so the 2^mu Gamma(mu+1) / x^mu prefactor never overflows.
 
-    Orders down to -1/2 are allowed (the d=1 contact term needs mu = -1/2,
-    where this kernel degenerates to cos x).
+    Orders run from -1/2 (the d=1 contact term needs mu = -1/2, where this
+    kernel degenerates to cos x) to 502.
 
     A float argument (the root finders pass one per call) runs the same
     operations on plain floats, bitwise equal to the array route but without
     its per-call array overhead.
     """
     mu = float(mu)
-    if not math.isfinite(mu) or mu < -0.5 or mu > _NU_MAX:
-        raise ValueError(f"kernel order out of supported range [-0.5, {_NU_MAX:g}]: {mu}")
+    if not math.isfinite(mu) or mu < -0.5 or mu > _LAMBDA_MU_MAX:
+        raise ValueError(f"kernel order out of supported range [-0.5, {_LAMBDA_MU_MAX:g}]: {mu}")
     if isinstance(x, float):
         return _bessel_lambda_scalar(mu, x)
     xa = np.asarray(x, dtype=float)
@@ -95,7 +112,7 @@ def bessel_lambda(mu: float, x):
     xa = np.atleast_1d(xa).astype(float)
     out = np.empty_like(xa)
 
-    small = xa <= 2.0 * math.sqrt(mu + 1.0)
+    small = xa <= _series_end(mu)
     xs = xa[small]
     if xs.size:
         q = 0.25 * xs * xs
@@ -117,11 +134,17 @@ def bessel_lambda(mu: float, x):
     return float(out[0]) if scalar else out
 
 
+def _series_end(mu: float) -> float:
+    """Largest x at which bessel_lambda sums its ascending series (see there)."""
+    x_u = 2.0 * math.exp((math.lgamma(mu + 1.0) + _LN_JV_FLOOR) / mu) if mu > 0.0 else 0.0
+    return max(2.0 * math.sqrt(mu + 1.0), min(mu, x_u))
+
+
 def _bessel_lambda_scalar(mu: float, x: float) -> float:
     """bessel_lambda for one float x, operation for operation as the array route."""
     if not math.isfinite(x) or x < 0.0:
         raise ValueError("bessel_lambda argument must be finite and nonnegative")
-    if x <= 2.0 * math.sqrt(mu + 1.0):
+    if x <= _series_end(mu):
         q = 0.25 * x * x
         term = acc = 1.0
         for n in range(1, 80):

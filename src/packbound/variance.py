@@ -162,7 +162,10 @@ def number_variance(model: RadialModel, density: PackingDensity, R):
     overflow = np.isinf(count) & (bracket <= 0.0)
     if np.any(overflow):
         raise OverflowError(f"expected count overflows at d={d}, R={rr[overflow][0]}")
-    out = (count * bracket).reshape(Ra.shape)
+    # a finite count times a positive bracket may pass DBL_MAX: such a row reads
+    # inf, which holds the Yamada bound (at most 1/4) as the true variance does
+    with np.errstate(over="ignore"):
+        out = (count * bracket).reshape(Ra.shape)
     return float(out) if Ra.ndim == 0 else out
 
 

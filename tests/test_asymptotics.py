@@ -171,6 +171,13 @@ def test_phi_star_vs_numeric(table_records):
     assert all(b < a * 1.02 for a, b in zip(errs, errs[1:])), errs
 
 
+@pytest.mark.parametrize("d", [301, 720, 834, 1000])
+def test_phi_star_full_vs_numeric_past_300(d):
+    # the full expansion tracks the direct optimum up to the last supported d
+    # (4.1e-3 at d = 301, 1.8e-3 at d = 1000)
+    assert abs(phi_star_asymptotic(d, "full") / terminal_gap(d).phi_star - 1.0) < 5e-3
+
+
 def test_kissing_bound():
     c = solve_constants()
     coef = 2.0 ** (1.0 / 3.0) * math.exp(2 * c.q1) / (c.D1 * math.sqrt(math.pi))

@@ -50,8 +50,10 @@ def test_parse_dims():
         _parse_dims("5..3", "step")
     with pytest.raises(ValueError):
         _parse_dims(",", "step")
-    with pytest.raises(ValueError, match=r"gap dimension must be an integer in \[2, 300\], got 1$"):
+    with pytest.raises(ValueError, match=r"gap dimension must be an integer in \[2, 1000\], got 1$"):
         _parse_dims("1..5", "gap")
+    with pytest.raises(ValueError, match=r"gap dimension must be an integer in \[2, 1000\], got 1001$"):
+        _parse_dims("999..1001", "gap")
     with pytest.raises(ValueError, match=r"got 1001$"):
         _parse_dims("2..1001", "step")
 
@@ -263,14 +265,14 @@ def test_sk_gap_curve_hyperuniform(capsys):
     assert min(values) >= -1e-7
 
 def test_threads_match_sequential_on_bad_dimension(capsys):
-    code1 = main(["table", "--dims", "2,301", "--model", "gap"])
+    code1 = main(["table", "--dims", "2,1001", "--model", "gap"])
     seq = capsys.readouterr()
-    code2 = main(["table", "--dims", "2,301", "--model", "gap", "--threads", "2"])
+    code2 = main(["table", "--dims", "2,1001", "--model", "gap", "--threads", "2"])
     par = capsys.readouterr()
     assert code1 == code2 == 2
     assert seq.out == par.out == ""
     assert seq.err == par.err
-    assert "301" in seq.err
+    assert "1001" in seq.err
 
 
 @pytest.mark.parametrize(
@@ -414,19 +416,13 @@ def test_asymptotics_dimension_capped_up_front(capsys, d):
     )
 
 
-@pytest.mark.parametrize("d", ["301", "1000"])
-def test_asymptotics_numeric_past_gap_range_rejected_up_front(capsys, monkeypatch, d):
-    def never(*args, **kwargs):
-        raise AssertionError("report built")
-
-    monkeypatch.setattr(cli.asym, "build_report", never)
-    assert main(["asymptotics", "--d", d]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"error: --d {d} is past the gap optimizer's last dimension 300; "
-        "add --skip-numeric to print the expansions alone\n"
-    )
+def test_asymptotics_numeric_runs_to_last_dimension(capsys):
+    # the numeric comparison needs no --skip-numeric at any asymptotics d
+    code, out = run_main(capsys, ["asymptotics", "--d", str(MAX_CLOSED_FORM_D)])
+    assert code == 0
+    rows = dict(line.split(",", 1) for line in out.splitlines()[1:])
+    assert float(rows["numeric.phi_star"]) == pytest.approx(1.067236e-228, rel=1e-6)
+    assert float(rows["numeric.phi_rel_err"]) < 5e-3
 
 
 def test_matern_tiny_horizon_prints_ideal_gas_g2(capsys):
@@ -470,11 +466,15 @@ def test_sk_kmax_checked(capsys, kmax):
         (["classical", "--dims", "5000"], "got 5000"),
         (["table", "--model", "step", "--dims", "2000"], "got 2000"),
         (["table", "--model", "delta", "--dims", "3,1100"], "got 1100"),
-        (["table", "--model", "gap", "--dims", "3,301", "--threads", "2"], "got 301"),
+        (["table", "--model", "gap", "--dims", "3,1001", "--threads", "2"], "got 1001"),
         (["table", "--model", "step", "--dims", "3,4", "--threads", "-4"], "--threads must be"),
         (
-            ["classical", "--dims", "299..301", "--terminal"],
-            "gap dimension must be an integer in [2, 300], got 301",
+            ["table", "--model", "gap", "--dims", "999..1001"],
+            "gap dimension must be an integer in [2, 1000], got 1001",
+        ),
+        (
+            ["classical", "--dims", "999..1001", "--terminal"],
+            "classical dimension must be an integer in [2, 1000], got 1001",
         ),
     ],
 )

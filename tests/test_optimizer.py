@@ -54,6 +54,14 @@ FULL_PRECISION_PINS = {
     200: (1.0085095230955499, 5.667099393635463e-44, 4.9586181107405414e17, 108.43902393683985),
 }
 
+# the same past the old gap range end d = 300, up to the last supported d
+HIGH_D_PINS = {
+    301: (1.0057389531771455, 4.580856830155581e-67, 1.0448212716354793e25, 160.17078577676145),
+    720: (1.0024509956737075, 9.307288704922118e-164, 2.99150112827559e54, 372.9558788534631),
+    834: (1.0021214086460246, 3.5289363063831244e-190, 2.3671399466413623e62, 430.61227942147417),
+    1000: (1.0017743137895403, 1.0672359618800132e-228, 6.732060182646678e73, 514.4694466484242),
+}
+
 
 def test_step_closed_form():
     for d in range(1, 65):
@@ -128,6 +136,15 @@ def test_gap_optimum_full_precision_pins(d, table_records):
     rec = table_records[d]
     got = (rec.sigma_star, rec.phi_star, rec.Z_star, rec.k_min)
     for name, value, pin in zip(("sigma*", "phi*", "Z*", "k_min"), got, FULL_PRECISION_PINS[d]):
+        assert value == pytest.approx(pin, rel=1e-10), f"{name} at d={d}"
+
+
+@pytest.mark.parametrize("d", sorted(HIGH_D_PINS))
+def test_gap_optimum_past_300_pins(d):
+    # d = 834 failed its tangency sign check while the kernel read 0 where jv underflows
+    rec = terminal_gap(d)
+    got = (rec.sigma_star, rec.phi_star, rec.Z_star, rec.k_min)
+    for name, value, pin in zip(("sigma*", "phi*", "Z*", "k_min"), got, HIGH_D_PINS[d]):
         assert value == pytest.approx(pin, rel=1e-10), f"{name} at d={d}"
 
 
@@ -222,7 +239,7 @@ def test_gap_tangency_requires_sign_change(monkeypatch):
 
 # k* at the gap optimum (t* = Z* + 1), to 0.1: past it the Landau envelope
 # keeps S > 0, against a grid end of 45.2, 53.1, 69.5, 124.2, 185.7 and 243.8
-TAIL_K_AT_OPTIMUM = {3: 14.1, 8: 11.8, 24: 20.0, 100: 60.3, 200: 112.1, 300: 163.4}
+TAIL_K_AT_OPTIMUM = {3: 14.1, 8: 11.8, 24: 20.0, 100: 60.3, 200: 112.1, 300: 163.4, 1000: 518.5}
 
 
 @pytest.mark.parametrize("d", sorted(TAIL_K_AT_OPTIMUM))
@@ -460,7 +477,7 @@ def test_domain_errors():
     with pytest.raises(ValueError):
         terminal_gap(1)
     with pytest.raises(ValueError):
-        terminal_gap(301)
+        terminal_gap(1001)
     with pytest.raises(ValueError):
         terminal_step(0)
     with pytest.raises(ValueError):
@@ -510,13 +527,13 @@ def test_delta_terminal_slope_is_one_kernel(d):
         assert abs(S(k) - (1 - lam(nu, k) - k * k * lam(nu + 1, k) / (4 * (nu + 1)))) < 1e-50
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 8, 24, 100, 357, 501, 700])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 24, 100, 357, 501, 700, 1000])
 def test_delta_minima_match_general_scan(d):
     # the oracle's two-kernel scan finds every interior minimum of S where the
     # certificate says S only rises before it, past nu + 2, and S >= 0 there;
     # it also lists a rounding flip next to k = 0, where S ~ k^4 / (32 (nu+1) (nu+2))
-    # has no minimum. Past d = 700 its difference of kernels flips where jv
-    # underflows, so d stops there.
+    # has no minimum. At d = 1000 (orders up to 502) its kernels no longer read
+    # 0 where jv underflows, so its difference of kernels has no spurious flips.
     phi = (d + 2.0) / 2.0 ** (d + 1)
     general = [(k, S) for k, S in structure_factor_minima(d, phi, 1.0, 0.5 * d) if k > 1e-3]
     assert general
@@ -526,8 +543,7 @@ def test_delta_minima_match_general_scan(d):
 
 @pytest.mark.parametrize("d", [720, 800, 1000])
 def test_delta_minima_skip_underflowed_kernels(d):
-    # where jv underflows past the series switch, the certificate reads no
-    # kernel, so no RuntimeWarning can surface
+    # the certificate reads no kernel, so no RuntimeWarning can surface
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert terminal_delta(d).Z_star == 0.5 * d

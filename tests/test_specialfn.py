@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from packbound.optimizer import _k_grid
 from packbound.specialfn import (
     LANDAU_C,
+    _series_end,
     bessel_j,
     bessel_lambda,
     first_zero,
@@ -169,11 +170,15 @@ def test_bessel_lambda_vectorized():
     assert np.all(np.abs(v) <= 1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("mu", [-0.5, 0.5, 1.0, 12.0, 49.0, 50.0, 51.0, 99.0, 100.0, 101.0, 150.0])
+@pytest.mark.parametrize(
+    "mu", [-0.5, 0.5, 1.0, 12.0, 49.0, 50.0, 51.0, 99.0, 100.0, 101.0, 150.0, 359.0, 400.0, 501.0]
+)
 def test_bessel_lambda_scalar_matches_array_bitwise(mu):
-    split = 2.0 * math.sqrt(mu + 1.0)
-    xs = [0.0, 1e-9, np.nextafter(split, 0.0), split, np.nextafter(split, np.inf)]
-    xs += list(np.linspace(0.0, 3.0 * split + 20.0, 401))
+    # the old split 2 sqrt(mu+1) and the series end, which leaves it from mu = 346 on
+    xs = [0.0, 1e-9]
+    for split in (2.0 * math.sqrt(mu + 1.0), _series_end(mu)):
+        xs += [np.nextafter(split, 0.0), split, np.nextafter(split, np.inf)]
+    xs += list(np.linspace(0.0, 3.0 * _series_end(mu) + 20.0, 401))
     for x in xs:
         via_array = bessel_lambda(mu, np.array([x]))[0]
         for scalar in (float(x), np.float64(x)):
@@ -183,20 +188,29 @@ def test_bessel_lambda_scalar_matches_array_bitwise(mu):
 
 
 def test_landau_envelope_bounds_kernel():
-    # log B_mu(x) >= log |L_mu(x)| for every order the gap scan reads (L_{nu-1}(k)
-    # and L_nu(k sigma), nu = d/2 for d = 2..300, and one order above), up to the
-    # largest k sigma it reads, at the scan grid's 16/pi points per unit. mpmath's
-    # hyp0f1 costs up to 1 ms a point there, so the grid reads the kernel (held
-    # to mpmath to 1e-12 above) and mpmath checks the three tightest grid
-    # points of each order. The bound is tight only at order 0, x = 0.78366
-    # (checked exactly below); from order 1/2 on, the peak of x^(1/3) |J_mu(x)|
-    # stays 5% or more below c, more than the grid can miss near a peak.
-    x_end = max(_k_grid(d)[-1] * (1.0 + 4.0 / d) for d in range(2, 301))
-    x = np.linspace(1e-3, x_end, int(x_end * 16.0 / math.pi))
+    # log B_mu(x) >= log |L_mu(x)| for the orders the gap scan reads (L_{nu-1}(k)
+    # and L_nu(k sigma), nu = d/2, and one order above): every order of
+    # d = 2..300 up to the largest k sigma read there, and every 12th order of
+    # d = 301..1000 up to the largest k sigma read at d = 1000, at the scan
+    # grid's 16/pi points per unit. mpmath's hyp0f1 costs up to 1 ms a point
+    # there, so the grid reads the kernel (held to mpmath to 1e-12 in
+    # test_bessel_lambda_matches_hyp0f1) and mpmath checks the three tightest
+    # grid points of each order. The bound is tight only at order 0,
+    # x = 0.78366 (checked exactly below); from order 1/2 on, the peak of
+    # x^(1/3) |J_mu(x)| stays 5% or more below c, more than the grid can miss
+    # near a peak. The kernel reads no 0 on the grid, so every margin is finite.
+    def grid_to(d_hi):
+        x_end = max(_k_grid(d)[-1] * (1.0 + 4.0 / d) for d in range(2, d_hi + 1))
+        return np.linspace(1e-3, x_end, int(x_end * 16.0 / math.pi))
+
+    x_300, x_1000 = grid_to(300), grid_to(1000)
+    orders = [(mu, x_300) for mu in np.arange(0.0, 151.5, 0.5)]
+    orders += [(mu, x_1000) for mu in np.r_[np.arange(153.0, 501.0, 12.0), 501.0]]
     with mpmath.workdps(20):
-        for mu in np.arange(0.0, 151.5, 0.5):
+        for mu, x in orders:
             with np.errstate(divide="ignore"):
                 margin = log_lambda_envelope(mu, x) - np.log(np.abs(bessel_lambda(mu, x)))
+            assert np.all(np.isfinite(margin)), (mu, x[~np.isfinite(margin)][0])
             assert margin.min() > 0.0, (mu, x[np.argmin(margin)], margin.min())
             for i in np.argsort(margin)[:3]:
                 ref = mpmath.hyp0f1(mu + 1, -mpmath.mpf(x[i]) ** 2 / 4)
@@ -207,6 +221,42 @@ def test_landau_envelope_bounds_kernel():
         float(bessel_j(0.0, j0_peak)), rel=1e-10
     )
     assert LANDAU_C == pytest.approx(0.785746870498513, rel=1e-10)
+
+
+def test_bessel_lambda_matches_hyp0f1():
+    # L_mu(x) = 0F1(; mu+1; -x^2/4) over every order the package reads (-1/2 at
+    # d = 1 up to nu + 2 at d = 1000) and x up to the end of the d = 1000 scan
+    # grid, and densely past 2 sqrt(mu+1), where jv is subnormal or 0 up to the
+    # series end from mu = 359 on (from 37.955 to 37.998 at 359, from 44.87 to
+    # 92.95 at 502). Relative to 1e-12 away from the kernel's zeros. Near
+    # a zero, jv's error is some x ulps of the local amplitude, here
+    # min(1, Landau's envelope): points closer to a zero than 4e-4 x of that
+    # amplitude are held to 1e-14 x of it instead (the worst seen is 2.5e-15 x).
+    x_end = _k_grid(1000)[-1]
+    orders = [-0.5, 0.0, 0.5, 1.0, 2.5, 10.0, 49.5, 100.5, 150.0, 151.0, 200.0, 250.5, 300.0]
+    orders += [340.0, 346.0, 359.0, 380.5, 400.0, 450.0, 499.0, 500.0, 501.0, 502.0]
+    with mpmath.workdps(30):
+        for mu in orders:
+            split = 2.0 * math.sqrt(mu + 1.0)
+            x = np.linspace(0.0, x_end, 61)
+            x = np.r_[x, split * (1.0 + np.geomspace(1e-5, 1.5, 30)), _series_end(mu)]
+            for xi, via_array in zip(x, bessel_lambda(mu, x)):
+                xi = float(xi)
+                ref = float(mpmath.hyp0f1(mu + 1, -mpmath.mpf(xi) ** 2 / 4))
+                amp = 1.0 if mu < 0.0 or xi == 0.0 else math.exp(min(0.0, log_lambda_envelope(mu, xi)))
+                for got in (via_array, bessel_lambda(mu, xi)):
+                    if abs(ref) >= 4e-4 * max(xi, 1.0) * amp:
+                        assert abs(got - ref) <= 1e-12 * abs(ref), (mu, xi, got, ref)
+                    else:
+                        assert abs(got - ref) <= 1e-14 * max(xi, 1.0) * amp, (mu, xi, got, ref)
+
+
+def test_bessel_lambda_order_capped():
+    # past order 502 the series' cancellation at its end outgrows 1e-12
+    assert bessel_lambda(502.0, 98.0) > 0.0
+    for mu in (502.5, 1000.0):
+        with pytest.raises(ValueError, match=r"kernel order out of supported range \[-0.5, 502\]"):
+            bessel_lambda(mu, 1.0)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1e-300, -2.0])

@@ -308,6 +308,25 @@ def test_yamada_gap_optimum_clean(d):
     assert yamada_check(model, dens, 10.0, n_grid=500).violations == []
 
 
+def test_gap_d300_rows_past_dbl_max_read_inf():
+    # at the d = 300 gap terminal the variance passes DBL_MAX from R = 7.49 on,
+    # while the expected count (from about e^660) stays finite up to e^700:
+    # those rows read inf with no overflow warning, and inf holds every bound
+    rec = terminal_gap(300)
+    model, dens = _gap_model(300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chk = yamada_check(model, dens, 10.0, phi_rel_err=rec.phi_rel_err)
+    over = np.isinf(chk.sigma2)
+    assert over.sum() == 59
+    assert np.isfinite(_expected_counts(300, dens.phi, chk.R[over])[1]).sum() > 10
+    assert chk.R[over].min() > chk.R[~over].max()
+    assert chk.violations == []
+    # an infinite count with a bracket <= 0 (a step model past its terminal) stays an error
+    with pytest.raises(OverflowError, match="expected count overflows at d=1000"):
+        number_variance(STEP, PackingDensity(1000, 0.5), 1.01)
+
+
 def test_gap_optimum_variance_grows_like_surface():
     for d in (2, 3):
         model, dens = _gap_model(d)
