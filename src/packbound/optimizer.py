@@ -15,15 +15,17 @@ The grid (_k_grid) only has to separate those roots, not resolve them, so it
 holds 16/pi points per unit k: Brent refines each bracket to 1e-12 in k.
 One scalar kernel (_tangency_terms) gives u, m and their slopes to N, to
 t = u/m and to the slope d(log t)/d(sigma) at the binding k, which the scan
-returns with t. That t keeps S >= 0 in two parts. Below the tail point k*
-it holds on the scan grid: where m <= 0, S = u - t m >= u >= 0 since
-|L| <= 1, and where m > 0, S = m (u/m - t) with t the smallest refined u/m.
-Past k* it holds for every k, by Landau's envelope B_mu of |L_mu|:
-S = 1 - t L_nu(k sigma) + (t - 1) L_{nu-1}(k) > 0 once
-t B_nu(k sigma) + (t - 1) B_{nu-1}(k) < 1 (_tail_k). So the scan runs up the
-grid and stops at the first point past k* that no open m > 0 window holds,
-recomputing k* each time t falls: a window that opened at or below k* is
-refined in full, and one that would open past k* is never evaluated.
+returns with t. That t keeps S >= 0 in two parts, split at the tail cut: the
+first grid index from which t B_nu(k sigma) + (t - 1) B_{nu-1}(k) < 1, with
+Landau's envelope B_mu of |L_mu| (_tail_cut). Below the cut it holds on the
+scan grid: where m <= 0, S = u - t m >= u >= 0 since |L| <= 1, and where
+m > 0, S = m (u/m - t) with t the smallest refined u/m. From the cut on it
+holds for every k, as S = 1 - t L_nu(k sigma) + (t - 1) L_{nu-1}(k) > 0 once
+that envelope sum is below 1. So the scan runs up the grid and stops at the
+first point at or past the cut that no open m > 0 window holds, recomputing
+the cut each time t falls: a window that opened below the cut is refined in
+full, and one that would open at or past it is never evaluated. At sigma*
+the cut must lie inside the grid, or S >= 0 is unproved past the grid end.
 The outer maximization of phi(sigma) = t(sigma)/(2 sigma)^d is one Brent
 root of the envelope derivative d(log t)/d(sigma) - d/sigma over the whole
 step-edge range [1, 1 + 4/d], one memoized scan per step edge; both roots
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,15 +157,6 @@ def _delta_log_phi(d: int) -> float:
     return math.log(d + 2.0) - (d + 1) * math.log(2.0)
 
 
-def _warn_near_grid_end(what: str, k: float, k_end: float) -> None:
-    if k > 0.98 * k_end:
-        warnings.warn(
-            f"{what} at k={k:.4f} sits within 2% of the grid end "
-            f"k={k_end:.4f}; grid may be too short",
-            RuntimeWarning,
-        )
-
-
 def terminal_step(d: int) -> TerminalDensityRecord:
     """phi* = 2^-d with sigma = 1, Z = 0; S(0) = 0 is the binding point."""
     d = check_dimension("step", d)
@@ -227,14 +219,16 @@ def _k_grid(d: int) -> np.ndarray:
     fewer than 750, so its spacing is at most pi/15.9. Brent refines every
     bracket to 1e-12, so the grid only has to separate roots, not resolve them.
     An m > 0 window that gap_feasible_t skips (under 5 points) is shorter than
-    5 spacings, about pi/3. At the optima of d = 2..1000 there are three, at
-    d = 5, 22 and 23, each cut off by the grid end, where u/m exceeds 600 t.
-    gap_feasible_t reads the grid only up to the window that closes after the
-    Landau tail point k* (_tail_k), so the grid end bounds the scan only while
-    t is infinite; at the optima k* lies at 11.2 (d = 5) to 518.5 (d = 1000),
-    against grid ends of 43.0 (d = 2) to 625.2 (d = 1000), and k_min stays
-    below 0.83 of the grid end (514.5 at d = 1000). The tests check S >= 0 at
-    each tabulated optimum at 512/pi points per unit up to the grid end.
+    5 spacings, about pi/3. gap_feasible_t reads the grid only up to the
+    window that closes at or past the Landau tail cut (_tail_cut), so the grid
+    end bounds the scan only while t is infinite. At the optima of d = 2..1000
+    the cut lies at kk[cut] = 11.2 (d = 5) to 518.6 (d = 1000), at most 0.844
+    of the grid end (d = 2), against grid ends of 43.0 (d = 2) to 625.2
+    (d = 1000), and k_min stays below 0.83 of the grid end (514.5 at
+    d = 1000). The scans at those optima meet no short window: the grid holds
+    three, at d = 5, 22 and 23, each cut off by the grid end, where u/m
+    exceeds 600 t, and each past the cut. The tests check S >= 0 at each
+    tabulated optimum at 512/pi points per unit up to the grid end.
     """
     nu = 0.5 * d
     k_hi = nu + 12.0 * max(nu, 1.0) ** (1.0 / 3.0) + 30.0
@@ -264,39 +258,21 @@ def _tangency_terms(d: int, sigma: float, k: float):
     return 1.0 - lam_nm1, lam_n_s - lam_nm1, up, mp, neg_m_sigma
 
 
-def _tail_k(d: int, sigma: float, t: float) -> float:
-    """k* of the step edge sigma at amplitude t >= 1: past it S = u - t m > 0 for every k.
+def _tail_cut(d: int, sigma: float, t: float, kk: np.ndarray) -> int:
+    """First index of kk from which S = u - t m > 0 for every k, at amplitude t >= 1.
 
     S = 1 - t L_nu(k sigma) + (t - 1) L_{nu-1}(k) >= 1 - t B_nu(k sigma) - (t - 1) B_{nu-1}(k)
     with B_mu = min(1, Landau's envelope). The envelope sum decreases in k, so
-    k* is the one Brent root (to 1e-12 in ln k) of the log of that sum,
-    bracketed by the k where both envelopes still read 1 and the k where each
-    term is 1/4. Infinite t gives k* = inf; t = 1 gives the lower bracket end.
+    the points where it is below 1 form a suffix of kk, and the cut is where
+    that suffix starts: kk.size if it is empty, as it always is for infinite t.
     """
-    if math.isinf(t):
-        return math.inf
     nu = 0.5 * d
-    log_t = math.log(t)
     log_t1 = math.log(t - 1.0) if t > 1.0 else -math.inf
-    log_sigma = math.log(sigma)
-
-    def log_sum(y):
-        k = math.exp(y)
-        return np.logaddexp(
-            log_t + min(0.0, log_lambda_envelope(nu, k * sigma)),
-            log_t1 + min(0.0, log_lambda_envelope(nu - 1.0, k)),
-        )
-
-    def log_x_at(mu, b):
-        # ln x where log B_mu(x) = b, as log B_mu(x) = log B_mu(1) - (mu + 1/3) ln x
-        return (log_lambda_envelope(mu, 1.0) - b) / (mu + 1.0 / 3.0)
-
-    lo = min(log_x_at(nu, 0.0) - log_sigma, log_x_at(nu - 1.0, 0.0))
-    if log_sum(lo) <= 0.0:
-        return math.exp(lo)
-    ln4 = math.log(4.0)
-    hi = max(log_x_at(nu, -log_t - ln4) - log_sigma, log_x_at(nu - 1.0, -log_t1 - ln4))
-    return math.exp(brentq(log_sum, lo, hi, xtol=1e-12, maxiter=200))
+    log_sum = np.logaddexp(
+        math.log(t) + np.minimum(0.0, log_lambda_envelope(nu, kk * sigma)),
+        log_t1 + np.minimum(0.0, log_lambda_envelope(nu - 1.0, kk)),
+    )
+    return kk.size - int(np.count_nonzero(log_sum < 0.0))
 
 
 def gap_feasible_t(d: int, sigma: float):
@@ -309,9 +285,9 @@ def gap_feasible_t(d: int, sigma: float):
 
     The scan runs up the grid, evaluating m _SCAN_CHUNK points at a time and
     refining each m > 0 window once it closes. It stops at the first grid point
-    past k* = _tail_k(d, sigma, best t so far) that no open window holds: a
-    window that opened at or below k* is finished, and one that would open
-    past k* holds no u/m below t.
+    at or past the tail cut (_tail_cut at the best t so far) that no open
+    window holds: a window that opened below the cut is finished, and one that
+    would open at or past it holds no u/m below t.
     """
     nu = 0.5 * d
     t_quad = math.inf
@@ -334,11 +310,8 @@ def gap_feasible_t(d: int, sigma: float):
         uk, mk, up, mp, _ = terms(k)
         return up * mk - uk * mp
 
-    def first_past_tail(t):
-        return int(np.searchsorted(kk, _tail_k(d, sigma, t), side="right"))
-
     best_t, best_k = t_quad, 0.0
-    cut = first_past_tail(best_t)
+    cut = _tail_cut(d, sigma, best_t, kk)
     i = 0
     while i < cut:
         if i == done:
@@ -350,7 +323,7 @@ def gap_feasible_t(d: int, sigma: float):
         a = i + int(pos[0])
         if a >= cut:
             break
-        # the window [a, e) opened at or below k*: read on to its close
+        # the window [a, e) opened below the cut: read on to its close
         e = a + 1
         while True:
             closed = np.flatnonzero(m[e:done] <= 0.0)
@@ -384,7 +357,7 @@ def gap_feasible_t(d: int, sigma: float):
             t_cand = uu / mm
             if 1.0 <= t_cand < best_t:
                 best_t, best_k = t_cand, k_root
-                cut = first_past_tail(best_t)
+                cut = _tail_cut(d, sigma, best_t, kk)
     if best_k == 0.0:
         return best_t, best_k, 2.0 * d * sigma / ((d + 2.0) - d * sigma * sigma)
     _, mm, _, _, neg_m_sigma = terms(best_k)
@@ -400,7 +373,9 @@ def terminal_gap(d: int) -> TerminalDensityRecord:
     d, so the whole range is the bracket. Z* is the contact weight that makes
     S(0) = 0 exactly. The record's k_min is the binding tangency of the scan
     at sigma*, checked with structure_factor_gap; a scan that finds no binding
-    constraint at sigma* (t* infinite) is a RuntimeError. Pure function of d; memoized
+    constraint at sigma* (t* infinite) is a RuntimeError, and so is a grid that
+    ends before the Landau tail cut at sigma*, past which S >= 0 would be
+    unproved. Pure function of d; memoized
     since several commands and the test suite ask for the same dimensions
     repeatedly.
     """
@@ -424,6 +399,12 @@ def terminal_gap(d: int) -> TerminalDensityRecord:
     t_star, k_bind, _ = feasible(sigma_star)
     if not math.isfinite(t_star):
         raise RuntimeError(f"no binding constraint at d={d}, sigma*={sigma_star:.12g}")
+    kk = _sigma_free_kernels(d)[0]
+    if _tail_cut(d, sigma_star, t_star, kk) == kk.size:
+        raise RuntimeError(
+            f"grid ends at k={kk[-1]:.4f}, short of the Landau tail cut at d={d}, "
+            f"sigma*={sigma_star:.12g}: S >= 0 is unproved past the grid end"
+        )
     log_phi = math.log(t_star) - d * math.log(2.0 * sigma_star)
     phi_star = math.exp(log_phi)
     Z_star = hyperuniform_Z(d, phi_star, sigma_star)
@@ -438,7 +419,6 @@ def terminal_gap(d: int) -> TerminalDensityRecord:
             f"optimum at d={d} fails the structure-factor tangency check: "
             f"|S({k_bind:.6f})| = {residual:.3e}"
         )
-    _warn_near_grid_end("binding tangency", k_bind, _sigma_free_kernels(d)[0][-1])
     return TerminalDensityRecord(
         d=d,
         sigma_star=float(sigma_star),

@@ -25,7 +25,7 @@ from scipy.special import gammaln, jv
 from packbound.asymptotics import solve_constants
 from packbound.geometry import _cd, _check_dr, beta2
 from packbound.models import PackingDensity, RadialModel, _step_amplitude, structure_factor_gap
-from packbound.optimizer import _sigma_free_kernels, _tangency_terms, _warn_near_grid_end
+from packbound.optimizer import _sigma_free_kernels, _tangency_terms
 from packbound.rootfind import brentq
 from packbound.specialfn import (
     A1,
@@ -358,8 +358,6 @@ def structure_factor_minima(d: int, phi: float, sigma: float, Z: float):
     for i in flips:
         km = brentq(D, kk[i], kk[i + 1], xtol=1e-12, maxiter=200)
         out.append((float(km), float(structure_factor_gap(d, phi, sigma, Z, km))))
-    if out:
-        _warn_near_grid_end("deepest minimum", min(out, key=lambda p: p[1])[0], kk[-1])
     return out
 
 
@@ -367,7 +365,7 @@ def gap_feasible_t_full(d: int, sigma: float):
     """gap_feasible_t as it was before the tail cut: m on the whole _k_grid(d).
 
     Every m > 0 window of the grid is refined, however far past the Landau
-    tail point k* it lies, so it returns the same (t, k, dlog_t) as the
+    tail cut it lies, so it returns the same (t, k, dlog_t) as the
     program's scan only if the cut drops nothing that could bind.
     """
     nu = 0.5 * d

@@ -15,7 +15,8 @@ from packbound.optimizer import (
     TerminalDensityRecord,
     _delta_tail_bound,
     _k_grid,
-    _tail_k,
+    _sigma_free_kernels,
+    _tail_cut,
     classical_bounds,
     gap_feasible_t,
     terminal_delta,
@@ -196,19 +197,22 @@ def test_gap_optimum_fails_tangency_check(monkeypatch, capsys):
     assert err.startswith("numerical failure: optimum at d=5 fails the structure-factor tangency")
 
 
-def test_gap_binding_tangency_near_grid_end_warns(monkeypatch):
+def test_gap_grid_ending_before_tail_cut_raises(monkeypatch):
     import packbound.optimizer as opt
 
     rec = terminal_gap(5)
-    # a scan grid that ends 1% past the binding tangency
+    # a scan grid that ends 1% past the binding tangency, short of the Landau
+    # tail cut (11.2), so S >= 0 is left unproved past its end
     monkeypatch.setattr(opt, "_k_grid", lambda d: np.linspace(1e-9, 1.01 * rec.k_min, 3000))
     opt._sigma_free_kernels.cache_clear()
     try:
-        with pytest.warns(RuntimeWarning, match="binding tangency at k=5.2971 sits within 2%"):
-            short = opt.terminal_gap.__wrapped__(5)
+        with pytest.raises(
+            RuntimeError,
+            match=r"grid ends at k=5\.3500, short of the Landau tail cut at d=5, sigma\*=1\.186928",
+        ):
+            opt.terminal_gap.__wrapped__(5)
     finally:
         opt._sigma_free_kernels.cache_clear()
-    assert short.k_min == pytest.approx(rec.k_min, rel=1e-9)
 
 
 def test_d2_kink_switches_binding_tangency():
@@ -231,24 +235,29 @@ def test_gap_tangency_requires_sign_change(monkeypatch):
     monkeypatch.setattr(opt, "bessel_lambda", lambda mu, x: real(mu, x) if np.ndim(x) else 0.0)
     with pytest.raises(RuntimeError, match="tangency numerator does not change sign") as err:
         opt.gap_feasible_t(5, 1.2)
-    # the check ran on a window below k*, which the tail cut never drops
+    # the check ran on a window that opened below the tail cut, which the scan never drops
     monkeypatch.undo()
     k = float(str(err.value).split("k=")[1].split()[0])
-    assert k < _tail_k(5, 1.2, gap_feasible_t(5, 1.2)[0])
+    kk = _sigma_free_kernels(5)[0]
+    assert k < kk[_tail_cut(5, 1.2, gap_feasible_t(5, 1.2)[0], kk)]
 
 
-# k* at the gap optimum (t* = Z* + 1), to 0.1: past it the Landau envelope
-# keeps S > 0, against a grid end of 45.2, 53.1, 69.5, 124.2, 185.7 and 243.8
-TAIL_K_AT_OPTIMUM = {3: 14.1, 8: 11.8, 24: 20.0, 100: 60.3, 200: 112.1, 300: 163.4, 1000: 518.5}
+# the grid point kk[cut] of _tail_cut at the gap optimum (t* = Z* + 1), to
+# 0.01: from it on the Landau envelope keeps S > 0, against a grid end of 45.2,
+# 53.0, 69.5, 124.2, 185.7, 243.8 and 625.2
+TAIL_CUT_AT_OPTIMUM = {
+    3: 14.13, 8: 11.83, 24: 20.03, 100: 60.36, 200: 112.32, 300: 163.55, 1000: 518.58
+}
 
 
-@pytest.mark.parametrize("d", sorted(TAIL_K_AT_OPTIMUM))
+@pytest.mark.parametrize("d", sorted(TAIL_CUT_AT_OPTIMUM))
 def test_tail_k_at_gap_optimum(d):
     rec = terminal_gap(d)
     sigma, t = rec.sigma_star, rec.Z_star + 1.0
-    k_star = _tail_k(d, sigma, t)
-    assert round(k_star, 1) == TAIL_K_AT_OPTIMUM[d]
-    assert rec.k_min < k_star < _k_grid(d)[-1]
+    kk = _sigma_free_kernels(d)[0]
+    cut = _tail_cut(d, sigma, t, kk)
+    assert 0 < cut < kk.size and rec.k_min < kk[cut - 1]
+    assert round(kk[cut], 2) == TAIL_CUT_AT_OPTIMUM[d]
 
     def envelope_sum(k):
         def bound(mu, x):
@@ -256,18 +265,17 @@ def test_tail_k_at_gap_optimum(d):
 
         return t * bound(0.5 * d, k * sigma) + (t - 1.0) * bound(0.5 * d - 1.0, k)
 
-    assert envelope_sum(k_star) == pytest.approx(1.0, rel=1e-9)
-    assert envelope_sum(1.001 * k_star) < 1.0 < envelope_sum(0.999 * k_star)
-    # S itself stays clear of 0 from k* to past the grid end
-    kk = np.linspace(k_star, 2.0 * _k_grid(d)[-1], 4000)
-    assert structure_factor_gap(d, rec.phi_star, sigma, rec.Z_star, kk).min() > 0.0
-    assert _tail_k(d, sigma, math.inf) == math.inf
+    assert envelope_sum(kk[cut]) < 1.0 <= envelope_sum(kk[cut - 1])
+    # S itself stays clear of 0 from kk[cut] to past the grid end
+    far = np.linspace(kk[cut], 2.0 * kk[-1], 4000)
+    assert structure_factor_gap(d, rec.phi_star, sigma, rec.Z_star, far).min() > 0.0
+    assert _tail_cut(d, sigma, math.inf, kk) == kk.size
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 8, 12, 24, 56, 100, 200, 300])
 def test_tail_cut_scan_matches_full_grid_oracle(d):
-    # the scan that stops past k* returns the bits of the full-grid scan, at the
-    # ends of the step-edge range and on both sides of the optimum
+    # the scan that stops past the tail cut returns the bits of the full-grid
+    # scan, at the ends of the step-edge range and on both sides of the optimum
     sigma = terminal_gap(d).sigma_star
     got = {}
     for s in (1.0 + 1e-9, sigma - 1e-9, sigma, sigma + 1e-9, 1.0 + 2.0 / d, 1.0 + 4.0 / d):
@@ -302,19 +310,19 @@ def test_scan_stops_after_window_through_tail_k(monkeypatch):
     # the grid points where L_nu(k sigma) was read: one run from the start
     read = np.searchsorted(kk * sigma, np.concatenate(grid_x))
     assert np.array_equal(read, np.arange(read.size))
-    # the m > 0 windows of the full grid, and the one that closes after k*
+    # the m > 0 windows of the full grid, and the one that closes at or past the cut
     m = real(nu, kk * sigma) - lam_nm1_k
     edges = np.flatnonzero(np.diff((m > 0.0).astype(int))) + 1
     opens, closes = edges[m[edges] > 0.0], edges[m[edges] <= 0.0]
-    k_star = _tail_k(d, sigma, t)
-    close = closes[kk[closes] > k_star][0]
+    cut = opt._tail_cut(d, sigma, t, kk)
+    close = closes[closes >= cut][0]
     next_open = opens[opens > close][0]
     assert kk[close] < kk[next_open] < kk[-1]
     # the scan read through that close and stopped in the gap after it, so no
     # point of a later window was read and no tangency past it refined
     assert close <= read[-1] < next_open
     assert read.size < 0.6 * kk.size
-    assert k_bind < k_star and max(point_x) <= kk[close] * sigma
+    assert k_bind < kk[cut] and max(point_x) <= kk[close] * sigma
 
 
 def test_sigma_free_kernels_read_only():
@@ -342,6 +350,7 @@ def test_d12_first_minimum_is_deepest():
     assert minima
     depths = [s for _, s in minima]
     assert depths[0] == min(depths)
+    assert minima[0][0] < 0.98 * oracle_k_grid(12)[-1]
 
 
 def test_minima_refined_to_stationarity(table_records):
@@ -368,6 +377,8 @@ def test_deepest_minimum_is_binding_tangency(d, table_records):
     _, k_bind, _ = gap_feasible_t(d, rec.sigma_star)
     assert rec.k_min == k_bind
     assert abs(k_deep - k_bind) <= 1e-9
+    # well inside the oracle's grid (at most 0.59 of its end, at d = 200)
+    assert k_deep < 0.98 * oracle_k_grid(d)[-1]
 
 
 @pytest.mark.parametrize(
@@ -539,6 +550,8 @@ def test_delta_minima_match_general_scan(d):
     assert general
     for k, S in general:
         assert k > 0.5 * d + 2.0 and S >= -1e-9, (k, S)
+    # the deepest minimum lies inside the grid (at most 0.85 of its end, at d = 1000)
+    assert min(general, key=lambda p: p[1])[0] < 0.98 * oracle_k_grid(d)[-1]
 
 
 @pytest.mark.parametrize("d", [720, 800, 1000])
