@@ -30,12 +30,12 @@ import functools
 import math
 from dataclasses import asdict, dataclass
 
-from scipy.special import ai_zeros, gammaln
+from scipy.special import ai_zeros, gammaln, jv
 
 from .models import hyperuniform_Z
 from .optimizer import DIMENSION_RANGE, check_dimension, terminal_gap
 from .rootfind import brentq
-from .specialfn import A1, A2, A3, bessel_j, first_zero
+from .specialfn import A1, A2, A3, first_zero
 
 __all__ = [
     "AsymptoticConstants",
@@ -205,9 +205,9 @@ def beta_ratio_exact(d) -> float:
     nu = 0.5 * d
     x0 = first_zero(nu)
     y0 = first_zero(nu + 1)
-    b1 = 0.5 * (bessel_j(nu - 1, x0) - bessel_j(nu + 1, x0))
-    b2 = 0.5 * (bessel_j(nu, y0) - bessel_j(nu + 2, y0))
-    return b1 / b2
+    b1 = 0.5 * (jv(nu - 1, x0) - jv(nu + 1, x0))
+    b2 = 0.5 * (jv(nu, y0) - jv(nu + 2, y0))
+    return float(b1 / b2)
 
 
 def delta_nu_terms(d):
@@ -236,7 +236,7 @@ def delta_nu_terms(d):
 def delta_nu_exact(d, sigma, k) -> float:
     """J_nu(k sigma)/sigma^nu - k J_{nu-1}(k)/d, evaluated directly."""
     nu = 0.5 * d
-    return bessel_j(nu, k * sigma) / sigma**nu - k * bessel_j(nu - 1, k) / d
+    return float(jv(nu, k * sigma) / sigma**nu - k * jv(nu - 1, k) / d)
 
 
 def phi_from_optimum(d, sigma, k) -> float:

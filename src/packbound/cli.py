@@ -88,13 +88,18 @@ def _parse_dims(text: str, kind: str) -> list[int]:
     spans = []
     for token in text.split(","):
         token = token.strip()
-        if ".." in token:
-            lo, hi = (int(v) for v in token.split("..", 1))
-            if hi < lo:
-                raise ValueError(f"empty dimension span {token!r}")
-            spans.append((lo, hi))
-        elif token:
-            spans.append((int(token), int(token)))
+        if not token:
+            continue
+        try:
+            if ".." in token:
+                lo, hi = (int(v) for v in token.split("..", 1))
+            else:
+                lo = hi = int(token)
+        except ValueError:
+            raise ValueError(f"--dims must be integers or lo..hi spans, got {token!r}") from None
+        if hi < lo:
+            raise ValueError(f"empty dimension span {token!r}")
+        spans.append((lo, hi))
     if not spans:
         raise ValueError("no dimensions given")
     for lo, hi in spans:

@@ -372,10 +372,10 @@ def terminal_gap(d: int) -> TerminalDensityRecord:
     positive at sigma = 1 + 1e-9 and negative at 1 + 4/d for every supported
     d, so the whole range is the bracket. Z* is the contact weight that makes
     S(0) = 0 exactly. The record's k_min is the binding tangency of the scan
-    at sigma*, checked with structure_factor_gap; a scan that finds no binding
-    constraint at sigma* (t* infinite) is a RuntimeError, and so is a grid that
-    ends before the Landau tail cut at sigma*, past which S >= 0 would be
-    unproved. Pure function of d; memoized
+    at sigma*, checked with structure_factor_gap; a grid that ends before the
+    Landau tail cut at (sigma*, t*), past which S >= 0 would be unproved, is a
+    RuntimeError. A scan that finds no binding constraint (t* = inf) always
+    fails it: no grid reaches the cut of an infinite t. Pure function of d; memoized
     since several commands and the test suite ask for the same dimensions
     repeatedly.
     """
@@ -397,13 +397,11 @@ def terminal_gap(d: int) -> TerminalDensityRecord:
     sigma_star = brentq(g, a, b, xtol=1e-12, maxiter=200)
 
     t_star, k_bind, _ = feasible(sigma_star)
-    if not math.isfinite(t_star):
-        raise RuntimeError(f"no binding constraint at d={d}, sigma*={sigma_star:.12g}")
     kk = _sigma_free_kernels(d)[0]
     if _tail_cut(d, sigma_star, t_star, kk) == kk.size:
         raise RuntimeError(
             f"grid ends at k={kk[-1]:.4f}, short of the Landau tail cut at d={d}, "
-            f"sigma*={sigma_star:.12g}: S >= 0 is unproved past the grid end"
+            f"sigma*={sigma_star:.12g}, t*={t_star:.12g}: S >= 0 is unproved past the grid end"
         )
     log_phi = math.log(t_star) - d * math.log(2.0 * sigma_star)
     phi_star = math.exp(log_phi)

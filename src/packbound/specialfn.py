@@ -1,8 +1,9 @@
-"""Bessel J of real order, its first zeros, and n-sphere geometry.
+"""The normalized Bessel kernel, the first zeros of J_nu, and n-sphere geometry.
 
-Bessel evaluation is delegated to scipy's AMOS-backed ``jv``, except where
-the normalized kernel bessel_lambda sums its ascending series instead: below
-one switch point per order (_series_end), past which jv is a normal double.
+The kernel and the zeros share one order cap (_LAMBDA_MU_MAX). Both read
+scipy's AMOS-backed ``jv``, except where the kernel bessel_lambda sums its
+ascending series instead: below one switch point per order (_series_end),
+past which jv is a normal double.
 (Closed half-integer forms, the Watson asymptotic form and the large-order
 zero expansion survive only as oracles in the tests.) Landau's bound
 |J_mu(x)| <= c x^(-1/3) gives a closed-form envelope of the normalized
@@ -21,7 +22,6 @@ from scipy.special import gammaln, jv
 from .rootfind import brentq
 
 __all__ = [
-    "bessel_j",
     "bessel_lambda",
     "log_lambda_envelope",
     "first_zero",
@@ -40,8 +40,6 @@ A1 = 1.8557571
 A2 = 1.033150
 A3 = -0.003971
 
-_NU_MAX = 1.0e4
-
 #: Landau's constant (J. London Math. Soc. 61, 2000): |J_mu(x)| <= c x^(-1/3)
 #: for every mu >= 0 and x > 0. It is the supremum of x^(1/3) J_0(x),
 #: 0.78574687049851... at x = 0.78366, rounded up.
@@ -53,27 +51,18 @@ _LN_LANDAU_C = math.log(LANDAU_C)
 # double (DBL_MIN is 2.2e-308) wherever jv is read
 _LN_JV_FLOOR = math.log(1e-290)
 
-# largest bessel_lambda order: nu + 2 at d = 1000, the most any caller reads.
-# The series holds 3.3e-13 of mpmath at its end x_u at this order, but its
+# largest order of bessel_lambda and first_zero: nu + 2 at d = 1000, the most
+# any caller reads. The series holds 3.3e-13 of mpmath at its end x_u at this order, but its
 # cancellation grows fast past it (7e-10 at order 600, garbage at 1000)
 _LAMBDA_MU_MAX = 502.0
 
 
-def _check_order(nu) -> float:
-    nu = float(nu)
-    if not math.isfinite(nu) or nu < 0.0 or nu > _NU_MAX:
-        raise ValueError(f"Bessel order out of supported range [0, {_NU_MAX:g}]: {nu}")
-    return nu
-
-
-def bessel_j(nu: float, x):
-    """J_nu(x) for real order nu >= 0 and x >= 0 (scalar or ndarray)."""
-    nu = _check_order(nu)
-    xa = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xa)) or np.any(xa < 0.0):
-        raise ValueError("bessel_j argument must be finite and nonnegative")
-    out = jv(nu, xa)
-    return float(out) if xa.ndim == 0 else out
+def _order_in_range(mu, lo: float, what: str) -> float:
+    """mu as a float, or ValueError unless lo <= mu <= _LAMBDA_MU_MAX (NaN fails)."""
+    mu = float(mu)
+    if not lo <= mu <= _LAMBDA_MU_MAX:
+        raise ValueError(f"{what} order out of supported range [{lo:g}, {_LAMBDA_MU_MAX:g}]: {mu}")
+    return mu
 
 
 def bessel_lambda(mu: float, x):
@@ -100,9 +89,7 @@ def bessel_lambda(mu: float, x):
     operations on plain floats, bitwise equal to the array route but without
     its per-call array overhead.
     """
-    mu = float(mu)
-    if not math.isfinite(mu) or mu < -0.5 or mu > _LAMBDA_MU_MAX:
-        raise ValueError(f"kernel order out of supported range [-0.5, {_LAMBDA_MU_MAX:g}]: {mu}")
+    mu = _order_in_range(mu, -0.5, "kernel")
     if isinstance(x, float):
         return _bessel_lambda_scalar(mu, x)
     xa = np.asarray(x, dtype=float)
@@ -127,9 +114,7 @@ def bessel_lambda(mu: float, x):
 
     xl = xa[~small]
     if xl.size:
-        j = jv(mu, xl)
-        mag = mu * LN2 + gammaln(mu + 1.0) + np.log(np.abs(j) + 1e-320) - mu * np.log(xl)
-        out[~small] = np.sign(j) * np.exp(mag)
+        out[~small] = _lambda_via_jv(mu, xl)
 
     return float(out[0]) if scalar else out
 
@@ -153,9 +138,14 @@ def _bessel_lambda_scalar(mu: float, x: float) -> float:
             if abs(term) <= 1e-17 * abs(acc):
                 break
         return float(acc)
+    return float(_lambda_via_jv(mu, x))
+
+
+def _lambda_via_jv(mu: float, x):
+    """bessel_lambda past _series_end(mu): jv in log space, the sign carried apart."""
     j = jv(mu, x)
     mag = mu * LN2 + gammaln(mu + 1.0) + np.log(np.abs(j) + 1e-320) - mu * np.log(x)
-    return float(np.sign(j) * np.exp(mag))
+    return np.sign(j) * np.exp(mag)
 
 
 def log_lambda_envelope(mu: float, x):
@@ -174,11 +164,9 @@ def first_zero(nu: float) -> float:
     Walks right from x = nu (J_nu is positive there) in steps small enough
     that the first sign change cannot be skipped, then polishes with Brent.
     The search cap nu + 3 nu^(1/3) + 4 sits well past the first zero at
-    every order.
+    every order. Orders run from 1/2 (d = 1) to 502, bessel_lambda's cap.
     """
-    nu = _check_order(nu)
-    if nu < 0.5:
-        raise ValueError("first_zero supports nu >= 0.5 (d >= 1)")
+    nu = _order_in_range(nu, 0.5, "first_zero")
     cap = nu + 3.0 * nu ** (1.0 / 3.0) + 4.0
     step = 0.25 * max(nu, 1.0) ** (1.0 / 3.0)
     a = nu
@@ -195,15 +183,20 @@ def first_zero(nu: float) -> float:
     )
 
 
-def log_sphere_volume(d: int, R: float) -> float:
-    """log of the d-volume of a radius-R ball; -inf at R=0."""
+def _check_ball(d, r: float) -> int:
+    """d as an int, or ValueError unless d is a positive integer and r >= 0."""
     if d < 1 or d != int(d):
         raise ValueError(f"dimension must be a positive integer, got {d}")
-    if R < 0.0:
+    if r < 0.0:
         raise ValueError("radius must be nonnegative")
+    return int(d)
+
+
+def log_sphere_volume(d: int, R: float) -> float:
+    """log of the d-volume of a radius-R ball; -inf at R=0."""
+    d = _check_ball(d, R)
     if R == 0.0:
         return -math.inf
-    d = int(d)
     return 0.5 * d * LNPI - gammaln(1.0 + 0.5 * d) + d * math.log(R)
 
 
@@ -215,11 +208,7 @@ def sphere_volume(d: int, R: float) -> float:
 
 def sphere_surface(d: int, r: float) -> float:
     """Surface content 2 pi^(d/2) r^(d-1) / Gamma(d/2) of the d-ball boundary."""
-    if d < 1 or d != int(d):
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    if r < 0.0:
-        raise ValueError("radius must be nonnegative")
-    d = int(d)
+    d = _check_ball(d, r)
     if r == 0.0:
         return 2.0 if d == 1 else 0.0
     return math.exp(0.5 * d * LNPI - gammaln(0.5 * d) + LN2 + (d - 1) * math.log(r))

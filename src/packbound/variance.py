@@ -65,6 +65,9 @@ _THETA_TOL = 1e-8
 #: radii it adds on top are capped at twice this)
 MAX_R_GRID = 2**20
 
+# rounding slack below 0 that a computed number variance may show
+_SIGMA2_TOL = 1e-12
+
 # the J(X) series for X < 1/2: each term is at most half the one before, so
 # its tail after this many terms is below 2^-60 of the sum
 _J_SERIES_TERMS = 60
@@ -81,7 +84,7 @@ class VarianceCheck:
     def __post_init__(self):
         if len(self.R) != len(self.sigma2) or len(self.R) != len(self.yamada_bound):
             raise ValueError("grid and value arrays must have equal length")
-        if np.min(self.sigma2) < -1e-12:
+        if np.min(self.sigma2) < -_SIGMA2_TOL:
             raise ValueError(f"negative variance entry: {np.min(self.sigma2):.3e}")
         if np.min(self.yamada_bound) < 0.0 or np.max(self.yamada_bound) > 0.25 + 1e-15:
             raise ValueError("yamada bound entries must lie in [0, 1/4]")
@@ -218,7 +221,9 @@ def yamada_check(
     """Test sigma^2(R) >= theta(1-theta) on (R0, R_max]; collect violating R.
 
     n_grid must satisfy 2 <= n_grid <= MAX_R_GRID (2^20); a larger grid raises
-    ValueError before anything is allocated. phi_rel_err is the relative error
+    ValueError before anything is allocated. A negative sigma^2, where the
+    bracket of number_variance cancels at large R, is a RuntimeError that
+    names the first such R. phi_rel_err is the relative error
     of a numeric density (TerminalDensityRecord.phi_rel_err); the counts it
     leaves unresolved get the bound 1/4 (fractional_count_bound).
     """
@@ -230,6 +235,13 @@ def yamada_check(
         raise ValueError(f"R_max={R_max} must be finite and exceed R0={R0:.6g}")
     rr = _r_grid(d, phi, R0, R_max, n_grid)
     sigma2 = number_variance(model, density, rr)
+    negative = np.flatnonzero(sigma2 < -_SIGMA2_TOL)
+    if negative.size:
+        i = negative[0]
+        raise RuntimeError(
+            f"number variance {sigma2[i]:.3e} is negative at R={rr[i]:.7g}, the first "
+            "such radius: its bracket cancels at this window size"
+        )
     bounds = fractional_count_bound(_expected_counts(d, phi, rr)[1], phi_rel_err)
     violations = [float(r) for r in rr[sigma2 < bounds - 1e-10]]
     return VarianceCheck(R=rr, sigma2=sigma2, yamada_bound=bounds, R0=R0, violations=violations)

@@ -31,8 +31,6 @@ from packbound.specialfn import (
     A1,
     A2,
     A3,
-    _check_order,
-    bessel_j,
     bessel_lambda,
     first_zero,
     log_sphere_volume,
@@ -139,9 +137,9 @@ def zero_asymptotic(nu: float, which: str = "x0") -> float:
     which shifts the leading term by 1 and adds +-(a1/(3 nu^(2/3)) -
     a2/(3 nu^(4/3))) from differentiating the fractional powers.
     """
-    nu = _check_order(nu)
-    if nu < 10.0:
-        raise ValueError("asymptotic zero expansion is wired for nu >= 10")
+    nu = float(nu)
+    if not 10.0 <= nu < math.inf:
+        raise ValueError(f"asymptotic zero expansion is wired for finite nu >= 10, got {nu}")
     t13 = nu ** (1.0 / 3.0)
     base = nu + A1 * t13 + A2 / t13 + A3 / nu
     if which == "x0":
@@ -157,8 +155,9 @@ def zero_asymptotic(nu: float, which: str = "x0") -> float:
 
 def watson_j(nu: float, x: float) -> float:
     """One-term Watson asymptotic A_nu(x) cos(omega_nu(x) - pi/4) for x > nu."""
-    nu = _check_order(nu)
-    x = float(x)
+    nu, x = float(nu), float(x)
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"Watson form needs a finite order nu >= 0, got {nu}")
     if not math.isfinite(x) or x <= nu:
         raise ValueError(f"Watson form needs x > nu (oscillatory region); got x={x}, nu={nu}")
     w = math.sqrt(x * x - nu * nu)
@@ -309,9 +308,9 @@ def c_exact_triple(nu):
     x0 = first_zero(nu)
     y0 = first_zero(nu + 1)
     z0 = first_zero(nu - 1)
-    b1 = 0.5 * (bessel_j(nu - 1, x0) - bessel_j(nu + 1, x0))
-    b2 = 0.5 * (bessel_j(nu, y0) - bessel_j(nu + 2, y0))
-    b3 = 0.5 * (bessel_j(nu - 2, z0) - bessel_j(nu, z0))
+    b1 = 0.5 * (jv(nu - 1, x0) - jv(nu + 1, x0))
+    b2 = 0.5 * (jv(nu, y0) - jv(nu + 2, y0))
+    b3 = 0.5 * (jv(nu - 2, z0) - jv(nu, z0))
     return (b1, b2, b3)
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -342,6 +343,22 @@ def test_yamada_csv_violated_column(capsys):
     assert n_true == len(chk.violations)
 
 
+@pytest.mark.parametrize(
+    "model, Rmax, first",
+    [("delta", "1e20", "-3.750e-01 is negative at R=7.147872e+13"),
+     ("step", "1e300", "-6.292e+108 is negative at R=1.106849e+122")],
+)
+def test_yamada_negative_variance_is_numerical_failure(capsys, model, Rmax, first):
+    # the bracket of number_variance cancels at large R; the first negative
+    # sigma^2 is reported once, as a numerical failure and not as bad usage
+    assert main(["yamada", "--model", model, "--d", "1", "--Rmax", Rmax]) == 3
+    assert capsys.readouterr() == (
+        "",
+        f"numerical failure: number variance {first}, the first such radius: "
+        "its bracket cancels at this window size\n",
+    )
+
+
 def test_matern_hist_and_centers_csv(capsys, tmp_path):
     centers = tmp_path / "centers.csv"
     code, out = run_main(capsys, ["matern", "--d", "2", "--L", "12", "--T", "5", "--kappa", "1",
@@ -476,6 +493,15 @@ def test_sk_kmax_checked(capsys, kmax):
             ["classical", "--dims", "999..1001", "--terminal"],
             "classical dimension must be an integer in [2, 1000], got 1001",
         ),
+        (
+            ["table", "--model", "step", "--dims", "1e3"],
+            "--dims must be integers or lo..hi spans, got '1e3'",
+        ),
+        (
+            ["table", "--model", "gap", "--dims", "3,4..five"],
+            "--dims must be integers or lo..hi spans, got '4..five'",
+        ),
+        (["classical", "--dims", "56,60.0"], "--dims must be integers or lo..hi spans, got '60.0'"),
     ],
 )
 def test_bad_table_input_rejected_up_front(capsys, monkeypatch, argv, bad):
@@ -711,7 +737,7 @@ def test_table_failure_reported_on_stderr(capsys, monkeypatch, tmp_path, threads
     gap = ["table", "--model", "gap", "--dims", "3..4", "--threads", threads]
     msg = (
         "grid ends at k=47.1191, short of the Landau tail cut at d=4, "
-        "sigma*=1.21259000644: S >= 0 is unproved past the grid end"
+        "sigma*=1.21259000644, t*=14.7101621244: S >= 0 is unproved past the grid end"
     )
     assert main(gap) == 3
     shown = capsys.readouterr()
@@ -823,12 +849,18 @@ def coarse_k_grid(monkeypatch):
 
 
 def test_gap_without_binding_constraint_is_numerical_failure(capsys, coarse_k_grid):
-    with pytest.raises(RuntimeError, match="no binding constraint at d=80"):
+    # no constraint binds on the coarse grid, so t* is infinite and no grid
+    # reaches the Landau tail cut
+    msg = (
+        "grid ends at k=111.0394, short of the Landau tail cut at d=80, "
+        "sigma*=1.01318208925, t*=inf: S >= 0 is unproved past the grid end"
+    )
+    with pytest.raises(RuntimeError, match=re.escape(msg)):
         terminal_gap.__wrapped__(80)
     assert main(["table", "--model", "gap", "--dims", "80"]) == 3
     shown = capsys.readouterr()
-    assert "\n# error d=80: no binding constraint at d=80" in shown.out
-    assert shown.err.startswith("numerical failure: d=80: no binding constraint")
+    assert f"\n# error d=80: {msg}\n" in shown.out
+    assert shown.err == f"numerical failure: d=80: {msg}\n"
 
 
 def _run_quiet(argv):

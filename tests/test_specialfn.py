@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
-from packbound.optimizer import _k_grid
+from packbound.optimizer import MAX_CLOSED_FORM_D, _k_grid
 from packbound.specialfn import (
     LANDAU_C,
+    _LAMBDA_MU_MAX,
     _series_end,
-    bessel_j,
     bessel_lambda,
     first_zero,
     log_lambda_envelope,
@@ -26,13 +27,15 @@ mpmath.mp.dps = 30
 # float(mpmath.besseljzero(350, 1)) at mp.dps = 30, computed once: the call
 # itself takes 20-30 s
 FIRST_ZERO_350 = 363.2246603159874
+# and float(mpmath.besseljzero(502, 1)), at the largest order first_zero reads
+FIRST_ZERO_502 = 516.878751388572
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, 10.0, 100.5, 350.0])
 def test_bessel_j_against_mpmath(nu):
     for x in [0.01, 0.9, 3.7, 25.0, 180.0, 2000.0]:
         ref = float(mpmath.besselj(nu, x))
-        got = bessel_j(nu, x)
+        got = jv(nu, x)
         if abs(ref) > 1e-280:
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-13)
         else:
@@ -40,27 +43,16 @@ def test_bessel_j_against_mpmath(nu):
 
 
 def test_bessel_j_pinned_values():
-    assert bessel_j(0.5, math.pi) == pytest.approx(0.0, abs=1e-13)
-    assert bessel_j(0.5, math.pi / 2) == pytest.approx(2.0 / math.pi, rel=1e-12)
+    assert jv(0.5, math.pi) == pytest.approx(0.0, abs=1e-13)
+    assert jv(0.5, math.pi / 2) == pytest.approx(2.0 / math.pi, rel=1e-12)
     # near-zero absolute accuracy at a first zero of large order
-    assert abs(bessel_j(100, 108.8361659)) < 1e-10
-
-
-def test_bessel_j_domain_errors():
-    with pytest.raises(ValueError):
-        bessel_j(1.0, -0.1)
-    with pytest.raises(ValueError):
-        bessel_j(1.0, math.nan)
-    with pytest.raises(ValueError):
-        bessel_j(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        bessel_j(2e4, 1.0)
+    assert abs(jv(100, 108.8361659)) < 1e-10
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.5])
 def test_half_integer_closed_forms(nu):
     x = np.linspace(0.01, 100.0, 757)
-    prod = bessel_j(nu, x)
+    prod = jv(nu, x)
     closed = bessel_j_half(nu, x)
     # relative where the function is not at a node, absolute at the nodes
     assert np.allclose(prod, closed, rtol=1e-12, atol=1e-14)
@@ -70,7 +62,7 @@ def test_half_integer_5_2():
     # the 5/2 closed form loses digits to cancellation below x ~ 1, so only
     # compare where it is itself good
     x = np.linspace(1.0, 100.0, 400)
-    assert np.allclose(bessel_j(2.5, x), bessel_j_half(2.5, x), rtol=1e-11, atol=1e-13)
+    assert np.allclose(jv(2.5, x), bessel_j_half(2.5, x), rtol=1e-11, atol=1e-13)
 
 
 def test_derivative_identity():
@@ -80,9 +72,9 @@ def test_derivative_identity():
         nu = rng.uniform(0.0, 12.0)
         x = rng.uniform(0.5, 30.0)
         h = 1e-6 * max(1.0, x)
-        f = lambda t: bessel_j(nu, t) / t**nu
+        f = lambda t: jv(nu, t) / t**nu
         lhs = (f(x + h) - f(x - h)) / (2.0 * h)
-        rhs = -bessel_j(nu + 1.0, x) / x**nu
+        rhs = -jv(nu + 1.0, x) / x**nu
         assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-12 / x**nu)
 
 
@@ -105,7 +97,7 @@ def test_zero_triple_ordering(nu):
     y0 = first_zero(nu + 1.0)
     assert z0 < x0 < y0
     for order, zero in ((nu - 1.0, z0), (nu, x0), (nu + 1.0, y0)):
-        assert abs(bessel_j(order, zero)) < 1e-10
+        assert abs(jv(order, zero)) < 1e-10
 
 
 def test_zero_asymptotic_pinned():
@@ -123,8 +115,11 @@ def test_zero_asymptotic_tracks_first_zero(nu):
 
 
 def test_zero_errors():
-    with pytest.raises(ValueError):
-        first_zero(0.3)
+    # first_zero reads the kernel's order range, up to nu + 2 at d = 1000
+    assert first_zero(502.0) == pytest.approx(FIRST_ZERO_502, abs=1e-9)
+    for nu in (0.3, 502.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"first_zero order out of supported range \[0.5, 502\]"):
+            first_zero(nu)
     with pytest.raises(ValueError):
         zero_asymptotic(5.0, "x0")
     with pytest.raises(ValueError):
@@ -136,7 +131,7 @@ def test_watson_bands():
     # point, so the bands below are ~3x the measured one-term residual
     for nu, x, band in [(0.5, 10.0, 3.5e-2), (0.5, 50.0, 8e-3), (100.0, 200.0, 4e-3), (100.0, 400.0, 3e-4)]:
         amp = math.sqrt(2.0 / (math.pi * math.sqrt(x * x - nu * nu)))
-        assert abs(watson_j(nu, x) - bessel_j(nu, x)) < band * amp
+        assert abs(watson_j(nu, x) - jv(nu, x)) < band * amp
     # near the exact zero the phase is right even this close to the turning point
     x0 = 108.8361659
     amp = math.sqrt(2.0 / (math.pi * math.sqrt(x0 * x0 - 100.0**2)))
@@ -218,7 +213,7 @@ def test_landau_envelope_bounds_kernel():
     # the bound is attained at order 0: c is the maximum of x^(1/3) J_0(x)
     j0_peak = 0.78366281850347
     assert math.exp(log_lambda_envelope(0.0, j0_peak)) == pytest.approx(
-        float(bessel_j(0.0, j0_peak)), rel=1e-10
+        float(jv(0.0, j0_peak)), rel=1e-10
     )
     assert LANDAU_C == pytest.approx(0.785746870498513, rel=1e-10)
 
@@ -252,7 +247,9 @@ def test_bessel_lambda_matches_hyp0f1():
 
 
 def test_bessel_lambda_order_capped():
-    # past order 502 the series' cancellation at its end outgrows 1e-12
+    # past order 502 the series' cancellation at its end outgrows 1e-12; 502 is
+    # nu + 2 at the largest dimension, so the two caps cannot drift apart
+    assert _LAMBDA_MU_MAX == MAX_CLOSED_FORM_D / 2 + 2
     assert bessel_lambda(502.0, 98.0) > 0.0
     for mu in (502.5, 1000.0):
         with pytest.raises(ValueError, match=r"kernel order out of supported range \[-0.5, 502\]"):
