@@ -21,7 +21,9 @@ The compact ("dominant") forms of the density and kissing bounds keep only
 the exponential rate and the d^(1/6) prefactor; they omit a 2^(o(d)) factor
 (about e^(a1 nu^(1/3))) that the full expansion retains, so at finite d they
 sit orders of magnitude below the full forms. Order-of-magnitude comparisons
-against the numeric optimizer therefore go through form="full".
+against the numeric optimizer therefore go through phi_star_asymptotic, the
+full density expansion, and the kissing number Z = (2 sigma)^d phi - 1 that
+build_report forms from it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import asdict, dataclass
 from scipy.special import ai_zeros, gammaln, jv
 
 from .models import hyperuniform_Z
-from .optimizer import DIMENSION_RANGE, check_dimension, terminal_gap
+from .optimizer import check_dimension, terminal_gap
 from .rootfind import brentq
 from .specialfn import A1, A2, A3, first_zero
 
@@ -49,7 +51,8 @@ __all__ = [
     "delta_nu_exact",
     "phi_from_optimum",
     "phi_star_asymptotic",
-    "kissing_asymptotic",
+    "phi_star_dominant",
+    "kissing_compact",
     "build_report",
 ]
 
@@ -155,14 +158,7 @@ def solve_constants() -> AsymptoticConstants:
     )
 
 
-def _check_d(d):
-    lo = DIMENSION_RANGE["asymptotics"][0]
-    if d < lo:
-        raise ValueError(f"expansion is asymptotic; requires d >= {lo}, got {d}")
-
-
 def sigma_star_asymptotic(d) -> float:
-    _check_d(d)
     c = solve_constants()
     nu = 0.5 * d
     return 1.0 + c.q1 / nu + c.q2 / nu ** (5.0 / 3.0)
@@ -174,27 +170,14 @@ def kmin_linearized(d, x0, y0, sigma, beta_ratio) -> float:
     return x0 - d * (y0 - sigma * x0) / (beta_ratio * sigma ** (nu - 1) * x0 - d * sigma)
 
 
-def kmin_asymptotic(d, variant="expansion") -> float:
-    """Binding wavenumber, either the direct expansion or the linearized form.
-
-    The linearized variant evaluates the tangency formula at the numeric first
-    zeros, the asymptotic sigma* and the exact beta ratio; kmin_linearized
-    takes external inputs.
-    """
-    _check_d(d)
+def kmin_asymptotic(d) -> float:
+    """Binding wavenumber from its direct expansion."""
     c = solve_constants()
     nu = 0.5 * d
-    if variant == "expansion":
-        return nu + c.a1 * nu ** (1.0 / 3.0) + c.Q1 + c.a2 / nu ** (1.0 / 3.0)
-    if variant == "linearized":
-        return kmin_linearized(
-            d, first_zero(nu), first_zero(nu + 1), sigma_star_asymptotic(d), beta_ratio_exact(d)
-        )
-    raise ValueError(f"unknown variant {variant!r}")
+    return nu + c.a1 * nu ** (1.0 / 3.0) + c.Q1 + c.a2 / nu ** (1.0 / 3.0)
 
 
 def beta_ratio_asymptotic(d) -> float:
-    _check_d(d)
     c = solve_constants()
     nu = 0.5 * d
     return 1.0 + 2.0 / (3.0 * nu) - 2.0 * c.C2 / (3.0 * c.C1 * nu ** (5.0 / 3.0))
@@ -216,7 +199,6 @@ def delta_nu_terms(d):
     Evaluated with the dominant-tier D constants, which is the combination
     the quoted reference predictions at d = 200 correspond to.
     """
-    _check_d(d)
     c = solve_constants()
     nu = 0.5 * d
     d1 = _D1(c.C1, c.q1)
@@ -243,7 +225,7 @@ def phi_from_optimum(d, sigma, k) -> float:
     """Density from the zero-tangency relation at (sigma, k), in log space.
 
     phi = k^nu / (8^nu Gamma(1+nu) sigma^(2 nu) Delta_nu), Delta_nu from
-    delta_nu_exact; a nonpositive Delta_nu raises ValueError. This is S(k) = 0
+    delta_nu_exact; a nonpositive Delta_nu raises RuntimeError. This is S(k) = 0
     with Z = (2 sigma)^d phi - 1 at large d: it drops a factor
     1 - Lambda_{nu-1}(k), which at the numeric optimum is 1 - 1e-3 at d = 20
     and 1 - 2e-10 at d = 100.
@@ -251,7 +233,7 @@ def phi_from_optimum(d, sigma, k) -> float:
     nu = 0.5 * d
     delta = delta_nu_exact(d, sigma, k)
     if delta <= 0.0:
-        raise ValueError(f"tangency combination is not positive at k={k}: {delta:.3e}")
+        raise RuntimeError(f"tangency combination is not positive at k={k}: {delta:.3e}")
     log_phi = (
         nu * math.log(k)
         - 3 * nu * math.log(2.0)
@@ -262,22 +244,10 @@ def phi_from_optimum(d, sigma, k) -> float:
     return math.exp(log_phi)
 
 
-def phi_star_asymptotic(d, form="full") -> float:
-    """Asymptotic terminal density.
-
-    form="full" is the complete expansion (dominant-tier D constants);
-    form="dominant" is the compact rate-and-prefactor bound built on the
-    refined D1, orders of magnitude below the full form at finite d (see the
-    module docstring).
-    """
-    _check_d(d)
+def phi_star_asymptotic(d) -> float:
+    """Asymptotic terminal density: the full expansion (dominant-tier D constants)."""
     c = solve_constants()
     nu = 0.5 * d
-    if form == "dominant":
-        coef = 1.0 / (2.0 ** (2.0 / 3.0) * c.D1 * math.sqrt(math.pi))
-        return coef * d ** (1.0 / 6.0) * math.exp(-c.phi_exponent * d * math.log(2.0))
-    if form != "full":
-        raise ValueError(f"unknown form {form!r}")
     d1 = _D1(c.C1, c.q1)
     expo = (3 - LOG2E) * nu - LOG2E * c.a1 * nu ** (1.0 / 3.0) + (2 * c.q1 - c.Q1) * LOG2E
     bracket = (
@@ -293,53 +263,53 @@ def phi_star_asymptotic(d, form="full") -> float:
     )
 
 
-def kissing_asymptotic(d, form="compact") -> float:
-    """Asymptotic terminal kissing number.
-
-    form="compact" is the quoted coefficient-times-rate bound (refined D1);
-    form="full" routes through the full density expansion via
-    Z = (2 sigma)^d phi - 1 and is the one comparable to the numeric optimum
-    in magnitude.
-    """
-    _check_d(d)
+def phi_star_dominant(d) -> float:
+    """Compact rate-and-prefactor density bound on the refined D1, orders of
+    magnitude below the full expansion at finite d (see the module docstring)."""
     c = solve_constants()
-    if form == "compact":
-        coef = 2.0 ** (1.0 / 3.0) * math.exp(2 * c.q1) / (c.D1 * math.sqrt(math.pi))
-        return coef * d ** (1.0 / 6.0) * math.exp(c.kiss_exponent * d * math.log(2.0))
-    if form != "full":
-        raise ValueError(f"unknown form {form!r}")
-    sigma = sigma_star_asymptotic(d)
-    phi = phi_star_asymptotic(d, form="full")
-    return hyperuniform_Z(d, phi, sigma)
+    coef = 1.0 / (2.0 ** (2.0 / 3.0) * c.D1 * math.sqrt(math.pi))
+    return coef * d ** (1.0 / 6.0) * math.exp(-c.phi_exponent * d * math.log(2.0))
+
+
+def kissing_compact(d) -> float:
+    """Compact coefficient-times-rate kissing bound on the refined D1."""
+    c = solve_constants()
+    coef = 2.0 ** (1.0 / 3.0) * math.exp(2 * c.q1) / (c.D1 * math.sqrt(math.pi))
+    return coef * d ** (1.0 / 6.0) * math.exp(c.kiss_exponent * d * math.log(2.0))
 
 
 def build_report(d, include_numeric=True) -> dict:
     """All constants, expansion predictions, and numeric comparisons at d.
 
-    d must lie in DIMENSION_RANGE["asymptotics"], checked before any work.
+    d must pass check_dimension("asymptotics", d), before any work: the one
+    range check of this module, which every command reaches through here.
     """
     check_dimension("asymptotics", d)
     c = solve_constants()
+    nu = 0.5 * d
     delta, kpow, sigpow = delta_nu_terms(d)
     sigma = sigma_star_asymptotic(d)
-    k_lin = kmin_asymptotic(d, "linearized")
+    beta_exact = beta_ratio_exact(d)
+    k_exp = kmin_asymptotic(d)
+    k_lin = kmin_linearized(d, first_zero(nu), first_zero(nu + 1), sigma, beta_exact)
+    phi_full = phi_star_asymptotic(d)
     report = {
         "d": d,
         "constants": asdict(c),
         "predictions": {
             "sigma_star": sigma,
-            "kmin_expansion": kmin_asymptotic(d, "expansion"),
+            "kmin_expansion": k_exp,
             "kmin_linearized": k_lin,
             "beta_ratio_asymptotic": beta_ratio_asymptotic(d),
-            "beta_ratio_exact": beta_ratio_exact(d),
+            "beta_ratio_exact": beta_exact,
             "delta_nu": delta,
             "kmin_over_nu_pow": kpow,
             "sigma_star_pow": sigpow,
-            "phi_star_full": phi_star_asymptotic(d, "full"),
-            "phi_star_dominant": phi_star_asymptotic(d, "dominant"),
+            "phi_star_full": phi_full,
+            "phi_star_dominant": phi_star_dominant(d),
             "phi_star_from_linearized_kmin": phi_from_optimum(d, sigma, k_lin),
-            "kissing_compact": kissing_asymptotic(d, "compact"),
-            "kissing_full": kissing_asymptotic(d, "full"),
+            "kissing_compact": kissing_compact(d),
+            "kissing_full": hyperuniform_Z(d, phi_full, sigma),
         },
     }
     if d == 200:
@@ -361,7 +331,6 @@ def build_report(d, include_numeric=True) -> dict:
         }
     if include_numeric:
         rec = terminal_gap(int(d))
-        phi_full = report["predictions"]["phi_star_full"]
         report["numeric"] = {
             "sigma_star": rec.sigma_star,
             "Z_star": rec.Z_star,
@@ -371,6 +340,6 @@ def build_report(d, include_numeric=True) -> dict:
             "phi_from_optimum": phi_from_optimum(d, rec.sigma_star, rec.k_min),
             "sigma_rel_err": abs(sigma - rec.sigma_star) / rec.sigma_star,
             "phi_rel_err": abs(phi_full - rec.phi_star) / rec.phi_star,
-            "kmin_abs_err": abs(report["predictions"]["kmin_expansion"] - rec.k_min),
+            "kmin_abs_err": abs(k_exp - rec.k_min),
         }
     return report

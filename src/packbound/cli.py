@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from functools import partial
 
 # packbound never calls BLAS: set before numpy loads, so OpenBLAS starts no idle threads
@@ -291,21 +292,9 @@ def cmd_classical(args) -> tuple[str, int]:
     dims = _parse_dims(args.dims, "classical")
     rows = []
     for d in dims:
-        b = classical_bounds(d)
         phi_star = terminal_gap(d).phi_star if args.terminal else None
-        rows.append(
-            {
-                "d": d,
-                "minkowski": b.minkowski,
-                "ball": b.ball,
-                "greedy": b.greedy,
-                "blichfeldt": b.blichfeldt,
-                "rogers": b.rogers,
-                "kl": b.kabatiansky_levenshtein,
-                "densest_known": b.densest_known,
-                "phi_star": phi_star,
-            }
-        )
+        # the record's fields in order, then phi_star: CLASSICAL_COLUMNS
+        rows.append({**asdict(classical_bounds(d)), "phi_star": phi_star})
     if args.format == "json":
         return _dump({"command": "classical", "rows": rows}), 0
     return _csv(CLASSICAL_COLUMNS, ([r[c] for c in CLASSICAL_COLUMNS] for r in rows)), 0

@@ -140,7 +140,7 @@ class MaternResult:
 
     def __post_init__(self):
         if self.phi_hat > 1.0:
-            raise ValueError(f"density estimate {self.phi_hat} exceeds 1")
+            raise RuntimeError(f"density estimate {self.phi_hat} exceeds 1")
 
 
 def phi_of_t(d: int, t: float) -> float:
@@ -343,7 +343,7 @@ def _pair_histogram(acc: np.ndarray, L: float, bins: int) -> tuple[np.ndarray, n
     r = _pair_distances(acc, L)
     # the packing check: every pair closer than 1 is among the pairs within _RMAX
     if r.size and r.min() < 1.0 - 1e-12:
-        raise ValueError("accepted configuration is not a valid packing")
+        raise RuntimeError("accepted configuration is not a valid packing")
     counts, _ = np.histogram(r, bins=edges)
     return counts.astype(np.int64), edges
 

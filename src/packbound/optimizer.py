@@ -122,9 +122,9 @@ class TerminalDensityRecord:
 
     def __post_init__(self):
         if not (0.0 < self.phi_star <= 1.0):
-            raise ValueError(f"terminal density must lie in (0,1], got {self.phi_star}")
+            raise RuntimeError(f"terminal density must lie in (0,1], got {self.phi_star}")
         if self.sigma_star < 1.0:
-            raise ValueError("sigma_star must be >= 1")
+            raise RuntimeError("sigma_star must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ class ClassicalBounds:
     greedy: float
     blichfeldt: float
     rogers: float
-    kabatiansky_levenshtein: float
+    kl: float
     densest_known: float | None = None
 
 
@@ -449,6 +449,6 @@ def classical_bounds(d: int) -> ClassicalBounds:
         greedy=2.0**-d,
         blichfeldt=(0.5 * d + 1.0) * 2.0 ** (-0.5 * d),
         rogers=(d / math.e) * 2.0 ** (-0.5 * d),
-        kabatiansky_levenshtein=2.0 ** (-0.5990 * d),
+        kl=2.0 ** (-0.5990 * d),
         densest_known=DENSEST_KNOWN.get(d),
     )

@@ -30,7 +30,8 @@ The Yamada condition sigma^2 >= theta(1-theta), theta the fractional part of
 the expected count rho v1(R), only binds for windows larger than
 R0 = phi^(-1/d)/2 (below R0 the exact x(1-x) form saturates it). The checker
 walks a geometric R grid, densified with the worst-case radii where the
-expected count is half-integer (theta = 1/2).
+expected count is half-integer (theta = 1/2), and fails at the first radius
+where the bracket's estimated rounding error reaches the printed digits.
 """
 
 from __future__ import annotations
@@ -65,8 +66,16 @@ _THETA_TOL = 1e-8
 #: radii it adds on top are capped at twice this)
 MAX_R_GRID = 2**20
 
-# rounding slack below 0 that a computed number variance may show
-_SIGMA2_TOL = 1e-12
+# relative error of a number variance past which yamada_check reports its
+# digits as lost, well below the half unit in the 7th digit that is printed
+_SIGMA2_RTOL = 5e-8
+
+# rounding error of the bracket 1 - 2^d phi I + Z alpha2, in units of eps times
+# the summed magnitudes of its terms, that does not grow with R; with the
+# 2 d ln(2R) of yamada_check's estimate added, the estimate is at least 2.8
+# times the error against exact rational variances (step and delta terminals,
+# d = 1 and 3, 6,000 radii up to R = 1e12)
+_BRACKET_ULPS = 8.0
 
 # the J(X) series for X < 1/2: each term is at most half the one before, so
 # its tail after this many terms is below 2^-60 of the sum
@@ -83,13 +92,11 @@ class VarianceCheck:
 
     def __post_init__(self):
         if len(self.R) != len(self.sigma2) or len(self.R) != len(self.yamada_bound):
-            raise ValueError("grid and value arrays must have equal length")
-        if np.min(self.sigma2) < -_SIGMA2_TOL:
-            raise ValueError(f"negative variance entry: {np.min(self.sigma2):.3e}")
+            raise RuntimeError("grid and value arrays must have equal length")
         if np.min(self.yamada_bound) < 0.0 or np.max(self.yamada_bound) > 0.25 + 1e-15:
-            raise ValueError("yamada bound entries must lie in [0, 1/4]")
+            raise RuntimeError("yamada bound entries must lie in [0, 1/4]")
         if any(r <= self.R0 for r in self.violations):
-            raise ValueError("violations must lie beyond R0")
+            raise RuntimeError("violations must lie beyond R0")
 
 
 def _expected_counts(d: int, phi: float, rr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,11 +228,13 @@ def yamada_check(
     """Test sigma^2(R) >= theta(1-theta) on (R0, R_max]; collect violating R.
 
     n_grid must satisfy 2 <= n_grid <= MAX_R_GRID (2^20); a larger grid raises
-    ValueError before anything is allocated. A negative sigma^2, where the
-    bracket of number_variance cancels at large R, is a RuntimeError that
-    names the first such R. phi_rel_err is the relative error
-    of a numeric density (TerminalDensityRecord.phi_rel_err); the counts it
-    leaves unresolved get the bound 1/4 (fractional_count_bound).
+    ValueError before anything is allocated. sigma^2 = rho v1(R) B(R) with the
+    bracket B = 1 - 2^d phi I + Z alpha2 a difference of O(1) terms that cancels
+    to O(1/R); where its estimated rounding error passes 5e-8 of sigma^2, a
+    RuntimeError names the first such R. A negative sigma^2 with its digits
+    intact is a violated row. phi_rel_err is the relative error of a numeric
+    density (TerminalDensityRecord.phi_rel_err); the counts it leaves
+    unresolved get the bound 1/4 (fractional_count_bound).
     """
     if not 2 <= n_grid <= MAX_R_GRID:
         raise ValueError(f"need 2 <= grid points <= {MAX_R_GRID}, got {n_grid}")
@@ -235,13 +244,23 @@ def yamada_check(
         raise ValueError(f"R_max={R_max} must be finite and exceed R0={R0:.6g}")
     rr = _r_grid(d, phi, R0, R_max, n_grid)
     sigma2 = number_variance(model, density, rr)
-    negative = np.flatnonzero(sigma2 < -_SIGMA2_TOL)
-    if negative.size:
-        i = negative[0]
+    counts = _expected_counts(d, phi, rr)[1]
+    # the bracket's rounding error: _BRACKET_ULPS eps of its terms' summed
+    # magnitude 2 (1 + Z alpha2) - B, plus 2 d ln(2R) eps of it from
+    # exponentiating log-space sums whose two parts are each about d ln(2R)
+    # (rows of infinite sigma^2 print no digits and hold every bound)
+    f = np.isfinite(sigma2)
+    bracket = np.divide(sigma2, counts, out=np.ones_like(rr), where=f)
+    terms = 2.0 * (1.0 + model.Z * alpha2(d, 0.5 / rr, 0.5)) - bracket
+    err = np.finfo(float).eps * (_BRACKET_ULPS + 2.0 * d * np.log(2.0 * rr)) * terms
+    lost = np.flatnonzero(f & (err > _SIGMA2_RTOL * np.abs(bracket)))
+    if lost.size:
+        i = lost[0]
         raise RuntimeError(
-            f"number variance {sigma2[i]:.3e} is negative at R={rr[i]:.7g}, the first "
-            "such radius: its bracket cancels at this window size"
+            f"number variance {sigma2[i]:.3e} at R={rr[i]:.7g}, the first radius where it is "
+            f"not known to {_SIGMA2_RTOL:.0e} relative: its bracket cancels to "
+            f"{abs(bracket[i] / terms[i]):.1e} of its terms"
         )
-    bounds = fractional_count_bound(_expected_counts(d, phi, rr)[1], phi_rel_err)
+    bounds = fractional_count_bound(counts, phi_rel_err)
     violations = [float(r) for r in rr[sigma2 < bounds - 1e-10]]
     return VarianceCheck(R=rr, sigma2=sigma2, yamada_bound=bounds, R0=R0, violations=violations)

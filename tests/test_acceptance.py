@@ -155,7 +155,7 @@ def test_acceptance_asymptotic_constants(table_records):
     if abs(c.D1 - 0.1084878572) > 1e-8:
         failures.append(f"D1 = {c.D1:.12f} vs quoted 0.1084878572 (tol 1e-8)")
 
-    phi_pred = phi_star_asymptotic(200, form="full")
+    phi_pred = phi_star_asymptotic(200)
     if abs(phi_pred / 5.626727001e-44 - 1.0) > 1e-8:
         failures.append(f"asymptotic phi(200) = {phi_pred:.10e} vs quoted 5.626727001e-44")
     phi_num = table_records[200].phi_star

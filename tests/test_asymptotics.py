@@ -10,14 +10,16 @@ from packbound.asymptotics import (
     build_report,
     delta_nu_exact,
     delta_nu_terms,
-    kissing_asymptotic,
+    kissing_compact,
     kmin_asymptotic,
     kmin_linearized,
     phi_from_optimum,
     phi_star_asymptotic,
+    phi_star_dominant,
     sigma_star_asymptotic,
     solve_constants,
 )
+from packbound.models import hyperuniform_Z
 from packbound.optimizer import terminal_gap
 
 from oracle_routes import c_exact_triple, c_expansions
@@ -84,8 +86,6 @@ def test_sigma_star_expansion():
     assert sigma_star_asymptotic(200) == pytest.approx(1.008482538, abs=2e-9)
     assert abs(sigma_star_asymptotic(200) - 1.008510) < 3e-5
     assert sigma_star_asymptotic(1e9) == pytest.approx(1.0, abs=1e-8)
-    with pytest.raises(ValueError):
-        sigma_star_asymptotic(10)
 
 
 def test_kmin_expansion_and_linearized():
@@ -94,10 +94,9 @@ def test_kmin_expansion_and_linearized():
     # reproduction of the quoted evaluation with its external inputs
     k = kmin_linearized(200, 108.8361659, 109.8640469, 1.008510, 1.003189733)
     assert k == pytest.approx(108.4368917, abs=1e-5)
-    # in-house variant stays in the same neighborhood
-    assert kmin_asymptotic(200, "linearized") == pytest.approx(108.44, abs=0.05)
-    with pytest.raises(ValueError):
-        kmin_asymptotic(200, "quadratic")
+    # the report's own evaluation stays in the same neighborhood
+    pred = build_report(200, include_numeric=False)["predictions"]
+    assert pred["kmin_linearized"] == pytest.approx(108.44, abs=0.05)
 
 
 def test_beta_ratio():
@@ -144,27 +143,25 @@ def test_exact_evaluations_at_quoted_point():
 
 
 def test_phi_from_optimum_rejects_nonpositive_tangency():
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         phi_from_optimum(2, 1.0, 5.520078)
 
 
 def test_phi_star_full_and_dominant():
     c = solve_constants()
-    assert phi_star_asymptotic(200, "full") == pytest.approx(5.626727001e-44, rel=1e-8)
+    assert phi_star_asymptotic(200) == pytest.approx(5.626727001e-44, rel=1e-8)
     coef = 1.0 / (2.0 ** (2.0 / 3.0) * c.D1 * math.sqrt(math.pi))
     assert coef == pytest.approx(3.276100896, rel=1e-8)
-    dom = phi_star_asymptotic(200, "dominant")
+    dom = phi_star_dominant(200)
     assert dom == pytest.approx(coef * 200 ** (1.0 / 6.0) * 2.0 ** (-c.phi_exponent * 200),
                                 rel=1e-12)
-    with pytest.raises(ValueError):
-        phi_star_asymptotic(200, "exact")
 
 
 def test_phi_star_vs_numeric(table_records):
-    full = phi_star_asymptotic(200, "full")
+    full = phi_star_asymptotic(200)
     assert abs(full / table_records[200].phi_star - 1.0) < 0.01
     errs = [
-        abs(phi_star_asymptotic(d, "full") / table_records[d].phi_star - 1.0)
+        abs(phi_star_asymptotic(d) / table_records[d].phi_star - 1.0)
         for d in (80, 100, 125, 150, 175, 200)
     ]
     assert errs[-1] < 0.05
@@ -175,7 +172,7 @@ def test_phi_star_vs_numeric(table_records):
 def test_phi_star_full_vs_numeric_past_300(d):
     # the full expansion tracks the direct optimum up to the last supported d
     # (4.1e-3 at d = 301, 1.8e-3 at d = 1000)
-    assert abs(phi_star_asymptotic(d, "full") / terminal_gap(d).phi_star - 1.0) < 5e-3
+    assert abs(phi_star_asymptotic(d) / terminal_gap(d).phi_star - 1.0) < 5e-3
 
 
 def test_kissing_bound():
@@ -183,10 +180,12 @@ def test_kissing_bound():
     coef = 2.0 ** (1.0 / 3.0) * math.exp(2 * c.q1) / (c.D1 * math.sqrt(math.pi))
     assert coef == pytest.approx(40.24850787, rel=1e-8)
     # the compact form drops a 2^(o(d)) factor; magnitude comparisons against
-    # the numeric optimum go through the full route
-    z_full = kissing_asymptotic(200, "full")
+    # the numeric optimum go through Z = (2 sigma)^d phi - 1 of the full expansion
+    pred = build_report(200, include_numeric=False)["predictions"]
+    z_full = pred["kissing_full"]
+    assert z_full == hyperuniform_Z(200, pred["phi_star_full"], pred["sigma_star"])
     assert abs(math.log10(z_full / 4.959086e17)) < 0.5
-    assert kissing_asymptotic(200, "compact") < z_full
+    assert kissing_compact(200) == pred["kissing_compact"] < z_full
 
 
 def test_sigma_convergence_invariant(table_records):

@@ -227,6 +227,18 @@ def test_matern_csv_layout(capsys, tmp_path):
     assert centers.read_text().startswith("x1,x2")
 
 
+def test_classical_columns_in_order(capsys):
+    # rows are read off the ClassicalBounds fields: their order is the column order
+    argv = ["classical", "--dims", "56,60", "--terminal"]
+    code, out = run_main(capsys, argv + ["--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [list(r) for r in rows] == [list(cli.CLASSICAL_COLUMNS)] * 2
+    code, out = run_main(capsys, argv)
+    assert code == 0
+    assert out.split("\n")[0] == ",".join(cli.CLASSICAL_COLUMNS)
+
+
 def test_classical_terminal_column(capsys):
     code, out = run_main(capsys, ["classical", "--dims", "60", "--terminal"])
     assert code == 0
@@ -344,18 +356,41 @@ def test_yamada_csv_violated_column(capsys):
 
 
 @pytest.mark.parametrize(
-    "model, Rmax, first",
-    [("delta", "1e20", "-3.750e-01 is negative at R=7.147872e+13"),
-     ("step", "1e300", "-6.292e+108 is negative at R=1.106849e+122")],
+    "model, d, Rmax, first, part",
+    [("delta", "1", "1e20", "1.875e-01 at R=278037.1", "1.5e-07"),
+     ("step", "1", "1e300", "2.500e-01 at R=1028074", "1.2e-07"),
+     ("delta", "3", "1e12", "1.703e+10 at R=155633.2", "3.6e-07")],
+    ids=["delta-d1", "step-d1", "delta-d3"],
 )
-def test_yamada_negative_variance_is_numerical_failure(capsys, model, Rmax, first):
-    # the bracket of number_variance cancels at large R; the first negative
-    # sigma^2 is reported once, as a numerical failure and not as bad usage
-    assert main(["yamada", "--model", model, "--d", "1", "--Rmax", Rmax]) == 3
+def test_yamada_cancelled_variance_is_numerical_failure(capsys, model, d, Rmax, first, part):
+    # the bracket of number_variance cancels to ~1/R of its terms; the first
+    # radius where its rounding error may pass 5e-8 of sigma^2 is reported
+    # once, as a numerical failure and not as bad usage, before any digit
+    # printed is wrong (delta d=3: from R = 1.8e6 on)
+    assert main(["yamada", "--model", model, "--d", d, "--Rmax", Rmax]) == 3
     assert capsys.readouterr() == (
         "",
-        f"numerical failure: number variance {first}, the first such radius: "
-        "its bracket cancels at this window size\n",
+        f"numerical failure: number variance {first}, the first radius where it is not "
+        f"known to 5e-08 relative: its bracket cancels to {part} of its terms\n",
+    )
+
+
+def test_yamada_negative_variance_is_violation(capsys):
+    # S(0) = 1 - 8 phi < 0 at phi = 0.9: the closed form gives
+    # sigma^2(0.5209543) = -0.017531 with its bracket's digits intact, so the
+    # row is violated and the run succeeds
+    code, out = run_main(capsys, ["yamada", "--model", "step", "--d", "3", "--phi", "0.9"])
+    assert code == 0
+    rows = out.split("\n")
+    assert rows[2] == "5.209543e-01,-1.753073e-02,1.763905e-02,true"
+
+
+def test_matern_overlapping_acceptance_is_numerical_failure(capsys, monkeypatch):
+    # a failed check on a computed configuration is exit 3, not bad input
+    monkeypatch.setattr(cli.mt, "_ghost_accept", lambda pos, times, L: np.ones(len(pos), dtype=bool))
+    assert main(["matern", "--d", "2", "--L", "10", "--T", "1"]) == 3
+    assert capsys.readouterr() == (
+        "", "numerical failure: accepted configuration is not a valid packing\n"
     )
 
 

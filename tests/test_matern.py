@@ -1,4 +1,5 @@
 import concurrent.futures as cf
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -140,15 +141,21 @@ def test_pair_histogram_checks_packing(centers, valid):
         counts, _ = mt._pair_histogram(acc, 10.0, 50)
         assert counts.sum() == 1
     else:
-        with pytest.raises(ValueError, match="not a valid packing"):
+        with pytest.raises(RuntimeError, match="not a valid packing"):
             mt._pair_histogram(acc, 10.0, 50)
 
 
 def test_simulate_rejects_overlapping_acceptance(monkeypatch):
     # a rule that keeps every arrival is caught by the packing check
     monkeypatch.setattr(mt, "_ghost_accept", lambda pos, times, L: np.ones(len(pos), dtype=bool))
-    with pytest.raises(ValueError, match="not a valid packing"):
+    with pytest.raises(RuntimeError, match="not a valid packing"):
         simulate(MaternConfig(d=2, L=10.0, T=1.0, kappa=1, seed=0))
+
+
+def test_result_rejects_density_above_one():
+    res = simulate(MaternConfig(d=1, L=10.0, T=1.0, kappa=1, seed=0))
+    with pytest.raises(RuntimeError, match="density estimate 1.5 exceeds 1"):
+        dataclasses.replace(res, phi_hat=1.5)
 
 
 def test_ghost_acceptance_order_independent():
@@ -477,7 +484,7 @@ def test_pair_distances_match_out_of_place_formula(d, seed):
     assert np.any(np.abs(diff) > L / 2)
     assert np.array_equal(r, np.sqrt(((diff - L * np.round(diff / L)) ** 2).sum(1)))
     assert r.min() < 1.0
-    with pytest.raises(ValueError, match="not a valid packing"):
+    with pytest.raises(RuntimeError, match="not a valid packing"):
         mt._pair_histogram(acc, L, 50)
 
 

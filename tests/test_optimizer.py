@@ -470,7 +470,7 @@ def test_classical_values():
     assert b2.minkowski == pytest.approx(math.pi**2 / 12.0, rel=1e-14)
     assert b2.rogers == pytest.approx(1.0 / math.e, rel=1e-14)
     assert b2.blichfeldt == pytest.approx(1.0, rel=1e-14)
-    assert b2.kabatiansky_levenshtein == pytest.approx(2.0**-1.1980, rel=1e-14)
+    assert b2.kl == pytest.approx(2.0**-1.1980, rel=1e-14)
     assert classical_bounds(3).greedy == 0.125
     zeta3 = sum(1.0 / n**3 for n in range(1, 200000))
     assert classical_bounds(3).ball == pytest.approx(zeta3 / 2.0, rel=1e-9)
@@ -505,9 +505,9 @@ def test_domain_errors():
 
 
 def test_record_validation():
-    with pytest.raises(ValueError, match="terminal density must lie in"):
+    with pytest.raises(RuntimeError, match="terminal density must lie in"):
         TerminalDensityRecord(3, 1.2, 7.9, 1.5, 4.0, 1.8)
-    with pytest.raises(ValueError, match="sigma_star must be >= 1"):
+    with pytest.raises(RuntimeError, match="sigma_star must be >= 1"):
         TerminalDensityRecord(3, 0.9, 7.9, 0.5, 4.0, 1.8)
 
 

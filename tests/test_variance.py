@@ -140,6 +140,23 @@ def test_number_variance_closed_form_matches_oracles(d):
                 s2 = number_variance(model, dens, R)
                 exact, _ = _odd_variance_terms(model, dens, R)
                 assert s2 == pytest.approx(exact, rel=1e-8), f"{model.kind} d={d} R={R}"
+            # further out, yamada_check keeps a window only while sigma^2 is
+            # within 5e-8 of the exact value. At the step and delta terminals
+            # (S(0) = 0) the bracket keeps cancelling and the rule rejects R = 1e12,
+            # where the error is 1e-2 at d = 1 and 3; the gap case has S(0) = 1,
+            # no cancellation, and keeps every window
+            kept = []
+            for R in (2e4, 5e4, 2e5, 5e5, 1e6, 1e7, 1e12):
+                try:
+                    yamada_check(model, dens, R, n_grid=2)
+                except RuntimeError as exc:
+                    assert "not known to 5e-08 relative" in str(exc)
+                    continue
+                kept.append(R)
+                exact, _ = _odd_variance_terms(model, dens, R)
+                s2 = number_variance(model, dens, R)
+                assert s2 == pytest.approx(exact, rel=5e-8), f"{model.kind} d={d} R={R}"
+            assert 5e4 in kept and (1e12 in kept) == (model.kind == "gap"), kept
 
 
 def test_number_variance_scalar_and_array_inputs():
@@ -405,11 +422,16 @@ def test_domain_errors():
 
 
 def test_check_record_validation():
+    # the record holds computed values: a failed check is a numerical failure
     r = np.array([1.0, 2.0])
     good = np.array([0.1, 0.2])
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         VarianceCheck(R=r, sigma2=good, yamada_bound=np.array([0.3, 0.1]), R0=0.5)
-    with pytest.raises(ValueError):
-        VarianceCheck(R=r, sigma2=np.array([-1.0, 0.2]), yamada_bound=good, R0=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(RuntimeError):
         VarianceCheck(R=r, sigma2=good, yamada_bound=good, R0=1.5, violations=[1.0])
+    with pytest.raises(RuntimeError):
+        VarianceCheck(R=r, sigma2=good[:1], yamada_bound=good, R0=0.5)
+    # a negative variance is a violated row, not an invalid record
+    chk = VarianceCheck(R=r, sigma2=np.array([-1.0, 0.2]), yamada_bound=good, R0=0.5,
+                        violations=[1.0])
+    assert chk.violations == [1.0]
