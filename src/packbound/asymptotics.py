@@ -183,11 +183,9 @@ def beta_ratio_asymptotic(d) -> float:
     return 1.0 + 2.0 / (3.0 * nu) - 2.0 * c.C2 / (3.0 * c.C1 * nu ** (5.0 / 3.0))
 
 
-def beta_ratio_exact(d) -> float:
-    """Ratio of the Bessel slope halves at the numeric first zeros of J_nu and J_{nu+1}."""
+def beta_ratio_exact(d, x0, y0) -> float:
+    """Ratio of the Bessel slope halves at x0 and y0, the first zeros of J_nu and J_{nu+1}."""
     nu = 0.5 * d
-    x0 = first_zero(nu)
-    y0 = first_zero(nu + 1)
     b1 = 0.5 * (jv(nu - 1, x0) - jv(nu + 1, x0))
     b2 = 0.5 * (jv(nu, y0) - jv(nu + 2, y0))
     return float(b1 / b2)
@@ -289,9 +287,10 @@ def build_report(d, include_numeric=True) -> dict:
     nu = 0.5 * d
     delta, kpow, sigpow = delta_nu_terms(d)
     sigma = sigma_star_asymptotic(d)
-    beta_exact = beta_ratio_exact(d)
+    x0, y0 = first_zero(nu), first_zero(nu + 1)
+    beta_exact = beta_ratio_exact(d, x0, y0)
     k_exp = kmin_asymptotic(d)
-    k_lin = kmin_linearized(d, first_zero(nu), first_zero(nu + 1), sigma, beta_exact)
+    k_lin = kmin_linearized(d, x0, y0, sigma, beta_exact)
     phi_full = phi_star_asymptotic(d)
     report = {
         "d": d,

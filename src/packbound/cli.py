@@ -118,11 +118,18 @@ def _table_row(kind: str, d: int) -> dict:
     return {c: getattr(rec, c) for c in TABLE_COLUMNS}
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _worker_count(threads: int, n_dims: int) -> int:
     """Worker processes for --threads: never more than the dims or the usable CPUs."""
     if threads < 1:
         raise ValueError(f"--threads must be at least 1, got {threads}")
-    return min(threads, n_dims, mt.usable_cpus())
+    return min(threads, n_dims, usable_cpus())
 
 
 def cmd_table(args) -> tuple[str, int]:

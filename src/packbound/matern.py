@@ -12,29 +12,29 @@ as a single uniform block. Runs at the same seed and growing horizon T then
 share their arrival prefix exactly, so acceptance is monotone along T, which
 the coupling property test exploits.
 
-Neither rule holds every pair or scans every kept sphere. The ghost rule
-finds the pairs within unit distance band by band along axis 0, about 2^16
-arrivals per band, with the bands spread over a thread pool of one worker per
-CPU the process may run on (cKDTree releases the GIL while it builds and
-queries). Each band is cut along its last axis into pieces of at most about
-2^14 arrivals, one tree each, so as the box grows at most the workers times
-2^16 arrivals and the pairs of the workers times 2^14 arrivals are held at
-once. The arrival arrays are freed before the pair histogram of the accepted
-centers is built.
-Standard RSA takes the arrivals in batches of doubling size, capped, screens
-each batch against the kept bed with one tree query and settles the survivors
-of the batch among themselves from their pairs. Both give the accepted set of
-the all-pairs computation bit for bit.
+Every neighbour search runs on one numpy cell list (`_cell_list`): cells of
+side just above the search reach, so each pair within reach lies in one cell
+or in two neighbouring ones, with the points sorted by cell and, within a
+cell, by rank. The ghost rule sweeps the box band by band along axis 0,
+2^15 arrivals per band, and each arrival walks the earlier arrivals of its
+own cell and then of the neighbour cells, stopping at the first one within
+unit distance; most stop in their own cell. Standard RSA takes the arrivals
+in batches of doubling size, capped, screens each batch against a cell list
+of the kept bed the same way and settles the survivors of the batch among
+themselves from their pairs. Both give the accepted set of the all-pairs
+computation bit for bit. The arrival arrays are freed before the pair
+histogram of the accepted centers is built, from the candidate pairs of a
+cell list of reach 3.
 
-Every neighbour test is a cKDTree query, and both rules use one contact rule:
-a center at distance <= 1 (minimum image) from an earlier blocking center is
-rejected, so exact contact counts as overlap.
+Both rules use one contact rule: a center at distance <= 1 (minimum image)
+from an earlier blocking center is rejected, so exact contact counts as
+overlap. The distance is computed as in the brute-force rules of the tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,25 +63,9 @@ MAX_ARRIVALS = 2**24
 # most arrivals per standard-RSA batch; fixes the batch sizes, not the answer
 _RSA_BATCH = 20000
 
-# most arrivals per ghost-rule band; fixes the band count, not the answer
-_GHOST_SLAB_POINTS = 2**16
-
-# most arrivals per ghost-rule tree, before its halo; fixes the piece count
-# of a band, not the answer
-_GHOST_TREE_POINTS = 2**14
-
-
-def _tree(points: np.ndarray, L: float):
-    """Unbalanced cKDTree of points on the periodic box [0, L)^d.
-
-    scipy.spatial is imported here, on the first simulation, so that commands
-    that never simulate do not pay for loading it. The sliding-midpoint split
-    builds faster than the median split on uniform points and finds the same
-    pairs.
-    """
-    from scipy.spatial import cKDTree
-
-    return cKDTree(points, boxsize=L, balanced_tree=False)
+# most arrivals per ghost-rule band, and most centers per pair-histogram
+# chunk; fixes the memory held at once, not the answer
+_GHOST_SLAB_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -211,78 +195,275 @@ def arrivals(seed: int, d: int, L: float, T: float) -> tuple[np.ndarray, np.ndar
     return pos, times
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS reports one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _cells_per_axis(L: float, reach: float, n: int, d: int) -> int:
+    """Cells per axis of a cell list for the pairs within `reach` of n points.
+
+    m = floor(L / (reach (1 + 1e-9))) cells of side L/m > reach, so a pair
+    within reach (minimum image) lies in one cell or in two cells that are
+    neighbours mod m, however the cell index rounds. m is capped at
+    (n/2)^(1/d), so that a cell holds two points on average or more: a
+    sparse box gets fewer cells to walk, not more cells than points. With
+    fewer than 3 cells per axis a cell's neighbours are not distinct, so the
+    box is one cell.
+    """
+    m = min(math.floor(L / (reach * (1.0 + 1e-9))), math.floor((n / 2) ** (1.0 / d)))
+    return m if m >= 3 else 1
 
 
-def _window(x: np.ndarray, lo: float, width: float, L: float) -> np.ndarray:
-    """Indices of the coordinates x in [lo, lo + width + 2) on the circle [0, L).
+def _offsets(d: int, m: int, half: bool = False) -> np.ndarray:
+    """Cell offsets in {-1, 0, 1}^d, 0 first; only 0 when the box is one cell.
+
+    With `half`, 0 and one of each pair o, -o (its first nonzero entry is 1).
+    """
+    if m == 1:
+        return np.zeros((1, d), dtype=np.int32)
+    offs = sorted(itertools.product((-1, 0, 1), repeat=d), key=any)
+    if half:
+        offs = [o for o in offs if o >= tuple(-x for x in o)]
+    return np.array(offs, dtype=np.int32)
+
+
+def _cell_coords(P: np.ndarray, L: float, m: int) -> np.ndarray:
+    """Cell coordinates floor(x m / L) of the points P, as int32 in [0, m)."""
+    c = (P * (m / L)).astype(np.int32)
+    np.minimum(c, m - 1, out=c)
+    return c
+
+
+def _flat(c: np.ndarray, periods: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Cell numbers of the cells at offset o from the cell coordinates c, each
+    axis taken mod its period."""
+    key = (c[:, 0] + o[0]) % periods[0]
+    for k in range(1, len(periods)):
+        key *= periods[k]
+        key += (c[:, k] + o[k]) % periods[k]
+    return key
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """Points sorted by cell, and in input order within a cell.
+
+    Cell `key` holds the sorted points starts[key] to starts[key + 1] - 1.
+    rank[p] is the input index of sorted point p, and rank[k] = k past the
+    last of the k points, so that a walk may read one past its cell.
+    """
+
+    m: int
+    periods: np.ndarray
+    points: np.ndarray
+    coords: np.ndarray
+    rank: np.ndarray
+    starts: np.ndarray
+
+
+def _cell_list(P: np.ndarray, L: float, m: int, base: int | None = None) -> _Cells:
+    """Cell list of the points P on m cells per axis, all periodic.
+
+    Given `base`, axis 0 is counted from cell `base` on and cut three cells
+    past the highest one in use, or left at m if that is fewer: a band of the
+    box then needs cells for the band alone. This loses no pair within reach:
+    two such points have axis-0 cells that differ by at most 1 mod m, and
+    below the cut they are numbered less than m - 3 apart, so they differ by
+    at most 1 as numbered too; a lookup that wraps lands in an empty cell.
+    """
+    c = _cell_coords(P, L, m)
+    periods = np.full(P.shape[1], m, dtype=np.int32)
+    if base is not None and len(c):
+        c[:, 0] -= base
+        c[:, 0] %= m
+        periods[0] = min(m, int(c[:, 0].max()) + 3)
+    key = _flat(c, periods, np.zeros_like(periods))
+    # one value sort of (cell, input index) packed in 64 bits orders the
+    # points by cell and stably within a cell, faster than a stable argsort
+    packed = (key.astype(np.int64) << 32) | np.arange(len(key))
+    packed.sort()
+    order = packed & 0xFFFFFFFF
+    starts = np.zeros(int(np.prod(periods)) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(key, minlength=len(starts) - 1), out=starts[1:])
+    rank = np.append(order, len(order))
+    return _Cells(m, periods, P.take(order, axis=0), c.take(order, axis=0), rank, starts)
+
+
+def _torus_sq(a: np.ndarray, b: np.ndarray, L: float) -> np.ndarray:
+    """Squared minimum-image distances between the rows of a and b.
+
+    |dx|, then min(|dx|, L - |dx|), squares summed over the axes in order:
+    the arithmetic of the brute-force rules in the tests, so that both decide
+    exact contact alike.
+    """
+    dd = np.abs(a - b)
+    np.minimum(dd, L - dd, out=dd)
+    dd *= dd
+    return _row_sums(dd)
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=1) bit for bit, for d <= 3 columns, added one column at a time."""
+    s = x[:, 0].copy()
+    for k in range(1, x.shape[1]):
+        s += x[:, k]
+    return s
+
+
+def _walk(cells: _Cells, L: float, Pq, first, last, rq) -> np.ndarray:
+    """Mask of the queries Pq[k] within unit distance of a point that ranks
+    below rq[k] among the sorted points first[k] to last[k] - 1.
+
+    Each range is walked in order, one step for all queries at once, and a
+    walk stops at its first contact or at its first point that ranks at or
+    above rq[k]; the points of one cell are in rank order, so none after it
+    ranks below rq[k] either.
+    """
+    hit = np.zeros(len(Pq), dtype=bool)
+    at = np.arange(len(Pq))
+    go = first < last
+    while True:
+        go &= cells.rank.take(first) < rq
+        at, Pq, first, last, rq = (a.compress(go, axis=0) for a in (at, Pq, first, last, rq))
+        if not at.size:
+            return hit
+        close = _torus_sq(cells.points.take(first, axis=0), Pq, L) <= 1.0
+        hit[at.compress(close)] = True
+        first += 1
+        go = first < last
+        go &= ~close
+
+
+def _blocked(cells: _Cells, L: float, Pq, cq, rq) -> np.ndarray:
+    """Mask of the queries Pq (in cells cq) with a point of `cells` that ranks
+    below rq and lies within unit distance.
+
+    Each query walks its own cell first and then its 3^d - 1 neighbour cells,
+    and stops at its first contact.
+    """
+    hit = np.zeros(len(Pq), dtype=bool)
+    at = np.arange(len(Pq))
+    for o in _offsets(cq.shape[1], cells.m):
+        key = _flat(cq, cells.periods, o)
+        found = _walk(cells, L, Pq, cells.starts.take(key), cells.starts.take(key + 1), rq)
+        hit[at.compress(found)] = True
+        at, Pq, cq, rq = (a.compress(~found, axis=0) for a in (at, Pq, cq, rq))
+    return hit
+
+
+def _near_pairs(cells: _Cells, lo: int, hi: int, o: np.ndarray):
+    """Sorted positions (i, j) of the pairs from each point i in [lo, hi) to the
+    points j of the cell at offset o from its own; at offset 0, to the later
+    points of its own cell.
+
+    Over every i and the half offsets, each pair of points in one cell or in
+    two neighbouring cells comes up exactly once.
+    """
+    key = _flat(cells.coords[lo:hi], cells.periods, o)
+    last = cells.starts.take(key + 1)
+    first = np.arange(lo + 1, hi + 1) if not o.any() else cells.starts.take(key)
+    lens = last - first
+    i = np.repeat(np.arange(lo, hi), lens)
+    j = np.arange(len(i)) + np.repeat(first - np.cumsum(lens) + lens, lens)
+    return i, j
+
+
+def _window(x: np.ndarray, lo: float, hi: float, L: float) -> np.ndarray:
+    """Indices of the coordinates x within 2 of [lo, hi) on the circle [0, L).
 
     The halo of 2 is one wider than the unit reach, so rounding in this test
-    cannot drop a pair whose lower member lies in [lo, lo + width).
+    cannot drop a point within unit distance of one in [lo, hi).
     """
-    hi = lo + width + 2.0
-    inside = (x >= lo) & (x < hi)
-    if hi > L:
-        inside |= x < hi - L
+    a, b = lo - 2.0, hi + 2.0
+    if b - a >= L:
+        return np.arange(len(x))
+    if a < 0.0:
+        inside = (x >= a + L) | (x < b)
+    elif b > L:
+        inside = (x >= a) | (x < b - L)
+    else:
+        inside = (x >= a) & (x < b)
     return np.flatnonzero(inside)
+
+
+def _band_of(x: np.ndarray, edges: np.ndarray, L: float) -> np.ndarray:
+    """Band s of each coordinate x, edges[s] <= x < edges[s + 1].
+
+    floor(x S / L) for S bands is the band up to rounding, which one
+    comparison with each of its edges settles.
+    """
+    bands = len(edges) - 1
+    b = np.minimum((x * (bands / L)).astype(np.intp), bands - 1)
+    b -= x < edges.take(b)
+    b += x >= edges.take(b + 1)
+    return b
+
+
+def _by_band(x: np.ndarray, edges: np.ndarray, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the coordinates x grouped by band (`_band_of`), increasing
+    within a band, as int32; and the start of each band's group, with the
+    count of x last.
+
+    Two passes, _GHOST_SLAB_POINTS coordinates at a time, count the bands and
+    then place the indices, so nothing as long as x is held but the result.
+    """
+    bands = len(edges) - 1
+    chunks = range(0, len(x), _GHOST_SLAB_POINTS)
+    starts = np.zeros(bands + 1, dtype=np.intp)
+    for lo in chunks:
+        starts[1:] += np.bincount(_band_of(x[lo : lo + _GHOST_SLAB_POINTS], edges, L), minlength=bands)
+    np.cumsum(starts, out=starts)
+    grouped = np.empty(len(x), dtype=np.int32)
+    fill = starts[:-1].copy()
+    for lo in chunks:
+        b = _band_of(x[lo : lo + _GHOST_SLAB_POINTS], edges, L)
+        packed = (b << 32) | np.arange(lo, lo + len(b))
+        packed.sort()
+        b = packed >> 32
+        count = np.bincount(b, minlength=bands)
+        # the k-th index of band t in this chunk goes to grouped[fill[t] + k]
+        grouped[fill.take(b) + np.arange(len(b)) - (np.cumsum(count) - count).take(b)] = packed & 0xFFFFFFFF
+        fill += count
+    return grouped, starts
 
 
 def _ghost_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
     """Boolean mask of survivors under the ghost rule (all arrivals block).
 
-    Every pair within unit distance rejects its later member (on equal times,
-    the one with the higher index). The pairs are found band by band along
-    axis 0: S = max(2, ceil(n / _GHOST_SLAB_POINTS)) bands of width w = L/S,
-    each taken together with a halo of width 2 beyond its upper edge
-    (`_window`). For d >= 2 each band's points are cut the same way along the
-    last axis into P = ceil(m / _GHOST_TREE_POINTS) pieces (at least 1) for a
-    band of m points, each with its halo and the periodic wrap, and each piece
-    is one tree query; for d = 1 the band is one query. Each subset keeps the
-    full periodic box, so a pair's distance is computed as in one whole-box
-    query and every pair found is a real pair; every real pair has its lower
-    member (along axis 0, and then along the last axis) in some band and
-    piece and its upper one within their halos, also across a seam and across
-    the box wrap.
-
-    Each band is one task on a thread pool of min(S, usable_cpus()) workers,
-    which returns the global indices of the later members of its pairs, each
-    once; this thread marks them rejected. At most about workers x 2^16
-    points and the pairs of workers x 2^14 points are held at once, not all
-    of them.
+    An arrival is rejected iff an earlier one (by time, then by index) lies
+    within unit distance. The box is swept band by band along axis 0, in
+    S = ceil(n / _GHOST_SLAB_POINTS) bands of width w = L/S. Each band's
+    arrivals, together with those within 2 of the band (`_window`, read from
+    the h = ceil(2/w) + 1 bands on either side), go into one cell list of
+    unit reach in rank order, and each of the band's own arrivals walks the
+    earlier arrivals of its own cell and then of the 3^d - 1 neighbour cells
+    (`_blocked`), stopping at its first contact. So at most one band and its
+    halo are sorted at once, and most arrivals stop in their own cell.
     """
     n, d = pos.shape
     rejected = np.zeros(n, dtype=bool)
-    if n > 1:
-        # imported here, on this thread, so that no worker runs the import
-        import scipy.spatial  # noqa: F401
-        from concurrent.futures import ThreadPoolExecutor
-
-        slabs = max(2, -(-n // _GHOST_SLAB_POINTS))
-        w = L / slabs
-        x0 = pos[:, 0]
-
-        def later_members(s: int) -> np.ndarray:
-            idx = _window(x0, s * w, w, L)
-            sub = pos[idx]
-            rej = np.zeros(len(idx), dtype=bool)
-            pieces = max(1, -(-len(idx) // _GHOST_TREE_POINTS)) if d > 1 else 1
-            for p in range(pieces):
-                part = _window(sub[:, -1], p * L / pieces, L / pieces, L)
-                pairs = _tree(sub[part], L).query_pairs(1.0, output_type="ndarray")
-                # idx and part are increasing, so local index order is global
-                # index order
-                i, j = pairs[:, 0], pairs[:, 1]
-                t = times[idx[part]]
-                rej[part[np.where(t[i] > t[j], i, j)]] = True
-            return idx[rej]
-
-        with ThreadPoolExecutor(max_workers=min(slabs, usable_cpus())) as pool:
-            for later in pool.map(later_members, range(slabs)):
-                rejected[later] = True
+    m = _cells_per_axis(L, 1.0, n, d)
+    bands = max(1, -(-n // _GHOST_SLAB_POINTS))
+    # the last band is open above, so every x < L has a band however
+    # bands * (L / bands) rounds
+    edges = np.append(np.arange(bands) * (L / bands), math.inf)
+    h = math.ceil(2.0 * bands / L) + 1
+    grouped, starts = _by_band(pos[:, 0], edges, L)
+    for s in range(bands):
+        lo, hi = edges[s], edges[s + 1]
+        if 2 * h + 1 >= bands:
+            idx = np.arange(n)
+        else:
+            near = [t % bands for t in range(s - h, s + h + 1)]
+            idx = np.sort(np.concatenate([grouped[starts[t] : starts[t + 1]] for t in near]))
+        P = pos.take(idx, axis=0)
+        inside = _window(P[:, 0], lo, min(hi, L), L)
+        idx, P = idx.take(inside), P.take(inside, axis=0)
+        # in rank order: by time, and by index on equal times
+        by_time = np.argsort(times.take(idx), kind="stable")
+        idx, P = idx.take(by_time), P.take(by_time, axis=0)
+        cells = _cell_list(P, L, m, min(int((lo - 2.0) % L * (m / L)), m - 1))
+        del P
+        x = cells.points[:, 0]
+        q = np.flatnonzero((x >= lo) & (x < hi))
+        hit = _blocked(cells, L, cells.points.take(q, axis=0), cells.coords.take(q, axis=0), cells.rank.take(q))
+        rejected[idx.take(cells.rank.take(q.compress(hit)))] = True
     return ~rejected
 
 
@@ -290,62 +471,80 @@ def _rsa_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
     """Standard RSA: only previously kept spheres block. Sequential by time.
 
     The time-sorted arrivals go in batches of 1, 2, 4, ... arrivals, capped at
-    _RSA_BATCH. Each batch is screened against the kept bed with one tree
-    query; the survivors are then settled among themselves from their pairs
-    within unit distance, in arrival order: one is kept iff no earlier kept
-    survivor of its batch is paired with it. Doubling keeps the first batches,
-    where nearly every arrival survives the screen, small; the cap bounds the
-    memory of the last ones.
+    _RSA_BATCH. Each batch is screened against a cell list of the kept bed
+    (`_blocked`); the survivors are then settled among themselves from their
+    pairs within unit distance, found from a cell list of the batch, in
+    arrival order: one is kept iff no earlier kept survivor of its batch is
+    paired with it. Doubling keeps the first batches, where nearly every
+    arrival survives the screen, small; the cap bounds the memory of the last
+    ones.
     """
     pos = pos[np.argsort(times, kind="stable")]
+    d = pos.shape[1]
     kept = pos[:0]
     lo, size = 0, 1
     while lo < len(pos):
         block = pos[lo : lo + size]
         lo, size = lo + size, min(2 * size, _RSA_BATCH)
         if len(kept):
-            near = _tree(kept, L).query_ball_point(block, 1.0, return_length=True)
-            block = block[near == 0]
-        pairs = _tree(block, L).query_pairs(1.0, output_type="ndarray")
+            bed = _cell_list(kept, L, _cells_per_axis(L, 1.0, len(kept), d))
+            cq = _cell_coords(block, L, bed.m)
+            block = block[~_blocked(bed, L, block, cq, np.full(len(block), len(kept)))]
+        cells = _cell_list(block, L, _cells_per_axis(L, 1.0, len(block), d))
+        pairs = [_near_pairs(cells, 0, len(block), o) for o in _offsets(d, cells.m, half=True)]
+        i, j = (np.concatenate(p) for p in zip(*pairs))
+        close = _torus_sq(cells.points.take(i, axis=0), cells.points.take(j, axis=0), L) <= 1.0
+        i, j = cells.rank.take(i.compress(close)), cells.rank.take(j.compress(close))
+        i, j = np.minimum(i, j), np.maximum(i, j)
         keep = np.ones(len(block), dtype=bool)
         # by later member, so each earlier member's fate is settled when read
-        for i, j in pairs[np.argsort(pairs[:, 1])].tolist():
-            if keep[i]:
-                keep[j] = False
+        by_later = np.argsort(j)
+        for a, b in zip(i[by_later].tolist(), j[by_later].tolist()):
+            if keep[a]:
+                keep[b] = False
         kept = np.concatenate([kept, block[keep]])
     return kept
 
 
-def _pair_distances(acc: np.ndarray, L: float) -> np.ndarray:
-    """Minimum-image distances of the pairs within _RMAX, in query_pairs order.
+def _pair_distances(P: np.ndarray, L: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Minimum-image distances of the pairs (P[i], P[j]).
 
     The same arithmetic as sqrt(((diff - L*round(diff/L))**2).sum(1)), bit for
-    bit, done in place: no pair-sized array is held beyond diff and q.
+    bit, done in place: no pair-sized array is held beyond diff and q. Every
+    step is odd in diff, so the order within a pair does not change a bit.
     """
-    pairs = _tree(acc, L).query_pairs(_RMAX, output_type="ndarray")
-    diff = acc[pairs[:, 0]]
-    diff -= acc[pairs[:, 1]]
-    del pairs
+    diff = P.take(i, axis=0)
+    diff -= P.take(j, axis=0)
     q = diff / L
     np.round(q, out=q)
     q *= L
     diff -= q
     del q
     diff *= diff
-    r = diff.sum(axis=1)
+    r = _row_sums(diff)
     return np.sqrt(r, out=r)
 
 
 def _pair_histogram(acc: np.ndarray, L: float, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair counts of the centers acc over `bins` bins from 0.999 to _RMAX.
+
+    The candidate pairs come from a cell list of reach _RMAX, a chunk of at
+    most _GHOST_SLAB_POINTS centers and one neighbour offset at a time; those
+    past _RMAX are read by the packing check only.
+    """
     edges = np.linspace(0.999, _RMAX, bins + 1)
-    if len(acc) < 2:
-        return np.zeros(bins, dtype=np.int64), edges
-    r = _pair_distances(acc, L)
-    # the packing check: every pair closer than 1 is among the pairs within _RMAX
-    if r.size and r.min() < 1.0 - 1e-12:
-        raise RuntimeError("accepted configuration is not a valid packing")
-    counts, _ = np.histogram(r, bins=edges)
-    return counts.astype(np.int64), edges
+    counts = np.zeros(bins, dtype=np.int64)
+    n, d = acc.shape
+    cells = _cell_list(acc, L, _cells_per_axis(L, _RMAX, n, d))
+    for lo in range(0, n, _GHOST_SLAB_POINTS):
+        hi = min(lo + _GHOST_SLAB_POINTS, n)
+        for o in _offsets(d, cells.m, half=True):
+            r = _pair_distances(cells.points, L, *_near_pairs(cells, lo, hi, o))
+            # the packing check: every pair closer than 1 is a candidate
+            if r.size and r.min() < 1.0 - 1e-12:
+                raise RuntimeError("accepted configuration is not a valid packing")
+            counts += np.histogram(r.compress(r <= _RMAX), bins=edges)[0]
+    return counts, edges
 
 
 def simulate(config: MaternConfig) -> MaternResult:

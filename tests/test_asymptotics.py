@@ -21,6 +21,7 @@ from packbound.asymptotics import (
 )
 from packbound.models import hyperuniform_Z
 from packbound.optimizer import terminal_gap
+from packbound.specialfn import first_zero
 
 from oracle_routes import c_exact_triple, c_expansions
 
@@ -103,7 +104,7 @@ def test_beta_ratio():
     assert beta_ratio_asymptotic(200) == pytest.approx(1.007122331, abs=1e-8)
     # matches one of the two mutually inconsistent quoted comparison values;
     # the other (1.003189733) appears only as a linearization input
-    assert beta_ratio_exact(200) == pytest.approx(1.006215695, abs=1e-8)
+    assert beta_ratio_exact(200, first_zero(100), first_zero(101)) == pytest.approx(1.006215695, abs=1e-8)
     assert beta_ratio_asymptotic(4000) == pytest.approx(1.0, abs=1e-3)
 
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import packbound.cli as cli
 import packbound.optimizer as opt
 from packbound.cli import _parse_dims, _worker_count, main
-from packbound.matern import MAX_ARRIVALS, MAX_BINS, usable_cpus
+from packbound.matern import MAX_ARRIVALS, MAX_BINS
 from packbound.models import PackingDensity, RadialModel, make_curve
 from packbound.optimizer import MAX_CLOSED_FORM_D, terminal_delta, terminal_gap
 from packbound.variance import MAX_R_GRID, yamada_check
@@ -550,10 +550,10 @@ def test_bad_table_input_rejected_up_front(capsys, monkeypatch, argv, bad):
 
 
 def test_worker_count_rule(monkeypatch):
-    monkeypatch.setattr(cli.mt, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
     assert [_worker_count(n, 17) for n in (1, 3, 100000)] == [1, 3, 4]
     assert _worker_count(3, 2) == 2
-    monkeypatch.setattr(cli.mt, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
     assert _worker_count(8, 17) == 1
     for bad in (0, -4):
         with pytest.raises(ValueError, match="--threads must be at least 1"):
@@ -563,12 +563,12 @@ def test_worker_count_rule(monkeypatch):
 def test_usable_cpus_reads_the_affinity_set(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
-    assert usable_cpus() == 2
+    assert cli.usable_cpus() == 2
     # where the OS has no affinity call, the CPU count, or 1 if it is unknown
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert usable_cpus() == 8
+    assert cli.usable_cpus() == 8
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert usable_cpus() == 1
+    assert cli.usable_cpus() == 1
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this OS")
@@ -576,7 +576,7 @@ def test_pools_take_one_worker_under_one_cpu_affinity():
     script = (
         "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
         "import packbound.cli as cli\n"
-        "print(cli.mt.usable_cpus(), cli._worker_count(8, 17))"
+        "print(cli.usable_cpus(), cli._worker_count(8, 17))"
     )
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -587,28 +587,30 @@ _LOADED_SCRIPT = """
 import contextlib, io, json, sys
 import packbound.cli as cli
 heavy = ("scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.sparse", "scipy.integrate",
-         "concurrent.futures.process", "multiprocessing")
+         "concurrent.futures.process", "concurrent.futures.thread", "multiprocessing")
 loaded = {"import": [m for m in heavy if m in sys.modules]}
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["table", "--model", "gap", "--dims", "3"]),
              cli.main(["yamada", "--model", "delta", "--d", "1"])]
     loaded["gap, yamada"] = [m for m in heavy if m in sys.modules]
     codes.append(cli.main(["matern", "--d", "1", "--L", "50", "--T", "1"]))
+    codes.append(cli.main(["matern", "--d", "2", "--L", "20", "--T", "2", "--kappa", "0"]))
     loaded["matern"] = [m for m in heavy if m in sys.modules]
 print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
 def test_commands_import_only_what_they_run():
-    # start-up loads numpy and scipy.special only; scipy.spatial comes with the
-    # first simulation, and the process pool only with table --threads N > 1
+    # start-up loads numpy and scipy.special only; the simulator needs no
+    # scipy.spatial and no thread pool, and the process pool comes only with
+    # table --threads N > 1
     res = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     got = json.loads(res.stdout)
-    assert got["codes"] == [0, 0, 0]
+    assert got["codes"] == [0, 0, 0, 0]
     assert got["loaded"]["import"] == []
     assert got["loaded"]["gap, yamada"] == []
-    assert "scipy.spatial" in got["loaded"]["matern"]
+    assert got["loaded"]["matern"] == []
 
 
 _THREADS_SCRIPT = """

@@ -1,7 +1,5 @@
-import concurrent.futures as cf
 import dataclasses
 import math
-import threading
 import tracemalloc
 import weakref
 
@@ -27,7 +25,6 @@ from packbound.matern import (
     phi_of_t,
     simulate,
 )
-from packbound.cli import main
 from packbound.specialfn import sphere_volume
 from oracle_routes import (
     g2_matern_limit,
@@ -272,99 +269,21 @@ def _assert_ghost_matches_brute_force(d, T, L):
 @pytest.mark.parametrize("d,T", [(1, 20.0), (2, 6.0), (3, 1.5)])
 @pytest.mark.parametrize("L", [6.0, 7.3, 9.0])
 def test_ghost_matches_brute_force(monkeypatch, slab_points, d, T, L):
-    # these runs hold fewer than 2^16 arrivals, so 2^17 points per slab cuts
-    # the box into the two slabs of the default; 40 cuts it into many slabs,
-    # thinner than the halo
+    # these runs hold fewer than 2^17 arrivals, so 2^17 points per band sweeps
+    # the box as one band; 40 cuts it into many bands, thinner than the halo
     monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", slab_points)
     _assert_ghost_matches_brute_force(d, T, L)
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_ghost_pairs_across_slab_seam_and_wrap(d):
-    _assert_ghost_pairs_across_slab_seam_and_wrap(d)
-
-
-@pytest.mark.parametrize("cpus", [1, 3])
-@pytest.mark.parametrize("d,T", [(1, 20.0), (2, 6.0), (3, 1.5)])
-def test_ghost_matches_brute_force_on_any_worker_count(monkeypatch, cpus, d, T):
-    # the pool takes one worker per CPU; 40 points per slab gives it many slabs
-    monkeypatch.setattr(mt, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", 40)
-    for L in (6.0, 7.3, 9.0):
-        _assert_ghost_matches_brute_force(d, T, L)
-    _assert_ghost_pairs_across_slab_seam_and_wrap(d)
-
-
-def test_ghost_pool_has_at_most_one_worker_per_slab_and_cpu(monkeypatch):
-    sizes, threads = [], set()
-
-    class RecordingPool(cf.ThreadPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    real_tree = mt._tree
-
-    def tree(points, L):
-        threads.add(threading.get_ident())
-        return real_tree(points, L)
-
-    monkeypatch.setattr(mt, "usable_cpus", lambda: 64)
-    monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", 40)
-    monkeypatch.setattr(cf, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(mt, "_tree", tree)
-    pos, times = _shuffled_arrivals(1, 2, 6.0, 3.0)
-    slabs = -(-len(pos) // 40)
-    assert 2 < slabs < 8
-    assert np.array_equal(_ghost_accept(pos, times, 6.0), ghost_survivors_brute(pos, times, 6.0))
-    assert len(sizes) == 1 and sizes[0] <= slabs
-    assert len(threads) <= sizes[0]
-
-
-@pytest.mark.parametrize("exc", [RuntimeError, ValueError])
-def test_failing_slab_surfaces_as_in_a_sequential_run(monkeypatch, capsys, exc):
-    failure = exc("injected slab failure")
-    calls = []
-    real_tree = mt._tree
-
-    def second_call_fails(points, L):
-        calls.append(points)
-        if len(calls) == 2:
-            raise failure
-        return real_tree(points, L)
-
-    monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", 40)
-    monkeypatch.setattr(mt, "_tree", second_call_fails)
-    with pytest.raises(exc) as info:
-        simulate(MaternConfig(d=2, L=8.0, T=3.0, kappa=1, seed=5))
-    assert info.value is failure
-
-    argv = ["matern", "--d", "2", "--L", "8", "--T", "3", "--seed", "5"]
-    shown = []
-    for cpus in (1, 3):
-        monkeypatch.setattr(mt, "usable_cpus", lambda: cpus)
-        calls.clear()
-        code = main(argv)
-        shown.append((code, capsys.readouterr()))
-    assert shown[0] == shown[1]
-    assert shown[0][0] == (2 if exc is ValueError else 3)
-    assert shown[0][1].err.endswith("injected slab failure\n")
 
 
 def _seam_and_wrap_case(d):
     """Two pairs along axis 0, one across x = L/2 and one across the wrap."""
     L = 9.0
-    w = L / 2  # two slabs for fewer than 2^16 points
-    x0 = [w - 0.3, w + 0.3, 0.2, L - 0.3, 2.0]
+    x0 = [L / 2 - 0.3, L / 2 + 0.3, 0.2, L - 0.3, 2.0]
     rest = [[1.0, 1.0], [1.2, 1.1], [5.0, 5.0], [5.1, 4.9], [7.0, 3.0]]
     pos = np.array([[x] + r[: d - 1] for x, r in zip(x0, rest)])
     times = np.array([0.5, 0.3, 0.1, 0.2, 0.4])
     expected = np.array([False, True, True, False, True])
     return pos, times, expected, L
-
-
-def _assert_ghost_pairs_across_slab_seam_and_wrap(d):
-    _assert_ghost_case(*_seam_and_wrap_case(d))
 
 
 def _assert_ghost_case(pos, times, expected, L):
@@ -374,64 +293,121 @@ def _assert_ghost_case(pos, times, expected, L):
     assert np.array_equal(_ghost_accept(pos[perm], times[perm], L), expected[perm])
 
 
-def _record_tree_sizes(monkeypatch):
-    """Point counts of every tree `_tree` builds from now on, in a list."""
-    sizes = []
-    real_tree = mt._tree
-
-    def tree(points, L):
-        sizes.append(len(points))
-        return real_tree(points, L)
-
-    monkeypatch.setattr(mt, "_tree", tree)
-    return sizes
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_ghost_pairs_across_slab_seam_and_wrap(monkeypatch, d):
+    # one point per band gives five bands, two or three give three or two,
+    # with a band seam at L/2 in the last case
+    for slab_points in (mt._GHOST_SLAB_POINTS, 3, 2, 1):
+        monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", slab_points)
+        _assert_ghost_case(*_seam_and_wrap_case(d))
 
 
-@pytest.mark.parametrize("cpus", [1, 3])
-@pytest.mark.parametrize("d,T", [(2, 6.0), (3, 1.5)])
-def test_ghost_matches_brute_force_with_many_pieces(monkeypatch, cpus, d, T):
-    # 40 points per tree cuts each band along the last axis into many
-    # pieces, thinner than the halo
-    monkeypatch.setattr(mt, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(mt, "_GHOST_TREE_POINTS", 40)
-    trees = _record_tree_sizes(monkeypatch)
-    for L in (6.0, 7.3, 9.0):
-        _assert_ghost_matches_brute_force(d, T, L)
-    # six runs of two bands each, cut into more than four pieces per band
-    assert len(trees) > 4 * 6 * 2
+_CELL_BOXES = [6.0, 6.5, 7.3, 8.9, 9.0, 12.0]
 
 
-@pytest.mark.parametrize("cpus", [1, 3])
+def _on_cell_edges(d, L, seed):
+    """Shuffled arrivals of about 2.5 L^d points, so the unit-reach cell grid has
+    m = floor(L / (1 + 1e-9)) cells per axis, with one point at the origin and
+    m - 1 more with every coordinate exactly on a cell edge k L / m."""
+    m = math.floor(L / (1.0 + 1e-9))
+    pos, times = _shuffled_arrivals(seed, d, L, 2.5)
+    edges = np.arange(m) * (L / m)
+    rng = np.random.default_rng(seed)
+    extra = np.stack([rng.permutation(edges) for _ in range(d)], axis=1)
+    extra[0] = 0.0
+    pos = np.concatenate([pos, extra])
+    times = np.concatenate([times, rng.random(m)])
+    perm = rng.permutation(len(pos))
+    return pos[perm], times[perm], m
+
+
+@pytest.mark.parametrize("L", _CELL_BOXES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_accept_rules_match_brute_force_on_cell_edges(monkeypatch, d, L):
+    pos, times, m = _on_cell_edges(d, L, seed=5)
+    assert len(pos) >= 2 * m**d  # the cell grid is not capped by the count
+    expected = ghost_survivors_brute(pos, times, L)
+    # in one band, and in bands of 40 arrivals
+    for slab_points in (mt._GHOST_SLAB_POINTS, 40):
+        monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", slab_points)
+        assert np.array_equal(_ghost_accept(pos, times, L), expected)
+    assert np.array_equal(_rsa_accept(pos, times, L), rsa_kept_brute(pos, times, L))
+
+
+def _exact_contact_pairs(d, L):
+    """Pairs at minimum-image distance 1 along each axis: across the seam of
+    the unit-reach cells 1 and 2, from the origin, and across the box wrap.
+
+    The coordinates are multiples of 1/8, so the distances are exactly 1 where
+    L is too; at L = 7.3 and 8.9 the wrap pairs sit within rounding of it.
+    """
+    m = math.floor(L / (1.0 + 1e-9))
+    below_seam = (math.ceil(16 * L / m) - 1) / 8
+    pairs = []
+    for axis in range(d):
+        for a, b in ((below_seam, below_seam + 1.0), (0.0, 1.0), (0.0, L - 1.0), (0.25, L - 0.75)):
+            pair = np.full((2, d), L / 2)
+            pair[:, axis] = a, b
+            pairs.append(pair)
+    return pairs
+
+
+@pytest.mark.parametrize("L", _CELL_BOXES)
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_exact_contact_across_cell_seam_and_wrap(d, L):
+    # each pair arrives second and third, after a point L/2 away from its
+    # first member, and before the background arrivals: so its later member
+    # survives either rule iff the pair alone lets it, and standard RSA
+    # settles the pair within its batch of two
+    background, bg_times = _shuffled_arrivals(7, d, L, 4.0)
+    # enough points that the cell grid is the unit-reach one, not capped
+    assert len(background) >= 2 * math.floor(L / (1.0 + 1e-9)) ** d
+    rng = np.random.default_rng(7)
+    for pair in _exact_contact_pairs(d, L):
+        alone = ghost_survivors_brute(pair, np.array([0.0, 0.5]), L)
+        if L in (6.0, 6.5, 9.0, 12.0):
+            assert alone.tolist() == [True, False]
+        axis = np.flatnonzero(pair[0] != pair[1])[0]
+        far = pair[:1].copy()
+        far[0, axis] = (far[0, axis] + L / 2) % L
+        pos = np.concatenate([far, pair, background])
+        times = np.concatenate([[0.0, 0.25, 0.5], bg_times + 1.0])
+        perm = rng.permutation(len(pos))
+        at = np.argsort(perm)[1:3]
+        ghost = _ghost_accept(pos[perm], times[perm], L)
+        assert ghost[at].tolist() == alone.tolist()
+        rsa = _rsa_accept(pos[perm], times[perm], L)
+        kept = [bool(np.all(rsa == p, axis=1).any()) for p in pos[:3]]
+        assert kept == [True, *alone.tolist()]
+
+
 @pytest.mark.parametrize("d", [2, 3])
-def test_ghost_pairs_across_piece_seam_and_wrap(monkeypatch, cpus, d):
-    # the slab case with axis 0 and the last axis swapped: its pairs cross
-    # the last axis at L/2 and across its wrap. One to four points per tree
-    # cut each of the two bands into one to five pieces; at two (d = 2) and
-    # three (d = 3) points per tree, a band that holds both pairs has two
-    # pieces, with their seam at L/2
-    monkeypatch.setattr(mt, "usable_cpus", lambda: cpus)
+def test_ghost_pairs_across_cell_seam_and_wrap(monkeypatch, d):
+    # the slab case with axis 0 and the last axis swapped: its pairs cross the
+    # last axis at L/2 and across its wrap, however many bands the sweep
+    # takes along axis 0
     pos, times, expected, L = _seam_and_wrap_case(d)
     pos = pos[:, ::-1].copy()
-    for tree_points in (1, 2, 3, 4):
-        monkeypatch.setattr(mt, "_GHOST_TREE_POINTS", tree_points)
+    for slab_points in (mt._GHOST_SLAB_POINTS, 2, 1):
+        monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", slab_points)
         _assert_ghost_case(pos, times, expected, L)
 
 
-def test_ghost_trees_hold_at_most_2_14_arrivals_and_halo(monkeypatch):
-    sizes = _record_tree_sizes(monkeypatch)
-    L = 224.0
-    pos, times = arrivals(11, 2, L, 4.0)
-    n = len(pos)
-    assert 190_000 < n < 210_000
-    _ghost_accept(pos, times, L)
-    # a band of m points (about n (w + 2) / L, w = L / bands) is cut into
-    # P = ceil(m / 2^14) pieces, each with about m / P <= 2^14 points plus a
-    # halo share 2 m / L; five standard deviations of a Poisson count on top
-    bands = -(-n // mt._GHOST_SLAB_POINTS)
-    m = n * (L / bands + 2.0) / L
-    bound = 2**14 + 2.0 * m / L + 5.0 * math.sqrt(2**14)
-    assert len(sizes) >= bands * math.ceil(m / 2**14)
-    assert max(sizes) <= bound
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_accept_rules_match_brute_force_in_a_sparse_box(d):
+    # L^d / n is in the thousands, so the cell count is capped near n/2; half
+    # the points have a partner 0.9 or exactly 1 away, across the wrap too
+    L = 2.0e4 ** (1 / d) * 10.0
+    rng = np.random.default_rng(d)
+    base = rng.random((100, d)) * L
+    base[:10, 0] = L - 0.5
+    shift = np.zeros((100, d))
+    shift[np.arange(100), rng.integers(0, d, 100)] = rng.choice([0.9, 1.0], 100)
+    pos = np.concatenate([base, (base + shift) % L])
+    times = rng.random(200)
+    assert mt._cells_per_axis(L, 1.0, len(pos), d) < L / 2
+    assert np.array_equal(_ghost_accept(pos, times, L), ghost_survivors_brute(pos, times, L))
+    assert np.array_equal(_rsa_accept(pos, times, L), rsa_kept_brute(pos, times, L))
 
 
 @pytest.mark.parametrize("kappa", [0, 1])
@@ -471,6 +447,12 @@ def test_arrivals_hold_no_more_than_what_they_return(d):
     assert peak < 8 * n * max(2, d + 1) + 2**18
 
 
+def _tree_pairs(acc, L):
+    """Pairs within _RMAX from a cKDTree of the periodic box, kept apart from the program."""
+    pairs = cKDTree(acc, boxsize=L).query_pairs(mt._RMAX, output_type="ndarray")
+    return pairs[:, 0], pairs[:, 1]
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_pair_distances_match_out_of_place_formula(d, seed):
@@ -478,14 +460,30 @@ def test_pair_distances_match_out_of_place_formula(d, seed):
     rng = np.random.default_rng(seed)
     L = [6.0, 7.3, 9.0][seed]
     acc = rng.random((60 * d, d)) * L
-    r = mt._pair_distances(acc, L)
-    pairs = mt._tree(acc, L).query_pairs(mt._RMAX, output_type="ndarray")
-    diff = acc[pairs[:, 0]] - acc[pairs[:, 1]]
+    i, j = _tree_pairs(acc, L)
+    r = mt._pair_distances(acc, L, i, j)
+    diff = acc[i] - acc[j]
     assert np.any(np.abs(diff) > L / 2)
     assert np.array_equal(r, np.sqrt(((diff - L * np.round(diff / L)) ** 2).sum(1)))
+    # the order within a pair does not change a bit
+    assert np.array_equal(r, mt._pair_distances(acc, L, j, i))
     assert r.min() < 1.0
     with pytest.raises(RuntimeError, match="not a valid packing"):
         mt._pair_histogram(acc, L, 50)
+
+
+@pytest.mark.parametrize("L", _CELL_BOXES + [40.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_histogram_counts_every_pair_within_reach(d, L):
+    # below L = 9 the cell list of reach 3 is one cell; the reference counts
+    # the pairs of a cKDTree query with the same distance arithmetic
+    pos, times, _ = _on_cell_edges(d, L, seed=3)
+    acc = pos[_ghost_accept(pos, times, L)]
+    counts, edges = mt._pair_histogram(acc, L, 64)
+    i, j = _tree_pairs(acc, L)
+    expected, _ = np.histogram(mt._pair_distances(acc, L, i, j), bins=edges)
+    assert counts.sum() > 0
+    assert np.array_equal(counts, expected)
 
 
 def test_equal_times_reject_the_higher_index():
@@ -502,7 +500,7 @@ def test_equal_times_reject_the_higher_index():
 @pytest.mark.parametrize("batch", [mt._RSA_BATCH, 7])
 @pytest.mark.parametrize("d,L,T", [(1, 7.3, 30.0), (1, 40.0, 10.0), (2, 9.0, 8.0), (3, 6.5, 4.0)])
 def test_rsa_matches_brute_force(monkeypatch, batch, d, L, T):
-    # a batch of 7 runs the tree screen against the kept bed many times
+    # a batch of 7 screens against the kept bed's cell list many times
     monkeypatch.setattr(mt, "_RSA_BATCH", batch)
     for seed in (3, 4):
         pos, times = _shuffled_arrivals(seed, d, L, T)
