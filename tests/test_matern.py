@@ -381,15 +381,17 @@ def test_exact_contact_across_cell_seam_and_wrap(d, L):
         assert kept == [True, *alone.tolist()]
 
 
+@pytest.mark.parametrize("slab_points", [1, 3])
 @pytest.mark.parametrize("d", [2, 3])
-def test_ghost_pairs_across_cell_seam_and_wrap(monkeypatch, d):
+def test_ghost_pairs_across_piece_seam_and_wrap(monkeypatch, d, slab_points):
     # the slab case with axis 0 and the last axis swapped: its pairs cross the
-    # last axis at L/2 and across its wrap, however many bands the sweep
-    # takes along axis 0
+    # last axis at L/2 and across its wrap, whichever pieces (bands) the sweep
+    # cuts along axis 0: one band, and slab_points and one more points per
+    # band, which give five and three bands, or two and two
     pos, times, expected, L = _seam_and_wrap_case(d)
     pos = pos[:, ::-1].copy()
-    for slab_points in (mt._GHOST_SLAB_POINTS, 2, 1):
-        monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", slab_points)
+    for points in (mt._GHOST_SLAB_POINTS, slab_points, slab_points + 1):
+        monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", points)
         _assert_ghost_case(pos, times, expected, L)
 
 
