@@ -12,7 +12,10 @@ during computation. Output paths are checked before any work starts, and
 ``table`` checks every input before it computes a row, so any failure while
 computing a row is the library's: the row becomes an error row, stderr names
 it and the exit code is 3, whether the rows come from a process pool or one
-after another.
+after another. Importing this module loads numpy only: each handler imports
+the library modules it runs, so ``matern`` runs without scipy and only the
+commands that read Bessel functions or incomplete beta functions load
+scipy.special.
 """
 
 from __future__ import annotations
@@ -30,13 +33,6 @@ from functools import partial
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
-
-from . import asymptotics as asym
-from . import matern as mt
-from .models import PackingDensity, RadialModel, default_k_max, log_amplitude, make_curve
-from .optimizer import MAX_CLOSED_FORM_D, check_dimension, classical_bounds
-from .optimizer import terminal_gap, terminal_record
-from .variance import yamada_check
 
 TABLE_COLUMNS = ("d", "sigma_star", "Z_star", "phi_star", "ratio", "k_min")
 CLASSICAL_COLUMNS = (
@@ -86,6 +82,8 @@ def _dump(obj: dict) -> str:
 def _parse_dims(text: str, kind: str) -> list[int]:
     """A comma list of dimensions and lo..hi spans, expanded only once
     check_dimension(kind, .) has passed every value and both ends of every span."""
+    from .optimizer import check_dimension
+
     spans = []
     for token in text.split(","):
         token = token.strip()
@@ -111,6 +109,8 @@ def _parse_dims(text: str, kind: str) -> list[int]:
 
 def _table_row(kind: str, d: int) -> dict:
     """The TABLE_COLUMNS of d's record, or {"d": d, "error": ...} if computing it fails."""
+    from .optimizer import terminal_record
+
     try:
         rec = terminal_record(kind, d)
     except Exception as exc:
@@ -161,6 +161,9 @@ def cmd_table(args) -> tuple[str, int]:
 
 
 def cmd_sk(args) -> tuple[str, int]:
+    from .models import PackingDensity, RadialModel, default_k_max, log_amplitude, make_curve
+    from .optimizer import MAX_CLOSED_FORM_D
+
     d, phi, sigma = args.d, args.phi, args.sigma
     if not 1 <= d <= MAX_CLOSED_FORM_D:
         raise ValueError(f"--d must be an integer in [1, {MAX_CLOSED_FORM_D}], got {d}")
@@ -202,14 +205,19 @@ def _flatten(prefix: str, report: dict):
 
 
 def cmd_asymptotics(args) -> tuple[str, int]:
-    report = asym.build_report(args.d, include_numeric=not args.skip_numeric)
+    from .asymptotics import build_report
+
+    report = build_report(args.d, include_numeric=not args.skip_numeric)
     if args.format == "json":
         return _dump({"command": "asymptotics", "d": args.d, "report": report}), 0
     return _csv(("quantity", "value"), _flatten("", report)), 0
 
 
-def _yamada_model(args) -> tuple[RadialModel, PackingDensity, float]:
-    """The model, the density and the relative error of its phi (0 for a given --phi)."""
+def _yamada_model(args):
+    """(RadialModel, PackingDensity, the relative error of its phi: 0 for a given --phi)."""
+    from .models import PackingDensity, RadialModel
+    from .optimizer import terminal_record
+
     d = args.d
     rec = terminal_record(args.model, d)
     sigma, Z, phi, phi_rel_err = rec.sigma_star, rec.Z_star, rec.phi_star, rec.phi_rel_err
@@ -225,6 +233,8 @@ def _yamada_model(args) -> tuple[RadialModel, PackingDensity, float]:
 
 
 def cmd_yamada(args) -> tuple[str, int]:
+    from .variance import yamada_check
+
     model, density, phi_rel_err = _yamada_model(args)
     check = yamada_check(model, density, args.Rmax, n_grid=args.grid, phi_rel_err=phi_rel_err)
     if args.format == "json":
@@ -250,10 +260,12 @@ def cmd_yamada(args) -> tuple[str, int]:
 
 
 def cmd_matern(args) -> tuple[str, int]:
-    config = mt.MaternConfig(
+    from .matern import MaternConfig, simulate  # loads no scipy
+
+    config = MaternConfig(
         d=args.d, L=args.L, T=args.T, kappa=args.kappa, seed=args.seed, bins=args.bins
     )
-    result = mt.simulate(config)
+    result = simulate(config)
     centers = result.accepted_centers
     n_accepted = len(centers)
     if args.centers_out:
@@ -296,6 +308,8 @@ def cmd_matern(args) -> tuple[str, int]:
 
 
 def cmd_classical(args) -> tuple[str, int]:
+    from .optimizer import classical_bounds, terminal_gap
+
     dims = _parse_dims(args.dims, "classical")
     rows = []
     for d in dims:

@@ -39,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import beta2
-from .specialfn import sphere_surface, sphere_volume
+from .geometry import beta2, sphere_surface, sphere_volume
 
 __all__ = [
     "MaternConfig",
@@ -72,8 +71,8 @@ _GHOST_SLAB_POINTS = 2**15
 class MaternConfig:
     """One simulator run, checked before any allocation.
 
-    50 <= bins <= MAX_BINS (2^16), and the expected arrival count L^d*T is at
-    most MAX_ARRIVALS (2^24).
+    50 <= bins <= MAX_BINS (2^16), the expected arrival count L^d*T is at
+    most MAX_ARRIVALS (2^24), and the box volume L^d is a finite float.
     """
 
     d: int
@@ -100,6 +99,11 @@ class MaternConfig:
                 f"expected arrival count L^d*T must be at most {MAX_ARRIVALS}, "
                 f"got L={self.L}, T={self.T} at d={self.d}"
             )
+        # a tiny T lets a box volume past the float range through the check above
+        try:
+            float(self.L) ** self.d
+        except OverflowError:
+            raise ValueError(f"box volume L^d overflows at --L {self.L}, --d {self.d}") from None
         if self.kappa not in (0, 1):
             raise ValueError(f"kappa must be 0 or 1, got {self.kappa}")
         if not (0 <= int(self.seed) < 2**64):

@@ -1,4 +1,4 @@
-"""The normalized Bessel kernel, the first zeros of J_nu, and n-sphere geometry.
+"""The normalized Bessel kernel and the first zeros of J_nu.
 
 The kernel and the zeros share one order cap (_LAMBDA_MU_MAX). Both read
 scipy's AMOS-backed ``jv``, except where the kernel bessel_lambda sums its
@@ -7,9 +7,8 @@ past which jv is a normal double.
 (Closed half-integer forms, the Watson asymptotic form and the large-order
 zero expansion survive only as oracles in the tests.) Landau's bound
 |J_mu(x)| <= c x^(-1/3) gives a closed-form envelope of the normalized
-kernel's tail (log_lambda_envelope).
-All sphere volumes/surfaces go through log space so nothing overflows
-before d is well past 1000.
+kernel's tail (log_lambda_envelope). Ball volumes and surfaces live in
+geometry.
 """
 
 from __future__ import annotations
@@ -25,13 +24,9 @@ __all__ = [
     "bessel_lambda",
     "log_lambda_envelope",
     "first_zero",
-    "sphere_volume",
-    "log_sphere_volume",
-    "sphere_surface",
 ]
 
 LN2 = math.log(2.0)
-LNPI = math.log(math.pi)
 
 #: quoted coefficients of the large-order expansion of the first positive
 #: zero of J_nu; kept at their published precision on purpose, because the
@@ -181,34 +176,3 @@ def first_zero(nu: float) -> float:
         f"no sign change of J_nu in bracket [{nu:.6g}, {cap:.6g}]; "
         "zero search did not converge"
     )
-
-
-def _check_ball(d, r: float) -> int:
-    """d as an int, or ValueError unless d is a positive integer and r >= 0."""
-    if d < 1 or d != int(d):
-        raise ValueError(f"dimension must be a positive integer, got {d}")
-    if r < 0.0:
-        raise ValueError("radius must be nonnegative")
-    return int(d)
-
-
-def log_sphere_volume(d: int, R: float) -> float:
-    """log of the d-volume of a radius-R ball; -inf at R=0."""
-    d = _check_ball(d, R)
-    if R == 0.0:
-        return -math.inf
-    return 0.5 * d * LNPI - gammaln(1.0 + 0.5 * d) + d * math.log(R)
-
-
-def sphere_volume(d: int, R: float) -> float:
-    """Volume pi^(d/2) R^d / Gamma(1+d/2) of a d-ball, computed in log space."""
-    lv = log_sphere_volume(d, R)
-    return 0.0 if lv == -math.inf else math.exp(lv)
-
-
-def sphere_surface(d: int, r: float) -> float:
-    """Surface content 2 pi^(d/2) r^(d-1) / Gamma(d/2) of the d-ball boundary."""
-    d = _check_ball(d, r)
-    if r == 0.0:
-        return 2.0 if d == 1 else 0.0
-    return math.exp(0.5 * d * LNPI - gammaln(0.5 * d) + LN2 + (d - 1) * math.log(r))

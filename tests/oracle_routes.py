@@ -23,7 +23,14 @@ from scipy.integrate import quad
 from scipy.special import gammaln, jv
 
 from packbound.asymptotics import solve_constants
-from packbound.geometry import _cd, _check_dr, beta2
+from packbound.geometry import (
+    _cd,
+    _check_dr,
+    alpha2,
+    log_sphere_volume,
+    sphere_surface,
+    sphere_volume,
+)
 from packbound.models import PackingDensity, RadialModel, _step_amplitude, structure_factor_gap
 from packbound.optimizer import _sigma_free_kernels, _tangency_terms
 from packbound.rootfind import brentq
@@ -33,9 +40,6 @@ from packbound.specialfn import (
     A3,
     bessel_lambda,
     first_zero,
-    log_sphere_volume,
-    sphere_surface,
-    sphere_volume,
 )
 
 _SERIES_TOL = 1e-14
@@ -254,12 +258,13 @@ def saturation_time(d: int, deficit: float = 1e-4) -> float:
 
 
 def g2_matern_limit(d: int, r: float) -> float:
-    """Saturated (t -> infinity) ghost-process pair correlation, 2/beta2 beyond contact."""
+    """Saturated (t -> infinity) ghost-process pair correlation, 2/beta2 beyond contact,
+    with beta2 = 2 - alpha2 at any d."""
     if r < 0.0:
         raise ValueError(f"separation must be nonnegative, got {r}")
     if r < 1.0:
         return 0.0
-    return 2.0 / beta2(d, r, 1.0)
+    return 2.0 / (2.0 - alpha2(d, r, 1.0))
 
 
 def _torus_sq_dist(pos: np.ndarray, p: np.ndarray, L: float) -> np.ndarray:

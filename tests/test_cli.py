@@ -21,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import packbound.cli as cli
+import packbound.matern as mt
+import packbound.models as models
 import packbound.optimizer as opt
 from packbound.cli import _parse_dims, _worker_count, main
 from packbound.matern import MAX_ARRIVALS, MAX_BINS
@@ -135,14 +137,14 @@ def test_options_only_where_used(capsys, argv):
 
 
 def test_table_error_rows_annotated(capsys, monkeypatch):
-    real = cli.terminal_record
+    real = opt.terminal_record
 
     def flaky(kind, d):
         if d == 4:
             raise RuntimeError("contrived failure")
         return real(kind, d)
 
-    monkeypatch.setattr(cli, "terminal_record", flaky)
+    monkeypatch.setattr(opt, "terminal_record", flaky)
     code, out = run_main(capsys, ["table", "--dims", "3,4,5", "--model", "delta"])
     assert code == 3
     lines = out.strip().split("\n")
@@ -292,12 +294,10 @@ def test_threads_match_sequential_on_bad_dimension(capsys):
     "L, T", [("20", "nan"), ("20", "inf"), ("nan", "1"), ("inf", "1")]
 )
 def test_matern_nonfinite_rejected_before_simulation(capsys, monkeypatch, L, T):
-    import packbound.cli as cli
-
     def never(config):
         raise AssertionError("simulation started")
 
-    monkeypatch.setattr(cli.mt, "simulate", never)
+    monkeypatch.setattr(mt, "simulate", never)
     assert main(["matern", "--d", "2", "--L", L, "--T", T]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -387,7 +387,7 @@ def test_yamada_negative_variance_is_violation(capsys):
 
 def test_matern_overlapping_acceptance_is_numerical_failure(capsys, monkeypatch):
     # a failed check on a computed configuration is exit 3, not bad input
-    monkeypatch.setattr(cli.mt, "_ghost_accept", lambda pos, times, L: np.ones(len(pos), dtype=bool))
+    monkeypatch.setattr(mt, "_ghost_accept", lambda pos, times, L: np.ones(len(pos), dtype=bool))
     assert main(["matern", "--d", "2", "--L", "10", "--T", "1"]) == 3
     assert capsys.readouterr() == (
         "", "numerical failure: accepted configuration is not a valid packing\n"
@@ -430,12 +430,10 @@ def test_nonfinite_model_parameters_rejected(capsys, argv, name):
 
 
 def test_matern_bins_capped_before_simulation(capsys, monkeypatch):
-    import packbound.cli as cli
-
     def never(config):
         raise AssertionError("simulation started")
 
-    monkeypatch.setattr(cli.mt, "simulate", never)
+    monkeypatch.setattr(mt, "simulate", never)
     for bins in (str(MAX_BINS + 1), "100000000000"):
         assert main(["matern", "--d", "1", "--L", "20", "--T", "1", "--bins", bins]) == 2
         captured = capsys.readouterr()
@@ -447,7 +445,7 @@ def test_matern_arrivals_capped_before_allocation(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("arrivals drawn")
 
-    monkeypatch.setattr(cli.mt, "arrivals", never)
+    monkeypatch.setattr(mt, "arrivals", never)
     for d, L, T in (("1", "5000", "3356"), ("2", "1e200", "1"), ("3", "40", "1e300")):
         assert main(["matern", "--d", d, "--L", L, "--T", T]) == 2
         captured = capsys.readouterr()
@@ -455,6 +453,16 @@ def test_matern_arrivals_capped_before_allocation(capsys, monkeypatch):
         assert captured.err.startswith(
             f"error: expected arrival count L^d*T must be at most {MAX_ARRIVALS}"
         )
+
+
+def test_matern_box_volume_overflow_rejected_before_allocation(capsys, monkeypatch):
+    # L^d*T passes the cap in logs, but L^d alone overflows
+    def never(*args):
+        raise AssertionError("arrivals drawn")
+
+    monkeypatch.setattr(mt, "arrivals", never)
+    assert main(["matern", "--d", "3", "--L", "1e105", "--T", "1e-310"]) == 2
+    assert capsys.readouterr() == ("", "error: box volume L^d overflows at --L 1e+105, --d 3\n")
 
 
 @pytest.mark.parametrize("d", ["1001", "5000", "20000"])
@@ -541,8 +549,8 @@ def test_sk_kmax_checked(capsys, kmax):
 )
 def test_bad_table_input_rejected_up_front(capsys, monkeypatch, argv, bad):
     # any record or optimum computed would raise
-    monkeypatch.setattr(cli, "terminal_record", None)
-    monkeypatch.setattr(cli, "terminal_gap", None)
+    monkeypatch.setattr(opt, "terminal_record", None)
+    monkeypatch.setattr(opt, "terminal_gap", None)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -586,31 +594,47 @@ def test_pools_take_one_worker_under_one_cpu_affinity():
 _LOADED_SCRIPT = """
 import contextlib, io, json, sys
 import packbound.cli as cli
-heavy = ("scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.sparse", "scipy.integrate",
-         "concurrent.futures.process", "concurrent.futures.thread", "multiprocessing")
-loaded = {"import": [m for m in heavy if m in sys.modules]}
+
+def loaded():
+    return [m for m in sys.modules if m.startswith(("scipy", "packbound.", "concurrent.futures.",
+                                                     "multiprocessing"))]
+
+steps = [[0, loaded()]]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(["table", "--model", "gap", "--dims", "3"]),
-             cli.main(["yamada", "--model", "delta", "--d", "1"])]
-    loaded["gap, yamada"] = [m for m in heavy if m in sys.modules]
-    codes.append(cli.main(["matern", "--d", "1", "--L", "50", "--T", "1"]))
-    codes.append(cli.main(["matern", "--d", "2", "--L", "20", "--T", "2", "--kappa", "0"]))
-    loaded["matern"] = [m for m in heavy if m in sys.modules]
-print(json.dumps({"codes": codes, "loaded": loaded}))
+    for argv in json.loads(sys.argv[1]):
+        steps.append([cli.main(argv), loaded()])
+print(json.dumps(steps))
 """
 
 
-def test_commands_import_only_what_they_run():
-    # start-up loads numpy and scipy.special only; the simulator needs no
-    # scipy.spatial and no thread pool, and the process pool comes only with
-    # table --threads N > 1
-    res = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT], capture_output=True, text=True)
+def _loaded_after(*commands):
+    """[exit code, loaded scipy, packbound and pool modules] after importing
+    packbound.cli (code 0) and after each command, in one fresh process."""
+    res = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, json.dumps(commands)],
+                         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    got = json.loads(res.stdout)
-    assert got["codes"] == [0, 0, 0, 0]
-    assert got["loaded"]["import"] == []
-    assert got["loaded"]["gap, yamada"] == []
-    assert got["loaded"]["matern"] == []
+    return json.loads(res.stdout)
+
+
+def test_commands_import_only_what_they_run():
+    # importing the CLI loads no scipy; matern (ghost, then RSA) runs on numpy
+    # alone, without the optimizer or the Bessel functions; table and yamada
+    # never load the simulator; no command loads the heavier scipy modules or
+    # a thread pool, and the process pool comes only with table --threads N > 1
+    heavy = {"scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.sparse", "scipy.integrate",
+             "concurrent.futures.process", "concurrent.futures.thread", "multiprocessing"}
+    matern = _loaded_after(["matern", "--d", "1", "--L", "50", "--T", "1"],
+                           ["matern", "--d", "2", "--L", "20", "--T", "2", "--kappa", "0"])
+    others = _loaded_after(["table", "--model", "gap", "--dims", "3"],
+                           ["yamada", "--model", "delta", "--d", "1"])
+    assert [code for code, _ in matern + others] == [0] * 6
+    for _, mods in matern:
+        assert not [m for m in mods if m.startswith("scipy")]
+        assert not {"packbound.optimizer", "packbound.specialfn"} & set(mods)
+    assert not [m for m in others[0][1] if m.startswith("scipy")]
+    for _, mods in matern + others:
+        assert not heavy & set(mods)
+    assert "packbound.matern" not in others[-1][1]
 
 
 _THREADS_SCRIPT = """
@@ -675,15 +699,16 @@ def _unreached_public_names(pkg: Path) -> list[str]:
     """'module.name' for each __all__ name that no top-level definition of cli reaches.
 
     Walks the AST of every module in pkg: a reached definition reaches each
-    top-level definition of its module it names, each name it imports with
-    'from .module import name', and 'alias.name' for each 'from . import
-    module as alias'.
+    top-level definition of its module it names, each name its module
+    imports with 'from .module import name' (at the top or inside a
+    function), and 'alias.name' for each 'from . import module as alias'.
     """
     defs, aliases, exports = {}, {}, {}
     for path in sorted(pkg.glob("*.py")):
         mod = path.stem
         defs[mod], aliases[mod], exports[mod] = {}, {}, []
-        for node in ast.parse(path.read_text()).body:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[mod][node.name] = node
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -693,7 +718,8 @@ def _unreached_public_names(pkg: Path) -> list[str]:
                         exports[mod] = ast.literal_eval(node.value)
                     elif isinstance(t, ast.Name):
                         defs[mod][t.id] = node
-            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for a in node.names:
                     # (module, name), or (module, None) for a module alias
                     target = (node.module, a.name) if node.module else (a.name, None)
@@ -801,7 +827,7 @@ def test_table_failure_reported_on_stderr(capsys, monkeypatch, tmp_path, threads
 )
 def test_sk_input_checked_up_front(capsys, monkeypatch, argv, bad):
     # no curve is sampled, and numpy prints no overflow warning first
-    monkeypatch.setattr(cli, "make_curve", None)
+    monkeypatch.setattr(models, "make_curve", None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["sk"] + argv) == 2
@@ -825,8 +851,8 @@ def _never_reached(*args, **kwargs):
 )
 def test_unwritable_output_path_rejected(capsys, monkeypatch, tmp_path, argv, flag):
     # the path is checked before any row is computed or any simulation runs
-    monkeypatch.setattr(cli.mt, "simulate", _never_reached)
-    monkeypatch.setattr(cli, "terminal_record", _never_reached)
+    monkeypatch.setattr(mt, "simulate", _never_reached)
+    monkeypatch.setattr(opt, "terminal_record", _never_reached)
     path = str(tmp_path / "missing" / "x.csv")
     assert main(argv + [flag, path]) == 2
     captured = capsys.readouterr()
@@ -835,7 +861,7 @@ def test_unwritable_output_path_rejected(capsys, monkeypatch, tmp_path, argv, fl
 
 
 def test_output_path_in_unwritable_directory_rejected_up_front(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(cli.mt, "simulate", _never_reached)
+    monkeypatch.setattr(mt, "simulate", _never_reached)
     real_access = cli.os.access
     monkeypatch.setattr(cli.os, "access", lambda p, mode: p != str(tmp_path) and real_access(p, mode))
     path = str(tmp_path / "c.csv")
@@ -861,7 +887,7 @@ def test_centers_out_rows_match_per_row_format(tmp_path, T):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(argv + ["--centers-out", str(centers)]) == 0
     n = json.loads(out.getvalue())["n_accepted"]
-    acc = cli.mt.simulate(cli.mt.MaternConfig(d=3, L=7.0, T=float(T), seed=4)).accepted_centers
+    acc = mt.simulate(mt.MaternConfig(d=3, L=7.0, T=float(T), seed=4)).accepted_centers
     rows = ["{:.9e},{:.9e},{:.9e}".format(*row) for row in acc.tolist()]
     assert len(rows) == n
     assert centers.read_text() == "\n".join(["x1,x2,x3"] + rows) + "\n"
@@ -928,7 +954,7 @@ def test_pooled_table_matches_sequential(model, dims):
 )
 def test_failing_row_is_error_row_on_both_paths(model, dims, pick, exc):
     bad = dims[pick % len(dims)]
-    real = cli.terminal_record
+    real = opt.terminal_record
 
     def failing(kind, d):
         if d == bad:
@@ -937,7 +963,7 @@ def test_failing_row_is_error_row_on_both_paths(model, dims, pick, exc):
 
     argv = ["table", "--model", model, "--dims=" + ",".join(map(str, dims))]
     # the pool runs in threads here, so the patched record reaches its workers
-    with mock.patch.object(cli, "terminal_record", failing), \
+    with mock.patch.object(opt, "terminal_record", failing), \
             mock.patch.object(cf, "ProcessPoolExecutor", cf.ThreadPoolExecutor):
         pooled = _run_quiet(argv + ["--threads", "2"])
         sequential = _run_quiet(argv + ["--threads", "1"])

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc, betaincc
 
-from packbound.geometry import alpha2, beta2
+from packbound.geometry import alpha2, beta2, log_sphere_volume, sphere_surface, sphere_volume
 
 from oracle_routes import alpha2_asymptotic, alpha2_integral, alpha2_series
 
@@ -19,8 +19,10 @@ def test_endpoints():
         assert alpha2_integral(d, 2.0, 1.0) == 0.0
         assert alpha2(d, 0.0, 1.0) == 1.0
         assert alpha2(d, 2.0, 1.0) == 0.0
+    for d in (1, 2, 3):
         assert beta2(d, 0.0, 1.0) == 1.0
         assert beta2(d, 2.0, 1.0) == 2.0
+        assert beta2(d, 5.0, 1.0) == 2.0
     assert alpha2_series(5, 2.0, 1.0) == pytest.approx(0.0, abs=1e-13)
 
 
@@ -89,8 +91,6 @@ def test_bounds_and_linear_envelope(d, x, R):
     a = alpha2(d, r, R)
     assert 0.0 <= a <= 1.0
     assert a <= 1.0 - r / (2.0 * R) + 1e-12
-    b = beta2(d, r, R)
-    assert 1.0 - 1e-12 <= b <= 2.0 + 1e-12
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 50, 200, 300])
@@ -146,5 +146,50 @@ def test_domain_errors():
         alpha2(0, 1.0, 1.0)
     with pytest.raises(ValueError):
         alpha2(3, 1.0, 0.0)
+    with pytest.raises(ValueError, match="d = 1, 2, 3 only"):
+        beta2(4, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        beta2(2, 1.0, 0.0)
     with pytest.raises(ValueError):
         alpha2_series(3, 2.5, 1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_beta2_closed_forms(d):
+    # against 2 - alpha2 and against I_{1-x^2}((d+1)/2, 1/2) at 50 digits, on
+    # r in [0, 2R], at the contact distance's neighbours and past 2R
+    for R in (0.5, 1.0, 3.0):
+        r = 2.0 * R * np.concatenate(
+            [np.linspace(0.0, 1.0, 401), [1e-12, 0.5 - 1e-9, 1.0 - 1e-12, 1.25]]
+        )
+        got = beta2(d, r, R)
+        assert [beta2(d, float(v), R) for v in r] == got.tolist()
+        assert np.all(np.abs(got - (2.0 - alpha2(d, r, R))) <= 5e-16 * got)
+        a = mpmath.mpf(d + 1) / 2
+        with mpmath.workdps(50):
+            for v, b in zip(r, got):
+                x = min(mpmath.mpf(float(v)) / (2 * mpmath.mpf(R)), 1)
+                ref = 2 - mpmath.betainc(a, 0.5, 0, 1 - x * x, regularized=True)
+                assert abs(b - ref) <= 3e-16 * ref, v
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+def test_ball_volume_and_surface_against_mpmath(R):
+    # math.lgamma is off by a few 1e-16 near 0.5, 1.5 and 2.5, and each log
+    # term is rounded, so the log of a volume or surface may be off by a few
+    # ulps of the largest term; exp adds one rounding
+    eps = np.finfo(float).eps
+    lnpi, lnr = math.log(math.pi), abs(math.log(R))
+    with mpmath.workdps(30):
+        pi, Rm = mpmath.pi, mpmath.mpf(R)
+        for d in range(1, 1001):
+            half = mpmath.mpf(d) / 2
+            size = 0.5 * d * lnpi + abs(math.lgamma(1.0 + 0.5 * d)) + d * lnr
+            lv = half * mpmath.log(pi) - mpmath.loggamma(1 + half) + d * mpmath.log(Rm)
+            assert abs(log_sphere_volume(d, R) - lv) <= 4 * eps * size, d
+            # surface = 2 (d/2) volume / R
+            ls = lv + mpmath.log(d) - mpmath.log(Rm)
+            for got, ref in ((sphere_volume(d, R), lv), (sphere_surface(d, R), ls)):
+                ref = mpmath.exp(ref)
+                if ref > 1e-300:
+                    assert abs(got - ref) <= (4 * size + 2) * eps * ref, d

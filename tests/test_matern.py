@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import chi2
 
 import packbound.matern as mt
-from packbound.geometry import alpha2, beta2
+from packbound.geometry import alpha2, beta2, sphere_volume
 from packbound.matern import (
     MAX_ARRIVALS,
     MAX_BINS,
@@ -25,7 +25,6 @@ from packbound.matern import (
     phi_of_t,
     simulate,
 )
-from packbound.specialfn import sphere_volume
 from oracle_routes import (
     g2_matern_limit,
     ghost_survivors_brute,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from packbound.geometry import sphere_surface
 from packbound.models import (
     PackingDensity,
     RadialModel,
@@ -11,7 +12,6 @@ from packbound.models import (
     structure_factor,
     structure_factor_gap,
 )
-from packbound.specialfn import sphere_surface
 
 from oracle_routes import (
     center_density,
@@ -55,7 +55,7 @@ def test_model_validation():
 
 
 def test_rho_relation_exact():
-    from packbound.specialfn import sphere_volume
+    from packbound.geometry import sphere_volume
 
     for d, phi in [(1, 0.75), (3, 0.3), (8, 1e-2), (64, 2.2e-13)]:
         dens = PackingDensity(d, phi)

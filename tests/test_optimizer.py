@@ -187,7 +187,6 @@ def test_gap_optimum_fails_tangency_check(monkeypatch, capsys):
     # numerical failure, both with exit 3
     unmemoized = opt.terminal_gap.__wrapped__
     monkeypatch.setattr(opt, "terminal_gap", unmemoized)
-    monkeypatch.setattr(cli, "terminal_gap", unmemoized)
     assert cli.main(["table", "--model", "gap", "--dims", "5"]) == 3
     assert "# error d=5: optimum at d=5 fails the structure-factor tangency check" in (
         capsys.readouterr().out

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
+from packbound.geometry import log_sphere_volume, sphere_surface, sphere_volume
 from packbound.optimizer import MAX_CLOSED_FORM_D, _k_grid
 from packbound.specialfn import (
     LANDAU_C,
@@ -15,9 +16,6 @@ from packbound.specialfn import (
     bessel_lambda,
     first_zero,
     log_lambda_envelope,
-    log_sphere_volume,
-    sphere_surface,
-    sphere_volume,
 )
 
 from oracle_routes import bessel_j_half, watson_j, zero_asymptotic
