@@ -72,11 +72,11 @@ def _cd(d: int) -> float:
 
 
 def _check_dr(d: int, R: float) -> int:
-    if d < 1 or d != int(d):
-        raise ValueError(f"dimension must be a positive integer, got {d}")
+    """d as an int (`_check_ball`), or ValueError unless R > 0."""
+    d = _check_ball(d, 0.0)
     if not (R > 0.0):
         raise ValueError(f"sphere radius must be positive, got {R}")
-    return int(d)
+    return d
 
 
 def alpha2(d: int, r, R: float = 1.0):

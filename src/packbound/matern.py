@@ -10,7 +10,9 @@ The simulator draws arrival times and positions from two child streams of one
 SeedSequence, times first as chunked exponential gaps and positions afterward
 as a single uniform block. Runs at the same seed and growing horizon T then
 share their arrival prefix exactly, so acceptance is monotone along T, which
-the coupling property test exploits.
+the coupling property test exploits. The times are a running sum of positive
+gaps, so the rows come in arrival order: a row's index is its rank, and both
+rules read the positions alone.
 
 Every neighbour search runs on one numpy cell list (`_cell_list`): cells of
 side just above the search reach, so each pair within reach lies in one cell
@@ -22,13 +24,14 @@ unit distance; most stop in their own cell. Standard RSA takes the arrivals
 in batches of doubling size, capped, screens each batch against a cell list
 of the kept bed the same way and settles the survivors of the batch among
 themselves from their pairs. Both give the accepted set of the all-pairs
-computation bit for bit. The arrival arrays are freed before the pair
-histogram of the accepted centers is built, from the candidate pairs of a
-cell list of reach 3.
+computation bit for bit. The arrival times are freed before acceptance
+starts and the positions before the pair histogram of the accepted centers
+is built, from the candidate pairs of a cell list of reach 3.
 
 Both rules use one contact rule: a center at distance <= 1 (minimum image)
 from an earlier blocking center is rejected, so exact contact counts as
-overlap. The distance is computed as in the brute-force rules of the tests.
+overlap. One distance rule (`_torus_sq`, computed as in the brute-force
+rules of the tests) serves contact, the packing check and the histogram.
 """
 
 from __future__ import annotations
@@ -294,19 +297,17 @@ def _torus_sq(a: np.ndarray, b: np.ndarray, L: float) -> np.ndarray:
 
     |dx|, then min(|dx|, L - |dx|), squares summed over the axes in order:
     the arithmetic of the brute-force rules in the tests, so that both decide
-    exact contact alike.
+    exact contact alike. a - b and b - a differ only in sign, so the order
+    within a pair does not change a bit. The work is done in place in a,
+    which every caller passes as a fresh `take`.
     """
-    dd = np.abs(a - b)
-    np.minimum(dd, L - dd, out=dd)
-    dd *= dd
-    return _row_sums(dd)
-
-
-def _row_sums(x: np.ndarray) -> np.ndarray:
-    """x.sum(axis=1) bit for bit, for d <= 3 columns, added one column at a time."""
-    s = x[:, 0].copy()
-    for k in range(1, x.shape[1]):
-        s += x[:, k]
+    a -= b
+    np.abs(a, out=a)
+    np.minimum(a, L - a, out=a)
+    a *= a
+    s = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        s += a[:, k]
     return s
 
 
@@ -427,12 +428,12 @@ def _by_band(x: np.ndarray, edges: np.ndarray, L: float) -> tuple[np.ndarray, np
     return grouped, starts
 
 
-def _ghost_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
+def _ghost_accept(pos: np.ndarray, L: float) -> np.ndarray:
     """Boolean mask of survivors under the ghost rule (all arrivals block).
 
-    An arrival is rejected iff an earlier one (by time, then by index) lies
-    within unit distance. The box is swept band by band along axis 0, in
-    S = ceil(n / _GHOST_SLAB_POINTS) bands of width w = L/S. Each band's
+    Row k of pos is the k-th arrival. An arrival is rejected iff an earlier
+    one lies within unit distance. The box is swept band by band along axis
+    0, in S = ceil(n / _GHOST_SLAB_POINTS) bands of width w = L/S. Each band's
     arrivals, together with those within 2 of the band (`_window`, read from
     the h = ceil(2/w) + 1 bands on either side), go into one cell list of
     unit reach in rank order, and each of the band's own arrivals walks the
@@ -458,10 +459,8 @@ def _ghost_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
             idx = np.sort(np.concatenate([grouped[starts[t] : starts[t + 1]] for t in near]))
         P = pos.take(idx, axis=0)
         inside = _window(P[:, 0], lo, min(hi, L), L)
+        # idx increases, so the rows stay in rank (arrival) order
         idx, P = idx.take(inside), P.take(inside, axis=0)
-        # in rank order: by time, and by index on equal times
-        by_time = np.argsort(times.take(idx), kind="stable")
-        idx, P = idx.take(by_time), P.take(by_time, axis=0)
         cells = _cell_list(P, L, m, min(int((lo - 2.0) % L * (m / L)), m - 1))
         del P
         x = cells.points[:, 0]
@@ -471,11 +470,11 @@ def _ghost_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
     return ~rejected
 
 
-def _rsa_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
-    """Standard RSA: only previously kept spheres block. Sequential by time.
+def _rsa_accept(pos: np.ndarray, L: float) -> np.ndarray:
+    """Standard RSA: only previously kept spheres block. Sequential by row.
 
-    The time-sorted arrivals go in batches of 1, 2, 4, ... arrivals, capped at
-    _RSA_BATCH. Each batch is screened against a cell list of the kept bed
+    Row k of pos is the k-th arrival. The arrivals go in batches of 1, 2, 4,
+    ... arrivals, capped at _RSA_BATCH. Each batch is screened against a cell list of the kept bed
     (`_blocked`); the survivors are then settled among themselves from their
     pairs within unit distance, found from a cell list of the batch, in
     arrival order: one is kept iff no earlier kept survivor of its batch is
@@ -483,7 +482,6 @@ def _rsa_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
     arrival survives the screen, small; the cap bounds the memory of the last
     ones.
     """
-    pos = pos[np.argsort(times, kind="stable")]
     d = pos.shape[1]
     kept = pos[:0]
     lo, size = 0, 1
@@ -510,25 +508,6 @@ def _rsa_accept(pos: np.ndarray, times: np.ndarray, L: float) -> np.ndarray:
     return kept
 
 
-def _pair_distances(P: np.ndarray, L: float, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Minimum-image distances of the pairs (P[i], P[j]).
-
-    The same arithmetic as sqrt(((diff - L*round(diff/L))**2).sum(1)), bit for
-    bit, done in place: no pair-sized array is held beyond diff and q. Every
-    step is odd in diff, so the order within a pair does not change a bit.
-    """
-    diff = P.take(i, axis=0)
-    diff -= P.take(j, axis=0)
-    q = diff / L
-    np.round(q, out=q)
-    q *= L
-    diff -= q
-    del q
-    diff *= diff
-    r = _row_sums(diff)
-    return np.sqrt(r, out=r)
-
-
 def _pair_histogram(acc: np.ndarray, L: float, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Pair counts of the centers acc over `bins` bins from 0.999 to _RMAX.
 
@@ -543,7 +522,8 @@ def _pair_histogram(acc: np.ndarray, L: float, bins: int) -> tuple[np.ndarray, n
     for lo in range(0, n, _GHOST_SLAB_POINTS):
         hi = min(lo + _GHOST_SLAB_POINTS, n)
         for o in _offsets(d, cells.m, half=True):
-            r = _pair_distances(cells.points, L, *_near_pairs(cells, lo, hi, o))
+            i, j = _near_pairs(cells, lo, hi, o)
+            r = np.sqrt(_torus_sq(cells.points.take(i, axis=0), cells.points.take(j, axis=0), L))
             # the packing check: every pair closer than 1 is a candidate
             if r.size and r.min() < 1.0 - 1e-12:
                 raise RuntimeError("accepted configuration is not a valid packing")
@@ -554,18 +534,19 @@ def _pair_histogram(acc: np.ndarray, L: float, bins: int) -> tuple[np.ndarray, n
 def simulate(config: MaternConfig) -> MaternResult:
     """Run one sequential-adsorption realization and compare with the formulas."""
     d, L, T = config.d, config.L, config.T
-    pos, times = arrivals(config.seed, d, L, T)
+    # the rows are in arrival order, which is all the rules read of the times
+    pos = arrivals(config.seed, d, L, T)[0]
     if config.kappa == 1:
-        acc = pos[_ghost_accept(pos, times, L)]
+        acc = pos[_ghost_accept(pos, L)]
         phi_analytic = phi_of_t(d, T)
     else:
-        acc = _rsa_accept(pos, times, L)
+        acc = _rsa_accept(pos, L)
         phi_analytic = math.nan
     n = len(acc)
     ghost_count = len(pos) - n
     # the arrivals are not needed past this point; free them before the
     # histogram's pair query
-    del pos, times
+    del pos
     vol = L**d
     phi_hat = n * sphere_volume(d, 0.5) / vol
 

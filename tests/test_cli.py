@@ -387,7 +387,7 @@ def test_yamada_negative_variance_is_violation(capsys):
 
 def test_matern_overlapping_acceptance_is_numerical_failure(capsys, monkeypatch):
     # a failed check on a computed configuration is exit 3, not bad input
-    monkeypatch.setattr(mt, "_ghost_accept", lambda pos, times, L: np.ones(len(pos), dtype=bool))
+    monkeypatch.setattr(mt, "_ghost_accept", lambda pos, L: np.ones(len(pos), dtype=bool))
     assert main(["matern", "--d", "2", "--L", "10", "--T", "1"]) == 3
     assert capsys.readouterr() == (
         "", "numerical failure: accepted configuration is not a valid packing\n"

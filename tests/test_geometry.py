@@ -142,14 +142,17 @@ def test_series_fallback_warns_near_support_edge():
 
 
 def test_domain_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dimension must be a positive integer, got 0$"):
         alpha2(0, 1.0, 1.0)
-    with pytest.raises(ValueError):
+    # the dimension is checked first
+    with pytest.raises(ValueError, match="^dimension must be a positive integer, got 2.5$"):
+        beta2(2.5, 1.0, -1.0)
+    with pytest.raises(ValueError, match="^sphere radius must be positive, got 0.0$"):
         alpha2(3, 1.0, 0.0)
     with pytest.raises(ValueError, match="d = 1, 2, 3 only"):
         beta2(4, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        beta2(2, 1.0, 0.0)
+    with pytest.raises(ValueError, match="^sphere radius must be positive, got nan$"):
+        beta2(2, 1.0, math.nan)
     with pytest.raises(ValueError):
         alpha2_series(3, 2.5, 1.0)
 

@@ -143,7 +143,7 @@ def test_pair_histogram_checks_packing(centers, valid):
 
 def test_simulate_rejects_overlapping_acceptance(monkeypatch):
     # a rule that keeps every arrival is caught by the packing check
-    monkeypatch.setattr(mt, "_ghost_accept", lambda pos, times, L: np.ones(len(pos), dtype=bool))
+    monkeypatch.setattr(mt, "_ghost_accept", lambda pos, L: np.ones(len(pos), dtype=bool))
     with pytest.raises(RuntimeError, match="not a valid packing"):
         simulate(MaternConfig(d=2, L=10.0, T=1.0, kappa=1, seed=0))
 
@@ -154,15 +154,17 @@ def test_result_rejects_density_above_one():
         dataclasses.replace(res, phi_hat=1.5)
 
 
-def test_ghost_acceptance_order_independent():
-    pos, times = arrivals(9, 2, 25.0, 8.0)
-    acc = pos[_ghost_accept(pos, times, 25.0)]
-    rng = np.random.default_rng(123)
-    perm = rng.permutation(len(pos))
-    acc_shuf = pos[perm][_ghost_accept(pos[perm], times[perm], 25.0)]
-    a = set(map(tuple, np.round(acc, 10)))
-    b = set(map(tuple, np.round(acc_shuf, 10)))
-    assert a == b
+@pytest.mark.parametrize("kappa", [0, 1])
+@pytest.mark.parametrize("d,L,T", [(1, 9.0, 20.0), (2, 7.3, 6.0), (3, 6.0, 1.5)])
+def test_arrivals_come_in_time_order(d, L, T, kappa):
+    # both rules rank the arrivals by row, so the run agrees with the
+    # all-pairs rules, which rank them by the returned times, only if the
+    # rows come in time order
+    pos, times = arrivals(5, d, L, T)
+    assert np.all(np.diff(times) >= 0.0)
+    acc = simulate(MaternConfig(d=d, L=L, T=T, kappa=kappa, seed=5)).accepted_centers
+    expected = rsa_kept_brute(pos, times, L) if kappa == 0 else pos[ghost_survivors_brute(pos, times, L)]
+    assert np.array_equal(acc, expected)
 
 
 def test_coupled_runs_are_monotone_in_T():
@@ -178,9 +180,9 @@ def test_coupled_runs_are_monotone_in_T():
 
 def test_ghost_accepted_is_subset_of_rsa():
     # with identical arrivals, anything the ghost rule keeps survives RSA too
-    pos, times = arrivals(11, 1, 100.0, 5.0)
-    ghost = pos[_ghost_accept(pos, times, 100.0)]
-    rsa = _rsa_accept(pos, times, 100.0)
+    pos = arrivals(11, 1, 100.0, 5.0)[0]
+    ghost = pos[_ghost_accept(pos, 100.0)]
+    rsa = _rsa_accept(pos, 100.0)
     gs = set(map(tuple, np.round(ghost, 10)))
     rs = set(map(tuple, np.round(rsa, 10)))
     assert gs <= rs
@@ -258,10 +260,23 @@ def _shuffled_arrivals(seed, d, L, T):
     return pos[perm], times[perm]
 
 
+def _ranked(pos, times):
+    """The rows of pos in rank order: by time, and by index on equal times."""
+    return pos[np.argsort(times, kind="stable")]
+
+
+def _ghost_mask(pos, times, L):
+    """_ghost_accept on the rows in rank order, as a mask over the rows as given."""
+    order = np.argsort(times, kind="stable")
+    mask = np.empty(len(pos), dtype=bool)
+    mask[order] = _ghost_accept(pos[order], L)
+    return mask
+
+
 def _assert_ghost_matches_brute_force(d, T, L):
     for seed in (1, 2):
         pos, times = _shuffled_arrivals(seed, d, L, T)
-        assert np.array_equal(_ghost_accept(pos, times, L), ghost_survivors_brute(pos, times, L))
+        assert np.array_equal(_ghost_mask(pos, times, L), ghost_survivors_brute(pos, times, L))
 
 
 @pytest.mark.parametrize("slab_points", [2**17, 40])
@@ -287,9 +302,7 @@ def _seam_and_wrap_case(d):
 
 def _assert_ghost_case(pos, times, expected, L):
     assert np.array_equal(ghost_survivors_brute(pos, times, L), expected)
-    assert np.array_equal(_ghost_accept(pos, times, L), expected)
-    perm = np.array([3, 0, 4, 2, 1])
-    assert np.array_equal(_ghost_accept(pos[perm], times[perm], L), expected[perm])
+    assert np.array_equal(_ghost_mask(pos, times, L), expected)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -329,8 +342,8 @@ def test_accept_rules_match_brute_force_on_cell_edges(monkeypatch, d, L):
     # in one band, and in bands of 40 arrivals
     for slab_points in (mt._GHOST_SLAB_POINTS, 40):
         monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", slab_points)
-        assert np.array_equal(_ghost_accept(pos, times, L), expected)
-    assert np.array_equal(_rsa_accept(pos, times, L), rsa_kept_brute(pos, times, L))
+        assert np.array_equal(_ghost_mask(pos, times, L), expected)
+    assert np.array_equal(_rsa_accept(_ranked(pos, times), L), rsa_kept_brute(pos, times, L))
 
 
 def _exact_contact_pairs(d, L):
@@ -373,9 +386,9 @@ def test_exact_contact_across_cell_seam_and_wrap(d, L):
         times = np.concatenate([[0.0, 0.25, 0.5], bg_times + 1.0])
         perm = rng.permutation(len(pos))
         at = np.argsort(perm)[1:3]
-        ghost = _ghost_accept(pos[perm], times[perm], L)
+        ghost = _ghost_mask(pos[perm], times[perm], L)
         assert ghost[at].tolist() == alone.tolist()
-        rsa = _rsa_accept(pos[perm], times[perm], L)
+        rsa = _rsa_accept(_ranked(pos[perm], times[perm]), L)
         kept = [bool(np.all(rsa == p, axis=1).any()) for p in pos[:3]]
         assert kept == [True, *alone.tolist()]
 
@@ -407,8 +420,8 @@ def test_accept_rules_match_brute_force_in_a_sparse_box(d):
     pos = np.concatenate([base, (base + shift) % L])
     times = rng.random(200)
     assert mt._cells_per_axis(L, 1.0, len(pos), d) < L / 2
-    assert np.array_equal(_ghost_accept(pos, times, L), ghost_survivors_brute(pos, times, L))
-    assert np.array_equal(_rsa_accept(pos, times, L), rsa_kept_brute(pos, times, L))
+    assert np.array_equal(_ghost_mask(pos, times, L), ghost_survivors_brute(pos, times, L))
+    assert np.array_equal(_rsa_accept(_ranked(pos, times), L), rsa_kept_brute(pos, times, L))
 
 
 @pytest.mark.parametrize("kappa", [0, 1])
@@ -454,6 +467,12 @@ def _tree_pairs(acc, L):
     return pairs[:, 0], pairs[:, 1]
 
 
+def _out_of_place_distances(acc, L, i, j):
+    """Minimum-image distances of the pairs (acc[i], acc[j]) by rounding."""
+    diff = acc[i] - acc[j]
+    return np.sqrt(((diff - L * np.round(diff / L)) ** 2).sum(1))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_pair_distances_match_out_of_place_formula(d, seed):
@@ -462,12 +481,11 @@ def test_pair_distances_match_out_of_place_formula(d, seed):
     L = [6.0, 7.3, 9.0][seed]
     acc = rng.random((60 * d, d)) * L
     i, j = _tree_pairs(acc, L)
-    r = mt._pair_distances(acc, L, i, j)
-    diff = acc[i] - acc[j]
-    assert np.any(np.abs(diff) > L / 2)
-    assert np.array_equal(r, np.sqrt(((diff - L * np.round(diff / L)) ** 2).sum(1)))
+    r = np.sqrt(mt._torus_sq(acc[i], acc[j], L))
+    assert np.any(np.abs(acc[i] - acc[j]) > L / 2)
+    assert np.array_equal(r, _out_of_place_distances(acc, L, i, j))
     # the order within a pair does not change a bit
-    assert np.array_equal(r, mt._pair_distances(acc, L, j, i))
+    assert np.array_equal(r, np.sqrt(mt._torus_sq(acc[j], acc[i], L)))
     assert r.min() < 1.0
     with pytest.raises(RuntimeError, match="not a valid packing"):
         mt._pair_histogram(acc, L, 50)
@@ -477,25 +495,14 @@ def test_pair_distances_match_out_of_place_formula(d, seed):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_pair_histogram_counts_every_pair_within_reach(d, L):
     # below L = 9 the cell list of reach 3 is one cell; the reference counts
-    # the pairs of a cKDTree query with the same distance arithmetic
+    # the pairs of a cKDTree query, bit for bit the same distances
     pos, times, _ = _on_cell_edges(d, L, seed=3)
-    acc = pos[_ghost_accept(pos, times, L)]
+    acc = pos[_ghost_mask(pos, times, L)]
     counts, edges = mt._pair_histogram(acc, L, 64)
     i, j = _tree_pairs(acc, L)
-    expected, _ = np.histogram(mt._pair_distances(acc, L, i, j), bins=edges)
+    expected, _ = np.histogram(_out_of_place_distances(acc, L, i, j), bins=edges)
     assert counts.sum() > 0
     assert np.array_equal(counts, expected)
-
-
-def test_equal_times_reject_the_higher_index():
-    pos = np.array([[1.0, 1.0], [1.5, 1.2], [4.0, 4.0]])
-    times = np.array([0.3, 0.3, 0.1])
-    expected = np.array([True, False, True])
-    for p in (pos, pos[[1, 0, 2]]):
-        assert np.array_equal(ghost_survivors_brute(p, times, 8.0), expected)
-        assert np.array_equal(_ghost_accept(p, times, 8.0), expected)
-        assert np.array_equal(_rsa_accept(p, times, 8.0), p[[2, 0]])
-        assert np.array_equal(rsa_kept_brute(p, times, 8.0), p[[2, 0]])
 
 
 @pytest.mark.parametrize("batch", [mt._RSA_BATCH, 7])
@@ -505,7 +512,7 @@ def test_rsa_matches_brute_force(monkeypatch, batch, d, L, T):
     monkeypatch.setattr(mt, "_RSA_BATCH", batch)
     for seed in (3, 4):
         pos, times = _shuffled_arrivals(seed, d, L, T)
-        assert np.array_equal(_rsa_accept(pos, times, L), rsa_kept_brute(pos, times, L))
+        assert np.array_equal(_rsa_accept(_ranked(pos, times), L), rsa_kept_brute(pos, times, L))
 
 
 def test_rsa_pairs_across_cell_seams_and_wrap():
@@ -517,9 +524,9 @@ def test_rsa_pairs_across_cell_seams_and_wrap():
     pos = np.array([[v] for v in x])
     expected = pos[[0, 2, 4, 8]]
     assert np.array_equal(rsa_kept_brute(pos, times, L), expected)
-    assert np.array_equal(_rsa_accept(pos, times, L), expected)
+    assert np.array_equal(_rsa_accept(pos, L), expected)
     pos2 = np.array([[v, 3.0 + 0.1 * k] for k, v in enumerate(x)])
-    assert np.array_equal(_rsa_accept(pos2, times, L), rsa_kept_brute(pos2, times, L))
+    assert np.array_equal(_rsa_accept(pos2, L), rsa_kept_brute(pos2, times, L))
 
 
 @pytest.mark.parametrize("batch", [mt._RSA_BATCH, 1, 2])
@@ -528,9 +535,8 @@ def test_exact_contact_blocks_at_every_batch_size(monkeypatch, batch):
     # arrivals are split into batches
     monkeypatch.setattr(mt, "_RSA_BATCH", batch)
     pos = np.array([[1.0], [2.0], [4.5]])
-    times = np.array([0.1, 0.2, 0.3])
-    assert np.array_equal(_rsa_accept(pos, times, 10.0), pos[[0, 2]])
-    assert np.array_equal(_ghost_accept(pos, times, 10.0), [True, False, True])
+    assert np.array_equal(_rsa_accept(pos, 10.0), pos[[0, 2]])
+    assert np.array_equal(_ghost_accept(pos, 10.0), [True, False, True])
 
 
 @st.composite
@@ -559,7 +565,7 @@ def test_accept_rules_match_brute_force_near_contact(config, batch):
     old = mt._RSA_BATCH
     mt._RSA_BATCH = batch
     try:
-        assert np.array_equal(_rsa_accept(pos, times, L), rsa_kept_brute(pos, times, L))
+        assert np.array_equal(_rsa_accept(_ranked(pos, times), L), rsa_kept_brute(pos, times, L))
     finally:
         mt._RSA_BATCH = old
-    assert np.array_equal(_ghost_accept(pos, times, L), ghost_survivors_brute(pos, times, L))
+    assert np.array_equal(_ghost_mask(pos, times, L), ghost_survivors_brute(pos, times, L))
