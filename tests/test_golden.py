@@ -1,8 +1,9 @@
 """Golden outputs: the exact bytes of fixed CLI commands.
 
-Each case runs one `matern` command in-process through `cli.main` and
-compares its stdout and its `--centers-out` file with the files under
-tests/golden/. A change meant to alter the output rewrites them
+Each case runs one command in-process through `cli.main` and compares its
+stdout with a file under tests/golden/: for `matern` also its
+`--centers-out` file, and for a command that must fail its stderr, with the
+exit code checked too. A change meant to alter the output rewrites them
 with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -24,23 +25,47 @@ from packbound.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
-#: case name -> CLI arguments, run with `--centers-out` added
+#: case name -> (CLI arguments, exit code); `matern` runs with `--centers-out`
+#: added, and a command that exits 0 must write nothing to stderr
 CASES = {
-    f"matern-d{d}-kappa{kappa}-{fmt}": [
-        "matern", "--d", str(d), "--L", "6", "--T", "2", "--seed", "7",
-        "--kappa", str(kappa), "--format", fmt,
-    ]
-    for d, kappa, fmt in itertools.product((1, 2, 3), (0, 1), ("csv", "json"))
+    **{
+        f"matern-d{d}-kappa{kappa}-{fmt}": ([
+            "matern", "--d", str(d), "--L", "6", "--T", "2", "--seed", "7",
+            "--kappa", str(kappa), "--format", fmt,
+        ], 0)
+        for d, kappa, fmt in itertools.product((1, 2, 3), (0, 1), ("csv", "json"))
+    },
+    # the default --Rmax: the closed-form models, and gap optima on both sides
+    # of the d where rows pass DBL_MAX
+    **{
+        f"yamada-{model}-d{d}-{fmt}": (["yamada", "--model", model, "--d", str(d), "--format", fmt], 0)
+        for (model, d), fmt in itertools.product(
+            (("delta", 1), ("step", 3), ("delta", 24), ("gap", 2), ("gap", 12), ("gap", 300)),
+            ("csv", "json"),
+        )
+    },
+    # the bracket's digits run out before --Rmax
+    "yamada-gap-d24-Rmax1e4": (["yamada", "--model", "gap", "--d", "24", "--Rmax", "1e4"], 3),
 }
 
 
-def _run(argv: list[str], centers: Path) -> dict[str, str]:
-    """stdout and the `--centers-out` file of one command, which must exit 0 silently."""
+def _run(argv: list[str], code: int, tmp: Path) -> dict[str, str]:
+    """The outputs of one command that exits with code: stdout, the `--centers-out`
+    file of `matern`, and stderr if code is not 0 (and then it must be empty)."""
+    centers = tmp / "centers.csv"
+    extra = ["--centers-out", str(centers)] if argv[0] == "matern" else []
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv + ["--centers-out", str(centers)])
-    assert (code, err.getvalue()) == (0, ""), f"packbound {' '.join(argv)} exited {code}: {err.getvalue()}"
-    return {"stdout": out.getvalue(), "centers": centers.read_text()}
+        got = main(argv + extra)
+    assert got == code and (code or not err.getvalue()), (
+        f"packbound {' '.join(argv)} exited {got}, not {code}: {err.getvalue()}"
+    )
+    files = {"stdout": out.getvalue()}
+    if extra:
+        files["centers"] = centers.read_text()
+    if code:
+        files["stderr"] = err.getvalue()
+    return files
 
 
 def _first_difference(want: str, got: str) -> str:
@@ -55,8 +80,8 @@ def _first_difference(want: str, got: str) -> str:
 
 @pytest.mark.parametrize("name", CASES)
 def test_golden_output(name, tmp_path):
-    argv = CASES[name]
-    for kind, got in _run(argv, tmp_path / "centers.csv").items():
+    argv, code = CASES[name]
+    for kind, got in _run(argv, code, tmp_path).items():
         path = GOLDEN / f"{name}.{kind}"
         want = path.read_text()
         assert got == want, (
@@ -70,7 +95,7 @@ def test_golden_output(name, tmp_path):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in CASES.items():
-            for kind, text in _run(argv, Path(tmp) / "centers.csv").items():
+        for name, (argv, code) in CASES.items():
+            for kind, text in _run(argv, code, Path(tmp)).items():
                 (GOLDEN / f"{name}.{kind}").write_text(text)
     print(f"rewrote {len(CASES)} cases in {GOLDEN}")
