@@ -57,7 +57,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta
 
 from .models import hyperuniform_Z, structure_factor_gap
 from .rootfind import brentq
@@ -440,6 +439,8 @@ def terminal_record(kind: str, d: int) -> TerminalDensityRecord:
 
 def classical_bounds(d: int) -> ClassicalBounds:
     """Reference lower bounds (and the KL upper-style exponent) at dimension d."""
+    from scipy.special import zeta
+
     d = check_dimension("classical", d)
     zd = float(zeta(d))
     return ClassicalBounds(

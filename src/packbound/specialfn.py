@@ -3,7 +3,9 @@
 The kernel and the zeros share one order cap (_LAMBDA_MU_MAX). Both read
 scipy's AMOS-backed ``jv``, except where the kernel bessel_lambda sums its
 ascending series instead: below one switch point per order (_series_end),
-past which jv is a normal double.
+past which jv is a normal double. scipy.special is imported inside the two
+functions that read it (_lambda_via_jv and first_zero), so importing this
+module, as models and optimizer do, loads no scipy.
 (Closed half-integer forms, the Watson asymptotic form and the large-order
 zero expansion survive only as oracles in the tests.) Landau's bound
 |J_mu(x)| <= c x^(-1/3) gives a closed-form envelope of the normalized
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, jv
 
 from .rootfind import brentq
 
@@ -138,6 +139,8 @@ def _bessel_lambda_scalar(mu: float, x: float) -> float:
 
 def _lambda_via_jv(mu: float, x):
     """bessel_lambda past _series_end(mu): jv in log space, the sign carried apart."""
+    from scipy.special import gammaln, jv
+
     j = jv(mu, x)
     mag = mu * LN2 + gammaln(mu + 1.0) + np.log(np.abs(j) + 1e-320) - mu * np.log(x)
     return np.sign(j) * np.exp(mag)
@@ -161,6 +164,8 @@ def first_zero(nu: float) -> float:
     The search cap nu + 3 nu^(1/3) + 4 sits well past the first zero at
     every order. Orders run from 1/2 (d = 1) to 502, bessel_lambda's cap.
     """
+    from scipy.special import jv
+
     nu = _order_in_range(nu, 0.5, "first_zero")
     cap = nu + 3.0 * nu ** (1.0 / 3.0) + 4.0
     step = 0.25 * max(nu, 1.0) ** (1.0 / 3.0)

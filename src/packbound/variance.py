@@ -17,9 +17,10 @@ alpha2'(x) = -c(d) (1-x^2)^((d-1)/2) and a = (d+1)/2 gives the closed form
 
     J(X) = X^d alpha2(X) + (c(d)/2) B(a, a) I_{X^2}(a, a),
 
-used as written for X >= 1/2. Below 1/2, X^d underflows at large d, so X^d
-is factored out and the incomplete beta becomes a series of positive terms,
-each at most half the one before:
+used as written for X >= 1/2, with B(a, a) and I_{X^2}(a, a) from geometry's
+in-house incomplete beta (no scipy). Below 1/2, X^d underflows at large d, so
+X^d is factored out and the incomplete beta becomes a series of positive
+terms, each at most half the one before:
 
     J(X) = X^d [alpha2(X) + c(d)/(d+1) X (1-X^2)^a sum_k (2a)_k/(a+1)_k X^(2k)].
 
@@ -31,7 +32,9 @@ the expected count rho v1(R), only binds for windows larger than
 R0 = phi^(-1/d)/2 (below R0 the exact x(1-x) form saturates it). The checker
 walks a geometric R grid, densified with the worst-case radii where the
 expected count is half-integer (theta = 1/2), and fails at the first radius
-where the bracket's estimated rounding error reaches the printed digits.
+where the bracket's estimated rounding error reaches the printed digits. It
+reads the counts, the bracket and the contact term from the same
+number_variance pass that forms the variance.
 """
 
 from __future__ import annotations
@@ -40,9 +43,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc, betaln
 
-from .geometry import _cd, alpha2
+from .geometry import _betainc, _cd, _log_beta, alpha2
 from .models import PackingDensity, RadialModel, log_amplitude
 
 __all__ = [
@@ -121,7 +123,9 @@ def _log_j(d: int, X: np.ndarray) -> np.ndarray:
     if np.any(hi):
         x = X[hi]
         # alpha2(d, x, 0.5) is alpha2 at r/2R = x
-        J = x**d * alpha2(d, x, 0.5) + 0.5 * cd * math.exp(betaln(a, a)) * betainc(a, a, x * x)
+        J = x**d * alpha2(d, x, 0.5) + 0.5 * cd * math.exp(_log_beta(a, a)) * _betainc(
+            a, a, x * x, (1.0 - x) * (1.0 + x)
+        )
         # from d = 887 on, J underflows to 0 on the rows R0 < R <= 1; log J = -inf
         # gives a bracket of exactly 1 there, which is its correctly rounded value
         with np.errstate(divide="ignore"):
@@ -140,10 +144,13 @@ def _log_j(d: int, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def number_variance(model: RadialModel, density: PackingDensity, R):
+def number_variance(model: RadialModel, density: PackingDensity, R, *, _parts: bool = False):
     """Variance of the particle count in a window of radius R.
 
-    Scalar or ndarray in R, like ``alpha2``; a scalar R gives a float.
+    Scalar or ndarray in R, like ``alpha2``; a scalar R gives a float. With
+    _parts, for yamada_check's one pass over its grid of radii (phi > 0),
+    it returns (sigma^2, expected count, bracket, contact term Z alpha2(1; R))
+    as 1-d arrays.
     """
     Ra = np.asarray(R, dtype=float)
     ok = (Ra > 0.0) & (Ra < math.inf)
@@ -166,16 +173,21 @@ def number_variance(model: RadialModel, density: PackingDensity, R):
     if np.any(beyond):
         log_integral = d * np.log(two_r[beyond]) + _log_j(d, sigma / two_r[beyond])
         bracket[beyond] = -np.expm1(log_amplitude(d, phi, 1.0) + log_integral)
+    contact = np.zeros_like(rr)
     if Z > 0.0:
         # alpha2(1; R) with r/2R = 1/(2R)
-        bracket += Z * alpha2(d, 0.5 / rr, 0.5)
+        contact = Z * alpha2(d, 0.5 / rr, 0.5)
+        bracket += contact
     overflow = np.isinf(count) & (bracket <= 0.0)
     if np.any(overflow):
         raise OverflowError(f"expected count overflows at d={d}, R={rr[overflow][0]}")
     # a finite count times a positive bracket may pass DBL_MAX: such a row reads
     # inf, which holds the Yamada bound (at most 1/4) as the true variance does
     with np.errstate(over="ignore"):
-        out = (count * bracket).reshape(Ra.shape)
+        sigma2 = count * bracket
+    if _parts:
+        return sigma2, count, bracket, contact
+    out = sigma2.reshape(Ra.shape)
     return float(out) if Ra.ndim == 0 else out
 
 
@@ -243,15 +255,13 @@ def yamada_check(
     if not R0 < R_max < math.inf:
         raise ValueError(f"R_max={R_max} must be finite and exceed R0={R0:.6g}")
     rr = _r_grid(d, phi, R0, R_max, n_grid)
-    sigma2 = number_variance(model, density, rr)
-    counts = _expected_counts(d, phi, rr)[1]
+    sigma2, counts, bracket, contact = number_variance(model, density, rr, _parts=True)
     # the bracket's rounding error: _BRACKET_ULPS eps of its terms' summed
     # magnitude 2 (1 + Z alpha2) - B, plus 2 d ln(2R) eps of it from
     # exponentiating log-space sums whose two parts are each about d ln(2R)
     # (rows of infinite sigma^2 print no digits and hold every bound)
     f = np.isfinite(sigma2)
-    bracket = np.divide(sigma2, counts, out=np.ones_like(rr), where=f)
-    terms = 2.0 * (1.0 + model.Z * alpha2(d, 0.5 / rr, 0.5)) - bracket
+    terms = 2.0 * (1.0 + contact) - bracket
     err = np.finfo(float).eps * (_BRACKET_ULPS + 2.0 * d * np.log(2.0 * rr)) * terms
     lost = np.flatnonzero(f & (err > _SIGMA2_RTOL * np.abs(bracket)))
     if lost.size:

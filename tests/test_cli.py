@@ -618,23 +618,28 @@ def _loaded_after(*commands):
 
 def test_commands_import_only_what_they_run():
     # importing the CLI loads no scipy; matern (ghost, then RSA) runs on numpy
-    # alone, without the optimizer or the Bessel functions; table and yamada
-    # never load the simulator; no command loads the heavier scipy modules or
-    # a thread pool, and the process pool comes only with table --threads N > 1
+    # alone, without the optimizer or the Bessel functions; yamada for the
+    # closed-form step and delta models loads no scipy either, in a process of
+    # its own so that no earlier command has loaded it; table and yamada never
+    # load the simulator; no command loads the heavier scipy modules or a
+    # thread pool, and the process pool comes only with table --threads N > 1
     heavy = {"scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.sparse", "scipy.integrate",
              "concurrent.futures.process", "concurrent.futures.thread", "multiprocessing"}
     matern = _loaded_after(["matern", "--d", "1", "--L", "50", "--T", "1"],
                            ["matern", "--d", "2", "--L", "20", "--T", "2", "--kappa", "0"])
+    closed = _loaded_after(["yamada", "--model", "delta", "--d", "24"],
+                           ["yamada", "--model", "step", "--d", "3"])
     others = _loaded_after(["table", "--model", "gap", "--dims", "3"],
-                           ["yamada", "--model", "delta", "--d", "1"])
-    assert [code for code, _ in matern + others] == [0] * 6
+                           ["yamada", "--model", "gap", "--d", "3"])
+    assert [code for code, _ in matern + closed + others] == [0] * 9
     for _, mods in matern:
         assert not [m for m in mods if m.startswith("scipy")]
         assert not {"packbound.optimizer", "packbound.specialfn"} & set(mods)
-    assert not [m for m in others[0][1] if m.startswith("scipy")]
-    for _, mods in matern + others:
+    for _, mods in closed + others[:1]:
+        assert not [m for m in mods if m.startswith("scipy")]
+    for _, mods in matern + closed + others:
         assert not heavy & set(mods)
-    assert "packbound.matern" not in others[-1][1]
+    assert "packbound.matern" not in closed[-1][1] + others[-1][1]
 
 
 _THREADS_SCRIPT = """

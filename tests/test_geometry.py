@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import betainc, betaincc
 
-from packbound.geometry import alpha2, beta2, log_sphere_volume, sphere_surface, sphere_volume
+from packbound.geometry import _betainc, alpha2, beta2, log_sphere_volume, sphere_surface, sphere_volume
 
 from oracle_routes import alpha2_asymptotic, alpha2_integral, alpha2_series
 
@@ -93,26 +92,55 @@ def test_bounds_and_linear_envelope(d, x, R):
     assert a <= 1.0 - r / (2.0 * R) + 1e-12
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 8, 50, 200, 300])
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 50, 200, 300, 1000])
 def test_alpha2_against_mpmath(d):
-    # I_{1-x^2}((d+1)/2, 1/2) at 50 digits, with 1 - x^2 formed exactly
+    # I_{1-x^2}((d+1)/2, 1/2) at 50 digits, with 1 - x^2 formed exactly. As
+    # x -> 1 it holds only if alpha2 forms 1 - x^2 as (1 - x)(1 + x): 1 minus a
+    # rounded x^2 is off by 5e-10 relative at x = 1 - 1e-9, d = 1
     a = mpmath.mpf(d + 1) / 2
-    xs = np.concatenate([np.geomspace(1e-12, 0.99, 120), np.linspace(0.05, 0.99, 20)])
+    # alpha2's incomplete beta switches to its symmetric form at
+    # 1 - x^2 = (a + 1)/(a + 5/2); the old scipy forms switched at x^2 = 1/2
+    switch = 1.5 / (float(a) + 2.5)
+    steps = 1.0 + np.array([-1e-3, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-3])
+    edges = np.concatenate([math.sqrt(0.5) * steps, math.sqrt(switch) * steps])
+    xs = np.concatenate([
+        np.geomspace(1e-12, 0.99, 120), np.linspace(0.05, 0.99, 20), [1.0 - 1e-6, 1.0 - 1e-9], edges,
+    ])
     with mpmath.workdps(50):
         for x in xs:
             ref = mpmath.betainc(a, 0.5, 0, 1 - mpmath.mpf(float(x)) ** 2, regularized=True)
             assert alpha2(d, 2.0 * x, 1.0) == pytest.approx(float(ref), rel=1e-12), x
-    # each form runs only on its side of x^2 = 1/2; the result has the bits of
-    # evaluating both forms on every point and picking one, and of scalar calls
-    edge = math.sqrt(0.5) * (1.0 + np.array([-1e-3, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-3]))
-    r = 2.0 * np.concatenate([xs, edge, [1.0, 1.2]])
-    y = np.clip(r / 2.0, 0.0, 1.0) ** 2
-    assert np.any(y < 0.5) and np.any(y >= 0.5)
-    af = 0.5 * (d + 1)
-    both = np.where(y < 0.5, betaincc(0.5, af, y), betainc(af, 0.5, 1.0 - y))
-    got = alpha2(d, r, 1.0)
-    assert np.array_equal(got, both)
-    assert [alpha2(d, float(v), 1.0) for v in r] == got.tolist()
+    # an array holds the bits of scalar calls, on both sides of the switch
+    r = 2.0 * np.concatenate([xs, [1.0, 1.2]])
+    x = np.clip(r / 2.0, 0.0, 1.0)
+    assert np.any(x * x < switch) and np.any(x * x > switch)
+    assert [alpha2(d, float(v), 1.0) for v in r] == alpha2(d, r, 1.0).tolist()
+
+
+@pytest.mark.parametrize("d", [2, 24, 300, 1000])
+def test_betainc_against_mpmath(d):
+    # I_x(a, a), I_x(a, 1/2) and I_x(1/2, a) at a = (d+1)/2, the three shapes
+    # that alpha2 and the number variance's J(X) read, against 50 digits, on
+    # both sides of each switch, as x -> 0 and as x -> 1 (1 - x given exactly)
+    a = 0.5 * (d + 1)
+    t = np.concatenate([np.geomspace(1e-12, 0.5, 30), 1.0 - np.geomspace(1e-12, 0.5, 30)])
+    with mpmath.workdps(50):
+        for p, q in ((a, a), (a, 0.5), (0.5, a)):
+            switch = (p + 1.0) / (p + q + 2.0)
+            for x in np.concatenate([t, switch * (1.0 + np.array([-1e-12, 0.0, 1e-12]))]):
+                xc = 1.0 - mpmath.mpf(float(x))
+                ref = mpmath.betainc(p, q, 0, float(x), regularized=True)
+                if ref < 1e-290:
+                    continue  # not a normal double
+                got = _betainc(p, q, np.array([x]), np.array([float(xc)]))[0]
+                assert got == pytest.approx(float(ref), rel=1e-12), (p, q, x)
+
+
+def test_betainc_raises_where_its_fraction_does_not_converge():
+    # at a = b = 1e6 the fraction needs thousands of terms at the switch, past
+    # the deepest depth tried; that is an error, not a truncated value
+    with pytest.raises(RuntimeError, match="did not converge in 256 terms"):
+        _betainc(1e6, 1e6, np.array([0.1, 0.5]), np.array([0.9, 0.5]))
 
 
 def test_scaling_in_R():

@@ -16,6 +16,7 @@ from packbound.optimizer import terminal_delta, terminal_gap
 from packbound.variance import (
     VarianceCheck,
     _expected_counts,
+    _log_j,
     fractional_count_bound,
     number_variance,
     yamada_check,
@@ -288,6 +289,25 @@ def _mp_delta_terms(d, phi, Z, R):
         count = mpmath.mpf(phi) * (2 * mpmath.mpf(R)) ** d
         dropped = 2**d * mpmath.mpf(phi) * (2 * mpmath.mpf(R)) ** d * J
         return float(count * (1 - dropped + Z * alpha2(X))), dropped
+
+
+@pytest.mark.parametrize("d", [2, 24, 300, 1000])
+def test_log_j_against_mpmath(d):
+    # log J(X) on both sides of X = 1/2 (the series, then the closed form), with
+    # J(X) = X^d I_{1-X^2}(a, 1/2) + B(a, a) / B(1/2, a) I_{X^2}(a, a) at 50 digits
+    X = np.concatenate([np.geomspace(1e-3, 0.99, 25), 0.5 * (1.0 + np.array([-1e-12, 0.0, 1e-12])),
+                        [1.0 - 1e-6, 1.0 - 1e-9]])
+    got = _log_j(d, X)
+    with mpmath.workdps(50):
+        a = mpmath.mpf(d + 1) / 2
+        for x, g in zip(X, got):
+            x = mpmath.mpf(float(x))
+            J = x**d * mpmath.betainc(a, 0.5, 0, 1 - x * x, regularized=True) + mpmath.beta(
+                a, a
+            ) / mpmath.beta(0.5, a) * mpmath.betainc(a, a, 0, x * x, regularized=True)
+            if x >= 0.5 and J < 1e-290:
+                continue  # J is not a normal double: the closed form underflows (see _log_j)
+            assert g == pytest.approx(float(mpmath.log(J)), rel=1e-12), float(x)
 
 
 @pytest.mark.parametrize("d", [887, 900, 1000])
