@@ -183,6 +183,8 @@ def alpha2(d: int, r, R: float = 1.0):
     """
     d = _check_dr(d, R)
     ra = np.asarray(r, dtype=float)
+    if np.isnan(ra).any():
+        raise ValueError("center distance r must not be NaN")
     x = np.atleast_1d(np.clip(ra / (2.0 * R), 0.0, 1.0))
     out = _betainc(0.5 * (d + 1), 0.5, (1.0 - x) * (1.0 + x), x * x)
     return float(out[0]) if ra.ndim == 0 else out

@@ -181,6 +181,9 @@ def test_domain_errors():
         beta2(4, 1.0, 1.0)
     with pytest.raises(ValueError, match="^sphere radius must be positive, got nan$"):
         beta2(2, 1.0, math.nan)
+    # a NaN distance is bad input, not a continued fraction that fails to converge
+    with pytest.raises(ValueError, match="^center distance r must not be NaN$"):
+        alpha2(2, np.array([0.5, math.nan]), 1.0)
     with pytest.raises(ValueError):
         alpha2_series(3, 2.5, 1.0)
 
