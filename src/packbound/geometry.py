@@ -34,7 +34,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
-_EPS = np.finfo(float).eps
 
 # depths (terms) of _beta_cf's continued fraction, tried in turn: alpha2 and
 # J(X) at d <= 1000 need at most 138 terms (a = (d+1)/2, b = 1/2, x at the switch)
@@ -135,7 +134,7 @@ def _beta_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
             cx = c * xs
             gain *= np.abs(cx) / (t * t)
             t = 1.0 + cx / t
-        done = gain <= _EPS * t
+        done = gain <= np.finfo(float).eps * t
         out[todo[done]] = 1.0 / t[done]
         todo = todo[~done]
         if not todo.size:

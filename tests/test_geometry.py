@@ -7,7 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from packbound.geometry import _betainc, alpha2, beta2, log_sphere_volume, sphere_surface, sphere_volume
+from packbound.geometry import (
+    _betainc, alpha2, beta2, log_sphere_volume, sphere_surface, sphere_volume,
+)
 
 from oracle_routes import alpha2_asymptotic, alpha2_integral, alpha2_series
 
@@ -99,17 +101,18 @@ def test_alpha2_against_mpmath(d):
     # rounded x^2 is off by 5e-10 relative at x = 1 - 1e-9, d = 1
     a = mpmath.mpf(d + 1) / 2
     # alpha2's incomplete beta switches to its symmetric form at
-    # 1 - x^2 = (a + 1)/(a + 5/2); the old scipy forms switched at x^2 = 1/2
+    # 1 - x^2 = (a + 1)/(a + 5/2); points around it and around x^2 = 1/2
     switch = 1.5 / (float(a) + 2.5)
     steps = 1.0 + np.array([-1e-3, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-3])
     edges = np.concatenate([math.sqrt(0.5) * steps, math.sqrt(switch) * steps])
     xs = np.concatenate([
-        np.geomspace(1e-12, 0.99, 120), np.linspace(0.05, 0.99, 20), [1.0 - 1e-6, 1.0 - 1e-9], edges,
+        np.geomspace(1e-12, 0.99, 120), np.linspace(0.05, 0.99, 20), [1.0 - 1e-6, 1.0 - 1e-9],
+        edges,
     ])
     with mpmath.workdps(50):
         for x in xs:
             ref = mpmath.betainc(a, 0.5, 0, 1 - mpmath.mpf(float(x)) ** 2, regularized=True)
-            assert alpha2(d, 2.0 * x, 1.0) == pytest.approx(float(ref), rel=1e-12), x
+            assert alpha2(d, 2.0 * x, 1.0) == pytest.approx(float(ref), rel=1e-12, abs=0.0), x
     # an array holds the bits of scalar calls, on both sides of the switch
     r = 2.0 * np.concatenate([xs, [1.0, 1.2]])
     x = np.clip(r / 2.0, 0.0, 1.0)
@@ -121,7 +124,7 @@ def test_alpha2_against_mpmath(d):
 def test_betainc_against_mpmath(d):
     # I_x(a, a), I_x(a, 1/2) and I_x(1/2, a) at a = (d+1)/2, the three shapes
     # that alpha2 and the number variance's J(X) read, against 50 digits, on
-    # both sides of each switch, as x -> 0 and as x -> 1 (1 - x given exactly)
+    # both sides of each switch, as x -> 0 and as x -> 1 (1 - x to full precision)
     a = 0.5 * (d + 1)
     t = np.concatenate([np.geomspace(1e-12, 0.5, 30), 1.0 - np.geomspace(1e-12, 0.5, 30)])
     with mpmath.workdps(50):
@@ -133,7 +136,7 @@ def test_betainc_against_mpmath(d):
                 if ref < 1e-290:
                     continue  # not a normal double
                 got = _betainc(p, q, np.array([x]), np.array([float(xc)]))[0]
-                assert got == pytest.approx(float(ref), rel=1e-12), (p, q, x)
+                assert got == pytest.approx(float(ref), rel=1e-12, abs=0.0), (p, q, x)
 
 
 def test_betainc_raises_where_its_fraction_does_not_converge():
