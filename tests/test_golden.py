@@ -21,9 +21,13 @@ from pathlib import Path
 
 import pytest
 
+from conftest import TABLE_DIMS
 from packbound.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# the dimensions of the paper's table
+_PAPER_DIMS = ",".join(map(str, TABLE_DIMS))
 
 #: case name -> (CLI arguments, exit code); `matern` runs with `--centers-out`
 #: added, and a command that exits 0 must write nothing to stderr
@@ -46,6 +50,27 @@ CASES = {
     },
     # the bracket's digits run out before --Rmax
     "yamada-gap-d24-Rmax1e4": (["yamada", "--model", "gap", "--d", "24", "--Rmax", "1e4"], 3),
+    # 120,215 arrivals: the ghost rule sweeps four bands, each gathering three
+    "matern-d1-L2000-T60-csv": (["matern", "--d", "1", "--L", "2000", "--T", "60", "--seed", "7"], 0),
+    **{
+        f"table-{model}-d1-1000-csv": (["table", "--model", model, "--dims", "1..1000"], 0)
+        for model in ("step", "delta")
+    },
+    **{
+        f"table-gap-paper-dims-{fmt}": (["table", "--model", "gap", "--dims", _PAPER_DIMS, "--format", fmt], 0)
+        for fmt in ("csv", "json")
+    },
+    "classical-d2-1000": (["classical", "--dims", "2..1000"], 0),
+    **{
+        f"asymptotics-d{d}{suffix}": (["asymptotics", "--d", str(d), *flag], 0)
+        for d in (24, 200, 1000)
+        for suffix, flag in (("", []), ("-skip-numeric", ["--skip-numeric"]))
+    },
+    # the gap optimum at d = 12, as terminal_gap returns it
+    "sk-gap-d12-optimum": ([
+        "sk", "--model", "gap", "--d", "12", "--phi", "0.019150818069812788",
+        "--sigma", "1.1028572752575865", "--Z", "252.96801703484817",
+    ], 0),
 }
 
 
