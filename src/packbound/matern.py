@@ -17,13 +17,14 @@ rules read the positions alone.
 Every neighbour search runs on one numpy cell list (`_cell_list`): cells of
 side just above the search reach, so each pair within reach lies in one cell
 or in two neighbouring ones, with the points sorted by cell and, within a
-cell, by rank. The ghost rule sweeps the box band by band along axis 0,
-2^15 arrivals per band, and each arrival walks the earlier arrivals of its
-own cell and then of the neighbour cells, stopping at the first one within
-unit distance; most stop in their own cell. Standard RSA takes the arrivals
-in batches of doubling size, capped, screens each batch against a cell list
-of the kept bed the same way and settles the survivors of the batch among
-themselves from their pairs. Both give the accepted set of the all-pairs
+cell, by rank. The ghost rule sweeps the box along axis 0 in bands of whole
+cell columns, about 2^15 arrivals per band, so the cell index alone places
+an arrival in its band, its band's halo and its cell; each arrival walks the
+earlier arrivals of its own cell and then of the neighbour cells, stopping
+at the first one within unit distance; most stop in their own cell.
+Standard RSA takes the arrivals in batches of doubling size, capped,
+screens each batch against a cell list of the kept bed the same way and
+settles the survivors of the batch among themselves from their pairs. Both give the accepted set of the all-pairs
 computation bit for bit. The arrival times are freed before acceptance
 starts and the positions before the pair histogram of the accepted centers
 is built, from the candidate pairs of a cell list of reach 3.
@@ -65,8 +66,9 @@ MAX_ARRIVALS = 2**24
 # most arrivals per standard-RSA batch; fixes the batch sizes, not the answer
 _RSA_BATCH = 20000
 
-# most arrivals per ghost-rule band, and most centers per pair-histogram
-# chunk; fixes the memory held at once, not the answer
+# arrivals per ghost-rule band on average (a band is at least one cell
+# column wide), and most centers per pair-histogram chunk; fixes the memory
+# held at once, not the answer
 _GHOST_SLAB_POINTS = 2**15
 
 
@@ -369,55 +371,28 @@ def _near_pairs(cells: _Cells, lo: int, hi: int, o: np.ndarray):
     return i, j
 
 
-def _window(x: np.ndarray, lo: float, hi: float, L: float) -> np.ndarray:
-    """Indices of the coordinates x within 2 of [lo, hi) on the circle [0, L).
+def _by_band(x: np.ndarray, L: float, m: int, bands: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the coordinates x grouped by band, increasing within a band,
+    as int32; and the start of each band's group, with the count of x last.
 
-    The halo of 2 is one wider than the unit reach, so rounding in this test
-    cannot drop a point within unit distance of one in [lo, hi).
+    x lies in the cell column c of `_cell_coords` on m cells, and column c in
+    band c * bands // m. Two passes, _GHOST_SLAB_POINTS coordinates at a time,
+    count the bands and then place the indices, so nothing as long as x is
+    held but the result.
     """
-    a, b = lo - 2.0, hi + 2.0
-    if b - a >= L:
-        return np.arange(len(x))
-    if a < 0.0:
-        inside = (x >= a + L) | (x < b)
-    elif b > L:
-        inside = (x >= a) | (x < b - L)
-    else:
-        inside = (x >= a) & (x < b)
-    return np.flatnonzero(inside)
 
+    def band_of(lo: int) -> np.ndarray:
+        return _cell_coords(x[lo : lo + _GHOST_SLAB_POINTS], L, m).astype(np.int64) * bands // m
 
-def _band_of(x: np.ndarray, edges: np.ndarray, L: float) -> np.ndarray:
-    """Band s of each coordinate x, edges[s] <= x < edges[s + 1].
-
-    floor(x S / L) for S bands is the band up to rounding, which one
-    comparison with each of its edges settles.
-    """
-    bands = len(edges) - 1
-    b = np.minimum((x * (bands / L)).astype(np.intp), bands - 1)
-    b -= x < edges.take(b)
-    b += x >= edges.take(b + 1)
-    return b
-
-
-def _by_band(x: np.ndarray, edges: np.ndarray, L: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the coordinates x grouped by band (`_band_of`), increasing
-    within a band, as int32; and the start of each band's group, with the
-    count of x last.
-
-    Two passes, _GHOST_SLAB_POINTS coordinates at a time, count the bands and
-    then place the indices, so nothing as long as x is held but the result.
-    """
-    bands = len(edges) - 1
     chunks = range(0, len(x), _GHOST_SLAB_POINTS)
     starts = np.zeros(bands + 1, dtype=np.intp)
     for lo in chunks:
-        starts[1:] += np.bincount(_band_of(x[lo : lo + _GHOST_SLAB_POINTS], edges, L), minlength=bands)
+        starts[1:] += np.bincount(band_of(lo), minlength=bands)
     np.cumsum(starts, out=starts)
     grouped = np.empty(len(x), dtype=np.int32)
     fill = starts[:-1].copy()
     for lo in chunks:
-        b = _band_of(x[lo : lo + _GHOST_SLAB_POINTS], edges, L)
+        b = band_of(lo)
         packed = (b << 32) | np.arange(lo, lo + len(b))
         packed.sort()
         b = packed >> 32
@@ -432,39 +407,41 @@ def _ghost_accept(pos: np.ndarray, L: float) -> np.ndarray:
     """Boolean mask of survivors under the ghost rule (all arrivals block).
 
     Row k of pos is the k-th arrival. An arrival is rejected iff an earlier
-    one lies within unit distance. The box is swept band by band along axis
-    0, in S = ceil(n / _GHOST_SLAB_POINTS) bands of width w = L/S. Each band's
-    arrivals, together with those within 2 of the band (`_window`, read from
-    the h = ceil(2/w) + 1 bands on either side), go into one cell list of
-    unit reach in rank order, and each of the band's own arrivals walks the
-    earlier arrivals of its own cell and then of the 3^d - 1 neighbour cells
-    (`_blocked`), stopping at its first contact. So at most one band and its
-    halo are sorted at once, and most arrivals stop in their own cell.
+    one lies within unit distance. The box is swept along axis 0 in
+    S = min(m, ceil(n / _GHOST_SLAB_POINTS)) bands of whole columns of the
+    unit-reach cell grid (m cells per axis): column c is in band c S // m
+    (`_by_band`). A cell's side is above 1, so an arrival's contacts lie in
+    its own column or the next one on either side, which are in the next
+    band at most. Each band's arrivals, together with those of the column on
+    either side (read from the neighbour bands, or from all arrivals when
+    S <= 3), go into one cell list in rank order, and each of the band's own
+    arrivals walks the earlier arrivals of its own cell and then of the
+    3^d - 1 neighbour cells (`_blocked`), stopping at its first contact.
+    `_cell_coords` alone decides band, halo and cell, so at most one band
+    and its halo are sorted at once, and most arrivals stop in their own
+    cell.
     """
     n, d = pos.shape
     rejected = np.zeros(n, dtype=bool)
     m = _cells_per_axis(L, 1.0, n, d)
-    bands = max(1, -(-n // _GHOST_SLAB_POINTS))
-    # the last band is open above, so every x < L has a band however
-    # bands * (L / bands) rounds
-    edges = np.append(np.arange(bands) * (L / bands), math.inf)
-    h = math.ceil(2.0 * bands / L) + 1
-    grouped, starts = _by_band(pos[:, 0], edges, L)
+    bands = min(m, max(1, -(-n // _GHOST_SLAB_POINTS)))
+    grouped, starts = _by_band(pos[:, 0], L, m, bands)
     for s in range(bands):
-        lo, hi = edges[s], edges[s + 1]
-        if 2 * h + 1 >= bands:
+        # band s holds the columns first to first + width - 1
+        first = -(-s * m // bands)
+        width = -(-(s + 1) * m // bands) - first
+        if bands <= 3:
             idx = np.arange(n)
         else:
-            near = [t % bands for t in range(s - h, s + h + 1)]
+            near = ((s - 1) % bands, s, (s + 1) % bands)
             idx = np.sort(np.concatenate([grouped[starts[t] : starts[t + 1]] for t in near]))
         P = pos.take(idx, axis=0)
-        inside = _window(P[:, 0], lo, min(hi, L), L)
+        inside = np.flatnonzero((_cell_coords(P[:, 0], L, m) - (first - 1)) % m < width + 2)
         # idx increases, so the rows stay in rank (arrival) order
         idx, P = idx.take(inside), P.take(inside, axis=0)
-        cells = _cell_list(P, L, m, min(int((lo - 2.0) % L * (m / L)), m - 1))
+        cells = _cell_list(P, L, m, base=(first - 1) % m)
         del P
-        x = cells.points[:, 0]
-        q = np.flatnonzero((x >= lo) & (x < hi))
+        q = np.flatnonzero((cells.coords[:, 0] - 1) % m < width)
         hit = _blocked(cells, L, cells.points.take(q, axis=0), cells.coords.take(q, axis=0), cells.rank.take(q))
         rejected[idx.take(cells.rank.take(q.compress(hit)))] = True
     return ~rejected

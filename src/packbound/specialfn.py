@@ -3,7 +3,8 @@
 The kernel and the zeros share one order cap (_LAMBDA_MU_MAX). Both read
 scipy's AMOS-backed ``jv``, except where the kernel bessel_lambda sums its
 ascending series instead: below one switch point per order (_series_end),
-past which jv is a normal double. scipy.special is imported inside the two
+past which jv is a normal double. The array and the float routes sum that
+series in one helper (_ascending_series). scipy.special is imported inside the two
 functions that read it (_lambda_via_jv and first_zero), so importing this
 module, as models and optimizer do, loads no scipy.
 (Closed half-integer forms, the Watson asymptotic form and the large-order
@@ -82,8 +83,8 @@ def bessel_lambda(mu: float, x):
     kernel degenerates to cos x) to 502.
 
     A float argument (the root finders pass one per call) runs the same
-    operations on plain floats, bitwise equal to the array route but without
-    its per-call array overhead.
+    series (_ascending_series) on a plain float, bitwise equal to the array
+    route but without its per-call array overhead.
     """
     mu = _order_in_range(mu, -0.5, "kernel")
     if isinstance(x, float):
@@ -98,15 +99,7 @@ def bessel_lambda(mu: float, x):
     small = xa <= _series_end(mu)
     xs = xa[small]
     if xs.size:
-        q = 0.25 * xs * xs
-        term = np.ones_like(xs)
-        acc = np.ones_like(xs)
-        for n in range(1, 80):
-            term = term * (-q) / (n * (n + mu))
-            acc += term
-            if np.all(np.abs(term) <= 1e-17 * np.abs(acc)):
-                break
-        out[small] = acc
+        out[small] = _ascending_series(mu, xs, np.all)
 
     xl = xa[~small]
     if xl.size:
@@ -126,15 +119,22 @@ def _bessel_lambda_scalar(mu: float, x: float) -> float:
     if not math.isfinite(x) or x < 0.0:
         raise ValueError("bessel_lambda argument must be finite and nonnegative")
     if x <= _series_end(mu):
-        q = 0.25 * x * x
-        term = acc = 1.0
-        for n in range(1, 80):
-            term = term * (-q) / (n * (n + mu))
-            acc += term
-            if abs(term) <= 1e-17 * abs(acc):
-                break
-        return float(acc)
+        return float(_ascending_series(mu, x, bool))
     return float(_lambda_via_jv(mu, x))
+
+
+def _ascending_series(mu: float, x, settled):
+    """sum_n (-x^2/4)^n / (n! (mu+1)_n), the kernel's ascending series, for a
+    float or an array x; it stops after the first term for which settled
+    (bool or np.all) holds |term| <= 1e-17 |sum|, or after 79 terms."""
+    q = 0.25 * x * x
+    term = acc = 1.0 + 0.0 * x
+    for n in range(1, 80):
+        term = term * (-q) / (n * (n + mu))
+        acc = acc + term
+        if settled(abs(term) <= 1e-17 * abs(acc)):
+            break
+    return acc
 
 
 def _lambda_via_jv(mu: float, x):

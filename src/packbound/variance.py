@@ -19,10 +19,12 @@ alpha2'(x) = -c(d) (1-x^2)^((d-1)/2) and a = (d+1)/2 gives the closed form
 
 used as written for X >= 1/2, with B(a, a) and I_{X^2}(a, a) from geometry's
 in-house incomplete beta (no scipy). Below 1/2, X^d underflows at large d, so
-X^d is factored out and the incomplete beta becomes a series of positive
-terms, each at most half the one before:
+X^d is factored out of the incomplete beta's front factor (DLMF 8.17.8):
 
-    J(X) = X^d [alpha2(X) + c(d)/(d+1) X (1-X^2)^a sum_k (2a)_k/(a+1)_k X^(2k)].
+    J(X) = X^d [alpha2(X) + c(d)/(d+1) X (1-X^2)^a K(X^2)],
+
+with K(y) = 2F1(2a, 1; a+1; y) = sum_k (2a)_k/(a+1)_k y^k, the continued
+fraction of geometry's incomplete beta at a = b (_beta_cf, DLMF 8.17.22).
 
 Both forms run over a whole array of radii at once. (Adaptive quadrature of
 the defining integral survives only as the oracle in the tests.)
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _betainc, _cd, _log_beta, alpha2
+from .geometry import _beta_cf, _betainc, _cd, _log_beta, alpha2
 from .models import PackingDensity, RadialModel, log_amplitude
 
 __all__ = [
@@ -78,10 +80,6 @@ _SIGMA2_RTOL = 5e-8
 # times the error against exact rational variances (step and delta terminals,
 # d = 1 and 3, 6,000 radii up to R = 1e12)
 _BRACKET_ULPS = 8.0
-
-# the J(X) series for X < 1/2: each term is at most half the one before, so
-# its tail after this many terms is below 2^-60 of the sum
-_J_SERIES_TERMS = 60
 
 
 @dataclass(frozen=True)
@@ -134,12 +132,7 @@ def _log_j(d: int, X: np.ndarray) -> np.ndarray:
     if np.any(lo):
         x = X[lo]
         y = x * x
-        term = np.ones_like(x)
-        total = np.ones_like(x)
-        for k in range(_J_SERIES_TERMS):
-            term *= (2.0 * a + k) / (a + 1.0 + k) * y
-            total += term
-        tail = cd / (d + 1.0) * x * (1.0 - y) ** a * total
+        tail = cd / (d + 1.0) * x * (1.0 - y) ** a * _beta_cf(a, a, y)
         out[lo] = d * np.log(x) + np.log(alpha2(d, x, 0.5) + tail)
     return out
 

@@ -339,9 +339,12 @@ def test_accept_rules_match_brute_force_on_cell_edges(monkeypatch, d, L):
     pos, times, m = _on_cell_edges(d, L, seed=5)
     assert len(pos) >= 2 * m**d  # the cell grid is not capped by the count
     expected = ghost_survivors_brute(pos, times, L)
-    # in one band, and in bands of 40 arrivals
-    for slab_points in (mt._GHOST_SLAB_POINTS, 40):
-        monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", slab_points)
+    # bands are runs of whole cell columns, so m points lie on band edges too:
+    # one band; two and three, which read every arrival; four, which read
+    # their neighbour bands; and one column per band. Band 0's halo wraps
+    for bands in (1, 2, 3, 4, m):
+        monkeypatch.setattr(mt, "_GHOST_SLAB_POINTS", 1 if bands == m else -(-len(pos) // bands))
+        assert min(m, -(-len(pos) // mt._GHOST_SLAB_POINTS)) == bands
         assert np.array_equal(_ghost_mask(pos, times, L), expected)
     assert np.array_equal(_rsa_accept(_ranked(pos, times), L), rsa_kept_brute(pos, times, L))
 
