@@ -4,9 +4,9 @@ The kernel and the zeros share one order cap (_LAMBDA_MU_MAX). Both read
 scipy's AMOS-backed ``jv``, except where the kernel bessel_lambda sums its
 ascending series instead: below one switch point per order (_series_end),
 past which jv is a normal double. The array and the float routes sum that
-series in one helper (_ascending_series). scipy.special is imported inside the two
-functions that read it (_lambda_via_jv and first_zero), so importing this
-module, as models and optimizer do, loads no scipy.
+series in one helper (_ascending_series). scipy.special is imported inside
+the two functions that read it (_lambda_via_jv and first_zero), so
+importing this module, as models and optimizer do, loads no scipy.
 (Closed half-integer forms, the Watson asymptotic form and the large-order
 zero expansion survive only as oracles in the tests.) Landau's bound
 |J_mu(x)| <= c x^(-1/3) gives a closed-form envelope of the normalized

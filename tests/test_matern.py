@@ -314,6 +314,16 @@ def test_ghost_pairs_across_slab_seam_and_wrap(monkeypatch, d):
         _assert_ghost_case(*_seam_and_wrap_case(d))
 
 
+def test_band_of_the_last_column_on_the_largest_grid():
+    # near MAX_ARRIVALS arrivals at d = 1 the sweep has 2^9 bands over up to
+    # 2^23 cell columns, so column * bands passes 2^31
+    m, bands = 2**23, 2**9
+    L = 2.0 * m
+    grouped, starts = mt._by_band((np.arange(m - 4, m) + 0.5) * (L / m), L, m, bands)
+    assert grouped.tolist() == [0, 1, 2, 3]
+    assert starts.tolist() == [0] * bands + [4]
+
+
 _CELL_BOXES = [6.0, 6.5, 7.3, 8.9, 9.0, 12.0]
 
 
