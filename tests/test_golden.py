@@ -61,9 +61,10 @@ CASES = {
         for fmt in ("csv", "json")
     },
     "classical-d2-1000": (["classical", "--dims", "2..1000"], 0),
+    # the expansions, with and without the numeric optimum, across the gap range
     **{
         f"asymptotics-d{d}{suffix}": (["asymptotics", "--d", str(d), *flag], 0)
-        for d in (24, 200, 1000)
+        for d in (20, 24, 100, 200, 300, 301, 610, 700, 1000)
         for suffix, flag in (("", []), ("-skip-numeric", ["--skip-numeric"]))
     },
     # the gap optimum at d = 12, as terminal_gap returns it
