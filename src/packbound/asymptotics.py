@@ -4,9 +4,11 @@ Everything here is closed-form: the expansion constants (solved once and
 cached), the sigma*, k_min, Delta_nu, and phi* expansions built from them,
 and the exact tangency combination Delta_nu(sigma, k) with the optimum
 identity that turns it back into a density. ``build_report`` evaluates that
-identity at the numeric optimum, where it reproduces phi* (to 7e-14 relative
-at d = 200), and at the asymptotic sigma* with the linearized k_min, the
-quoted phi_star_from_linearized_kmin prediction.
+identity at the numeric optimum, where it reproduces phi* (bitwise at d = 200,
+500 and 1000), and at the asymptotic sigma* with the linearized k_min, the
+quoted phi_star_from_linearized_kmin prediction. Delta_nu, that density and
+the exact slope ratio read bessel_lambda and the m the optimizer solves with
+(optimizer._tangency_terms), so this module imports no scipy.
 
 Two precision tiers for the Bessel-derivative constant C1 coexist on
 purpose. The dominant-term estimate (C1 = -1.104938082) is what the quoted
@@ -32,12 +34,10 @@ import functools
 import math
 from dataclasses import asdict, dataclass
 
-from scipy.special import ai_zeros, gammaln, jv
-
 from .models import hyperuniform_Z
-from .optimizer import check_dimension, terminal_gap
+from .optimizer import _tangency_terms, check_dimension, terminal_gap
 from .rootfind import brentq
-from .specialfn import A1, A2, A3, first_zero
+from .specialfn import A1, A2, A3, bessel_lambda, first_zero
 
 __all__ = [
     "AsymptoticConstants",
@@ -64,6 +64,9 @@ LOG2E = math.log2(math.e)
 # 66x the middle one, middle about 7x the last); this value is the one implied
 # by the refined estimate and it reproduces both ratios.
 _C12_COEFF = -0.09126598708954611
+
+# -a_1 (DLMF 9.9), scipy's ai_zeros(1) double: one ulp above the correctly rounded value
+_AIRY_ZERO = 2.3381074104597674
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,7 @@ def solve_constants() -> AsymptoticConstants:
 
     # q2's closed form is sensitive to a1 in its 9th digit, so it gets the
     # Airy-zero value rather than the 8-digit constant used everywhere else
-    a1_airy = float(-ai_zeros(1)[0][0]) / 2.0 ** (1.0 / 3.0)
+    a1_airy = _AIRY_ZERO / 2.0 ** (1.0 / 3.0)
     e1, e2, e3 = math.exp(q1), math.exp(2 * q1), math.exp(3 * q1)
     q2 = (
         a1_airy
@@ -184,11 +187,13 @@ def beta_ratio_asymptotic(d) -> float:
 
 
 def beta_ratio_exact(d, x0, y0) -> float:
-    """Ratio of the Bessel slope halves at x0 and y0, the first zeros of J_nu and J_{nu+1}."""
+    """J_nu'(x0) / J_{nu+1}'(y0), at x0 and y0 the first zeros of J_nu and J_{nu+1}.
+    By J_mu'(x) = mu x^(mu-1) (2 L_{mu-1} - L_mu)(x) / (2^mu Gamma(mu+1)) (DLMF 10.6.2)
+    the Gammas cancel to 2 nu, and the x-powers are combined in log space."""
     nu = 0.5 * d
-    b1 = 0.5 * (jv(nu - 1, x0) - jv(nu + 1, x0))
-    b2 = 0.5 * (jv(nu, y0) - jv(nu + 2, y0))
-    return float(b1 / b2)
+    b1 = 2.0 * bessel_lambda(nu - 1.0, x0) - bessel_lambda(nu, x0)
+    b2 = 2.0 * bessel_lambda(nu, y0) - bessel_lambda(nu + 1.0, y0)
+    return 2.0 * nu * math.exp((nu - 1.0) * math.log(x0) - nu * math.log(y0)) * b1 / b2
 
 
 def delta_nu_terms(d):
@@ -214,32 +219,27 @@ def delta_nu_terms(d):
 
 
 def delta_nu_exact(d, sigma, k) -> float:
-    """J_nu(k sigma)/sigma^nu - k J_{nu-1}(k)/d, evaluated directly."""
+    """Delta_nu = J_nu(k sigma)/sigma^nu - k J_{nu-1}(k)/d, which is
+    k^nu m / (2^nu Gamma(nu+1)) with the optimizer's tangency denominator
+    m = L_nu(k sigma) - L_{nu-1}(k); the prefactor is formed in log space."""
     nu = 0.5 * d
-    return float(jv(nu, k * sigma) / sigma**nu - k * jv(nu - 1, k) / d)
+    log_scale = nu * math.log(0.5 * k) - math.lgamma(nu + 1.0)
+    return _tangency_terms(d, sigma, k)[1] * math.exp(log_scale)
 
 
 def phi_from_optimum(d, sigma, k) -> float:
-    """Density from the zero-tangency relation at (sigma, k), in log space.
+    """Density from the zero-tangency relation at (sigma, k): (2 sigma)^-d / m, in log space.
 
-    phi = k^nu / (8^nu Gamma(1+nu) sigma^(2 nu) Delta_nu), Delta_nu from
-    delta_nu_exact; a nonpositive Delta_nu raises RuntimeError. This is S(k) = 0
-    with Z = (2 sigma)^d phi - 1 at large d: it drops a factor
-    1 - Lambda_{nu-1}(k), which at the numeric optimum is 1 - 1e-3 at d = 20
-    and 1 - 2e-10 at d = 100.
+    m = L_nu(k sigma) - L_{nu-1}(k) is the optimizer's tangency denominator,
+    a positive multiple of delta_nu_exact; a nonpositive m raises
+    RuntimeError. This is S(k) = 0 with Z = (2 sigma)^d phi - 1 at large d:
+    it drops the factor u = 1 - L_{nu-1}(k), which at the numeric optimum is
+    1 - 1e-3 at d = 20 and 1 - 2e-10 at d = 100.
     """
-    nu = 0.5 * d
-    delta = delta_nu_exact(d, sigma, k)
-    if delta <= 0.0:
-        raise RuntimeError(f"tangency combination is not positive at k={k}: {delta:.3e}")
-    log_phi = (
-        nu * math.log(k)
-        - 3 * nu * math.log(2.0)
-        - gammaln(1.0 + nu)
-        - 2 * nu * math.log(sigma)
-        - math.log(delta)
-    )
-    return math.exp(log_phi)
+    m = _tangency_terms(d, sigma, k)[1]
+    if m <= 0.0:
+        raise RuntimeError(f"tangency combination is not positive at k={k}: {m:.3e}")
+    return math.exp(-d * math.log(2.0 * sigma) - math.log(m))
 
 
 def phi_star_asymptotic(d) -> float:

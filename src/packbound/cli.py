@@ -14,9 +14,9 @@ computing a row is the library's: the row becomes an error row, stderr names
 it and the exit code is 3, whether the rows come from a process pool or one
 after another. Importing this module loads numpy only: each handler imports
 the library modules it runs, and those import scipy.special only where they
-read ``jv``, Airy zeros or ``zeta``. So ``matern``, and ``table`` and
-``yamada`` for the step and delta models, run without scipy; the gap model,
-``sk``, ``asymptotics`` and ``classical`` load scipy.special.
+read ``jv`` or ``zeta``. So ``matern``, and ``table`` and ``yamada`` for
+the step and delta models, run without scipy; the gap model, ``sk``,
+``asymptotics`` and ``classical`` load scipy.special.
 """
 
 from __future__ import annotations

@@ -413,10 +413,10 @@ def _ghost_accept(pos: np.ndarray, L: float) -> np.ndarray:
     (`_by_band`). A cell's side is above 1, so an arrival's contacts lie in
     its own column or the next one on either side, which are in the next
     band at most. Each band's arrivals, together with those of the column on
-    either side (read from the neighbour bands, or from all arrivals when
-    S <= 3), go into one cell list in rank order, and each of the band's own
-    arrivals walks the earlier arrivals of its own cell and then of the
-    3^d - 1 neighbour cells (`_blocked`), stopping at its first contact.
+    either side (read from the neighbour bands), go into one cell list in
+    rank order, and each of the band's own arrivals walks the earlier
+    arrivals of its own cell and then of the 3^d - 1 neighbour cells
+    (`_blocked`), stopping at its first contact.
     `_cell_coords` alone decides band, halo and cell, so at most one band
     and its halo are sorted at once, and most arrivals stop in their own
     cell.
@@ -430,11 +430,9 @@ def _ghost_accept(pos: np.ndarray, L: float) -> np.ndarray:
         # band s holds the columns first to first + width - 1
         first = -(-s * m // bands)
         width = -(-(s + 1) * m // bands) - first
-        if bands <= 3:
-            idx = np.arange(n)
-        else:
-            near = ((s - 1) % bands, s, (s + 1) % bands)
-            idx = np.sort(np.concatenate([grouped[starts[t] : starts[t + 1]] for t in near]))
+        # with S <= 3 the neighbour bands are every band, and idx is arange(n)
+        near = {(s - 1) % bands, s, (s + 1) % bands}
+        idx = np.sort(np.concatenate([grouped[starts[t] : starts[t + 1]] for t in near]))
         P = pos.take(idx, axis=0)
         inside = np.flatnonzero((_cell_coords(P[:, 0], L, m) - (first - 1)) % m < width + 2)
         # idx increases, so the rows stay in rank (arrival) order

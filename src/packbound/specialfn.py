@@ -1,12 +1,12 @@
 """The normalized Bessel kernel and the first zeros of J_nu.
 
-The kernel and the zeros share one order cap (_LAMBDA_MU_MAX). Both read
-scipy's AMOS-backed ``jv``, except where the kernel bessel_lambda sums its
-ascending series instead: below one switch point per order (_series_end),
-past which jv is a normal double. The array and the float routes sum that
-series in one helper (_ascending_series). scipy.special is imported inside
-the two functions that read it (_lambda_via_jv and first_zero), so
-importing this module, as models and optimizer do, loads no scipy.
+The kernel and the zeros share one order cap (_LAMBDA_MU_MAX). The kernel
+bessel_lambda sums its ascending series below one switch point per order
+(_series_end) and reads scipy's AMOS-backed ``jv`` past it, where jv is a
+normal double. The array and the float routes sum that series in one helper
+(_ascending_series). first_zero walks the kernel itself, so scipy is read
+only in _lambda_via_jv, which imports scipy.special inside: importing this
+module, as models, optimizer and asymptotics do, loads no scipy.
 (Closed half-integer forms, the Watson asymptotic form and the large-order
 zero expansion survive only as oracles in the tests.) Landau's bound
 |J_mu(x)| <= c x^(-1/3) gives a closed-form envelope of the normalized
@@ -159,23 +159,22 @@ def log_lambda_envelope(mu: float, x):
 def first_zero(nu: float) -> float:
     """Smallest positive zero of J_nu, to better than 1e-9 absolute.
 
-    Walks right from x = nu (J_nu is positive there) in steps small enough
-    that the first sign change cannot be skipped, then polishes with Brent.
+    Walks bessel_lambda(nu, x), which has the sign of J_nu for x > 0, right
+    from x = nu (it is positive there) in steps small enough that the first
+    sign change cannot be skipped, then polishes with Brent.
     The search cap nu + 3 nu^(1/3) + 4 sits well past the first zero at
     every order. Orders run from 1/2 (d = 1) to 502, bessel_lambda's cap.
     """
-    from scipy.special import jv
-
     nu = _order_in_range(nu, 0.5, "first_zero")
     cap = nu + 3.0 * nu ** (1.0 / 3.0) + 4.0
     step = 0.25 * max(nu, 1.0) ** (1.0 / 3.0)
     a = nu
-    fa = jv(nu, a)
+    fa = bessel_lambda(nu, a)
     while a < cap:
         b = min(a + step, cap)
-        fb = jv(nu, b)
+        fb = bessel_lambda(nu, b)
         if fa > 0.0 and fb <= 0.0:
-            return float(brentq(lambda t: jv(nu, t), a, b, xtol=1e-12, maxiter=200))
+            return float(brentq(lambda t: bessel_lambda(nu, t), a, b, xtol=1e-12, maxiter=200))
         a, fa = b, fb
     raise RuntimeError(
         f"no sign change of J_nu in bracket [{nu:.6g}, {cap:.6g}]; "

@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import pytest
 
 from packbound.asymptotics import (
+    _AIRY_ZERO,
     beta_ratio_asymptotic,
     beta_ratio_exact,
     build_report,
@@ -39,6 +41,13 @@ def test_q1_root():
     assert abs(resid) <= 1e-12
     assert 0.5 < c.q1 < 1.5
     assert c.q1 == pytest.approx(0.9076358932628538, rel=1e-12)
+
+
+def test_airy_zero_within_one_ulp():
+    # scipy's ai_zeros(1) double, one ulp above the correctly rounded -a_1
+    with mpmath.workdps(40):
+        ref = -mpmath.airyaizero(1)
+        assert abs(mpmath.mpf(_AIRY_ZERO) - ref) <= math.ulp(_AIRY_ZERO)
 
 
 def test_q2_and_Q1():
@@ -141,6 +150,26 @@ def test_exact_evaluations_at_quoted_point():
     assert phi == pytest.approx(5.667098e-44, rel=5e-7)
     assert (108.4395 / 100.0) ** 100.0 == pytest.approx(3301.799093, abs=0.01)
     assert 1.008510**200.0 == pytest.approx(5.445550297, abs=1e-5)
+
+
+@pytest.mark.parametrize("d", [24, 200, 700, 1000])
+def test_exact_forms_against_mpmath_at_the_optimum(d):
+    # the Lambda forms against 40-digit besselj in the raw-J forms, at the gap
+    # optimum and at the first zeros of J_nu and J_{nu+1}; over d = 20..1000
+    # they are within 3.7e-12 relative
+    rec = terminal_gap(d)
+    sigma, k = rec.sigma_star, rec.k_min
+    x0, y0 = first_zero(0.5 * d), first_zero(0.5 * d + 1)
+    with mpmath.workdps(40):
+        J, nu = mpmath.besselj, mpmath.mpf(d) / 2
+        s, km = mpmath.mpf(sigma), mpmath.mpf(k)
+        delta = J(nu, km * s) / s**nu - km * J(nu - 1, km) / d
+        phi = km**nu / (8**nu * mpmath.gamma(1 + nu) * s ** (2 * nu) * delta)
+        beta = (J(nu - 1, x0) - J(nu + 1, x0)) / (J(nu, y0) - J(nu + 2, y0))
+        want = [float(delta), float(phi), float(beta)]
+    got = [delta_nu_exact(d, sigma, k), phi_from_optimum(d, sigma, k), beta_ratio_exact(d, x0, y0)]
+    for g, w in zip(got, want):
+        assert abs(g / w - 1.0) < 1e-11, (g, w)
 
 
 def test_phi_from_optimum_rejects_nonpositive_tangency():

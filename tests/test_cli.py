@@ -642,6 +642,15 @@ def test_commands_import_only_what_they_run():
     assert "packbound.matern" not in closed[-1][1] + others[-1][1]
 
 
+def test_asymptotics_imports_no_scipy():
+    # its Bessel values come from the kernel, which loads scipy only when it
+    # first reads jv, and its Airy zero is a literal
+    script = "import sys, packbound.asymptotics; print([m for m in sys.modules if m.startswith('scipy')])"
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 _THREADS_SCRIPT = """
 import contextlib, io, json, os, time
 
