@@ -13,10 +13,9 @@ during computation. Output paths are checked before any work starts, and
 computing a row is the library's: the row becomes an error row, stderr names
 it and the exit code is 3, whether the rows come from a process pool or one
 after another. Importing this module loads numpy only: each handler imports
-the library modules it runs, and those import scipy.special only where they
-read ``jv`` or ``zeta``. So ``matern``, and ``table`` and ``yamada`` for
-the step and delta models, run without scipy; the gap model, ``sk``,
-``asymptotics`` and ``classical`` load scipy.special.
+the library modules it runs, and the Bessel kernel they read is numpy-only.
+So every command runs without scipy except ``classical``, which loads
+scipy.special for ``zeta``.
 """
 
 from __future__ import annotations
@@ -164,6 +163,7 @@ def cmd_table(args) -> tuple[str, int]:
 def cmd_sk(args) -> tuple[str, int]:
     from .models import PackingDensity, RadialModel, default_k_max, log_amplitude, make_curve
     from .optimizer import MAX_CLOSED_FORM_D
+    from .specialfn import LAMBDA_X_MAX
 
     d, phi, sigma = args.d, args.phi, args.sigma
     if not 1 <= d <= MAX_CLOSED_FORM_D:
@@ -173,9 +173,13 @@ def cmd_sk(args) -> tuple[str, int]:
     if phi > 0.0 and log_amplitude(d, phi, sigma) > math.log(sys.float_info.max):
         raise ValueError(f"(2 sigma)^d phi overflows at --d {d}, --phi {phi}, --sigma {sigma}")
     k_max = default_k_max(d) if args.kmax is None else args.kmax
-    # make_curve rejects a nonfinite --kmax
+    # make_curve rejects a nonfinite --kmax; the kernel reads k sigma up to k_max sigma
     if math.isfinite(k_max) and not math.isfinite(k_max * sigma):
         raise ValueError(f"curve end k_max * --sigma overflows: {k_max} * {sigma}")
+    if math.isfinite(k_max) and k_max * sigma > LAMBDA_X_MAX:
+        raise ValueError(
+            f"curve end k_max * --sigma = {k_max * sigma:g} is past the kernel's cap {LAMBDA_X_MAX:g}"
+        )
     k, S = make_curve(model, density, k_max=k_max, n=args.samples)
     if args.format == "json":
         obj = {

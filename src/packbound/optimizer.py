@@ -60,7 +60,7 @@ import numpy as np
 
 from .models import hyperuniform_Z, structure_factor_gap
 from .rootfind import brentq
-from .specialfn import bessel_lambda, log_lambda_envelope
+from .specialfn import _lambda_pair, bessel_lambda, log_lambda_envelope
 
 __all__ = [
     "TerminalDensityRecord",
@@ -103,10 +103,6 @@ DIMENSION_RANGE = {
 # (3.5e-12, at d = 911), and above the sigma xtol (1e-12) times the slope jump
 # of log phi at the d = 2 kink (2.9), 2.9e-12
 _GAP_PHI_REL_ERR = 1e-11
-
-#: grid points per bessel_lambda call in gap_feasible_t's ascending scan
-_SCAN_CHUNK = 64
-
 
 @dataclass(frozen=True)
 class TerminalDensityRecord:
@@ -245,12 +241,14 @@ def _sigma_free_kernels(d: int):
 
 
 def _tangency_terms(d: int, sigma: float, k: float):
-    """(u, m, u', m', -dm/dsigma) at one k, by L_mu'(x) = -x L_{mu+1}(x) / (2 (mu + 1))."""
+    """(u, m, u', m', -dm/dsigma) at one k, by L_mu'(x) = -x L_{mu+1}(x) / (2 (mu + 1)).
+
+    The four kernel values come from two sweeps of adjacent orders,
+    (L_{nu-1}, L_nu) at k and (L_nu, L_{nu+1}) at k sigma.
+    """
     nu = 0.5 * d
-    lam_nm1 = bessel_lambda(nu - 1.0, k)
-    lam_n = bessel_lambda(nu, k)
-    lam_n_s = bessel_lambda(nu, k * sigma)
-    lam_np1_s = bessel_lambda(nu + 1.0, k * sigma)
+    lam_nm1, lam_n = _lambda_pair(nu - 1.0, k)
+    lam_n_s, lam_np1_s = _lambda_pair(nu, k * sigma)
     up = k * lam_n / (2.0 * nu)
     mp = -k * sigma**2 * lam_np1_s / (2.0 * (nu + 1.0)) + up
     neg_m_sigma = k**2 * sigma * lam_np1_s / (2.0 * (nu + 1.0))
@@ -282,11 +280,13 @@ def gap_feasible_t(d: int, sigma: float):
     binding k of 0 means the quadratic cap is the active constraint. The slope
     d(log t)/d(sigma) is that of the binding constraint (envelope theorem).
 
-    The scan runs up the grid, evaluating m _SCAN_CHUNK points at a time and
-    refining each m > 0 window once it closes. It stops at the first grid point
-    at or past the tail cut (_tail_cut at the best t so far) that no open
-    window holds: a window that opened below the cut is finished, and one that
-    would open at or past it holds no u/m below t.
+    The scan evaluates m up to the tail cut (_tail_cut at the quadratic cap) in
+    one kernel call, since a recurrence sweep costs about the same for any
+    number of points, and on to the grid end in one more call if an m > 0
+    window is open at the cut. It refines each window below the cut and stops
+    at the first grid point at or past the cut (_tail_cut at the best t so
+    far) that no open window holds: a window that opened below the cut is
+    finished, and one that would open at or past it holds no u/m below t.
     """
     nu = 0.5 * d
     t_quad = math.inf
@@ -311,28 +311,21 @@ def gap_feasible_t(d: int, sigma: float):
 
     best_t, best_k = t_quad, 0.0
     cut = _tail_cut(d, sigma, best_t, kk)
+    evaluate_to(cut)
     i = 0
     while i < cut:
-        if i == done:
-            evaluate_to(min(i + _SCAN_CHUNK, cut))
         pos = np.flatnonzero(m[i:done] > 0.0)
         if not pos.size:
-            i = done
-            continue
+            break
         a = i + int(pos[0])
         if a >= cut:
             break
         # the window [a, e) opened below the cut: read on to its close
-        e = a + 1
-        while True:
-            closed = np.flatnonzero(m[e:done] <= 0.0)
-            if closed.size:
-                e += int(closed[0])
-                break
-            e = done
-            if done == n:
-                break
-            evaluate_to(min(done + _SCAN_CHUNK, n))
+        closed = np.flatnonzero(m[a:done] <= 0.0)
+        if not closed.size and done < n:
+            evaluate_to(n)
+            closed = np.flatnonzero(m[a:done] <= 0.0)
+        e = a + int(closed[0]) if closed.size else n
         i = e
         if e - a < 5:
             continue
@@ -379,11 +372,6 @@ def terminal_gap(d: int) -> TerminalDensityRecord:
     repeatedly.
     """
     d = check_dimension("gap", d)
-    # the scan reads jv. Loaded here, before the scan's first kernel arrays,
-    # scipy.special's import costs about 2,400 fewer page faults than at the
-    # first jv call (15-20 ms of CPU in a 0.36 s `table --model gap` process)
-    import scipy.special  # noqa: F401
-
     # Brent re-reads the checked bracket ends and returns a point it evaluated
     feasible = functools.lru_cache(maxsize=None)(functools.partial(gap_feasible_t, d))
 

@@ -620,31 +620,37 @@ def test_commands_import_only_what_they_run():
     # importing the CLI loads no scipy; matern (ghost, then RSA) runs on numpy
     # alone, without the optimizer or the Bessel functions; yamada for the
     # closed-form step and delta models loads no scipy either, in a process of
-    # its own so that no earlier command has loaded it; table and yamada never
-    # load the simulator; no command loads the heavier scipy modules or a
-    # thread pool, and the process pool comes only with table --threads N > 1
+    # its own so that no earlier command has loaded it; the gap model's table,
+    # yamada and sk, and asymptotics with its numeric optimum, read the
+    # numpy-only kernel and load no scipy module at all; classical, through
+    # zeta, is the one command that loads scipy.special; table and yamada
+    # never load the simulator; no command loads the heavier scipy modules or
+    # a thread pool, and the process pool comes only with table --threads N > 1
     heavy = {"scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.sparse", "scipy.integrate",
              "concurrent.futures.process", "concurrent.futures.thread", "multiprocessing"}
     matern = _loaded_after(["matern", "--d", "1", "--L", "50", "--T", "1"],
                            ["matern", "--d", "2", "--L", "20", "--T", "2", "--kappa", "0"])
     closed = _loaded_after(["yamada", "--model", "delta", "--d", "24"],
                            ["yamada", "--model", "step", "--d", "3"])
-    others = _loaded_after(["table", "--model", "gap", "--dims", "3"],
-                           ["yamada", "--model", "gap", "--d", "3"])
-    assert [code for code, _ in matern + closed + others] == [0] * 9
+    gap = _loaded_after(["table", "--model", "gap", "--dims", "3"],
+                        ["yamada", "--model", "gap", "--d", "3"],
+                        ["sk", "--model", "gap", "--d", "3", "--phi", "0.1", "--sigma", "1.2", "--Z", "1"],
+                        ["asymptotics", "--d", "24"])
+    classical = _loaded_after(["classical", "--dims", "2..4"])
+    assert [code for code, _ in matern + closed + gap + classical] == [0] * 13
     for _, mods in matern:
-        assert not [m for m in mods if m.startswith("scipy")]
         assert not {"packbound.optimizer", "packbound.specialfn"} & set(mods)
-    for _, mods in closed + others[:1]:
+    for _, mods in matern + closed + gap + classical[:1]:
         assert not [m for m in mods if m.startswith("scipy")]
-    for _, mods in matern + closed + others:
+    assert "scipy.special" in classical[-1][1]
+    for _, mods in matern + closed + gap + classical:
         assert not heavy & set(mods)
-    assert "packbound.matern" not in closed[-1][1] + others[-1][1]
+    assert "packbound.matern" not in closed[-1][1] + gap[-1][1]
 
 
 def test_asymptotics_imports_no_scipy():
-    # its Bessel values come from the kernel, which loads scipy only when it
-    # first reads jv, and its Airy zero is a literal
+    # its Bessel values come from the numpy-only kernel, and its Airy zero is
+    # a literal
     script = "import sys, packbound.asymptotics; print([m for m in sys.modules if m.startswith('scipy')])"
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
@@ -837,6 +843,11 @@ def test_table_failure_reported_on_stderr(capsys, monkeypatch, tmp_path, threads
          "k_max * --sigma overflows"),
         (["--model", "gap", "--d", "3", "--phi", "1e-300", "--sigma", "1e10", "--kmax", "1e300"],
          "k_max * --sigma overflows: 1e+300 * 10000000000.0"),
+        # finite, but past the kernel's argument cap, where a sweep would take 1e4+ steps
+        (["--model", "gap", "--d", "3", "--phi", "0.1", "--sigma", "1.2", "--Z", "1", "--kmax", "9000"],
+         "k_max * --sigma = 10800 is past the kernel's cap 10000"),
+        (["--model", "gap", "--d", "3", "--phi", "1e-20", "--sigma", "1e5"],
+         "is past the kernel's cap 10000"),
     ],
 )
 def test_sk_input_checked_up_front(capsys, monkeypatch, argv, bad):

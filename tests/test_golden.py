@@ -61,6 +61,10 @@ CASES = {
         for fmt in ("csv", "json")
     },
     "classical-d2-1000": (["classical", "--dims", "2..1000"], 0),
+    # with the gap optimum's density column
+    "classical-d2-64-terminal": (["classical", "--dims", "2..64", "--terminal"], 0),
+    # rows from a pool of two worker processes
+    "table-gap-d2-12-threads2": (["table", "--model", "gap", "--dims", "2..12", "--threads", "2"], 0),
     # the expansions, with and without the numeric optimum, across the gap range
     **{
         f"asymptotics-d{d}{suffix}": (["asymptotics", "--d", str(d), *flag], 0)

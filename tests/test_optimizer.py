@@ -23,7 +23,7 @@ from packbound.optimizer import (
     terminal_gap,
     terminal_step,
 )
-from packbound.specialfn import first_zero, log_lambda_envelope
+from packbound.specialfn import bessel_lambda, first_zero, log_lambda_envelope
 
 # regression pins from this implementation, tighter than the 7-digit references
 SIGMA_PINS = {
@@ -229,9 +229,9 @@ def test_d2_kink_switches_binding_tangency():
 def test_gap_tangency_requires_sign_change(monkeypatch):
     import packbound.optimizer as opt
 
-    real = opt.bessel_lambda
-    # the grid arrays stay real; scalar calls read 0, so N is 0 at every cell end
-    monkeypatch.setattr(opt, "bessel_lambda", lambda mu, x: real(mu, x) if np.ndim(x) else 0.0)
+    # the grid arrays stay real; the tangency terms read every kernel value
+    # (two orders per call) as 0, so N is 0 at every cell end
+    monkeypatch.setattr(opt, "_lambda_pair", lambda mu, x: (0.0, 0.0))
     with pytest.raises(RuntimeError, match="tangency numerator does not change sign") as err:
         opt.gap_feasible_t(5, 1.2)
     # the check ran on a window that opened below the tail cut, which the scan never drops
@@ -286,42 +286,71 @@ def test_tail_cut_scan_matches_full_grid_oracle(d):
         assert got[sigma + 1e-9][1] == pytest.approx(10.38236, abs=1e-5)
 
 
+def _recorded_scan(monkeypatch, d, sigma):
+    """gap_feasible_t(d, sigma), the x array of each grid read (bessel_lambda
+    call) and the x of each tangency-term read (_lambda_pair call)."""
+    import packbound.optimizer as opt
+
+    opt._sigma_free_kernels(d)  # cached before recording: it reads L_{nu-1} on the grid
+    real_grid, real_pair = opt.bessel_lambda, opt._lambda_pair
+    grid_x, point_x = [], []
+
+    def grid(mu, x):
+        grid_x.append(x)
+        return real_grid(mu, x)
+
+    def pair(mu, x):
+        point_x.append(x)
+        return real_pair(mu, x)
+
+    monkeypatch.setattr(opt, "bessel_lambda", grid)
+    monkeypatch.setattr(opt, "_lambda_pair", pair)
+    result = opt.gap_feasible_t(d, sigma)
+    monkeypatch.undo()
+    return result, grid_x, point_x
+
+
 def test_scan_stops_after_window_through_tail_k(monkeypatch):
     import packbound.optimizer as opt
 
     d, nu = 100, 50.0
     sigma = terminal_gap(d).sigma_star
     kk, lam_nm1_k = opt._sigma_free_kernels(d)
-    real = opt.bessel_lambda
-    grid_x, point_x = [], []
+    (t, k_bind, _), grid_x, point_x = _recorded_scan(monkeypatch, d, sigma)
 
-    def recorder(mu, x):
-        if isinstance(x, float):
-            point_x.append(x)
-        elif mu == nu:
-            grid_x.append(x)
-        return real(mu, x)
-
-    monkeypatch.setattr(opt, "bessel_lambda", recorder)
-    t, k_bind, _ = opt.gap_feasible_t(d, sigma)
-    monkeypatch.undo()
-
-    # the grid points where L_nu(k sigma) was read: one run from the start
-    read = np.searchsorted(kk * sigma, np.concatenate(grid_x))
-    assert np.array_equal(read, np.arange(read.size))
+    # d sigma*^2 > d + 2, so the quadratic cap is infinite and so is its tail
+    # cut: m is read in one call over the whole grid
+    assert d * sigma**2 > d + 2.0
+    assert len(grid_x) == 1 and np.array_equal(grid_x[0], kk * sigma)
     # the m > 0 windows of the full grid, and the one that closes at or past the cut
-    m = real(nu, kk * sigma) - lam_nm1_k
+    m = bessel_lambda(nu, kk * sigma) - lam_nm1_k
     edges = np.flatnonzero(np.diff((m > 0.0).astype(int))) + 1
     opens, closes = edges[m[edges] > 0.0], edges[m[edges] <= 0.0]
     cut = opt._tail_cut(d, sigma, t, kk)
     close = closes[closes >= cut][0]
     next_open = opens[opens > close][0]
     assert kk[close] < kk[next_open] < kk[-1]
-    # the scan read through that close and stopped in the gap after it, so no
-    # point of a later window was read and no tangency past it refined
-    assert close <= read[-1] < next_open
-    assert read.size < 0.6 * kk.size
+    # the scan refined that window and stopped in the gap after it: no
+    # tangency term was read past its close, so no later window was refined
     assert k_bind < kk[cut] and max(point_x) <= kk[close] * sigma
+
+
+def test_scan_reads_grid_to_tail_cut_then_to_end(monkeypatch):
+    import packbound.optimizer as opt
+
+    # at d = 3, sigma = 1.1 the quadratic cap t_q is finite: the first read
+    # stops at its tail cut, and since an m > 0 window is open there, a second
+    # read runs on to the grid end
+    d, sigma = 3, 1.1
+    kk, lam_nm1_k = opt._sigma_free_kernels(d)
+    t_quad = (d + 2.0) / ((d + 2.0) - d * sigma**2)
+    cut = opt._tail_cut(d, sigma, t_quad, kk)
+    m = bessel_lambda(0.5 * d, kk * sigma) - lam_nm1_k
+    assert 0 < cut < kk.size and m[cut - 1] > 0.0 and m[cut] > 0.0
+    (t, k_bind, _), grid_x, _ = _recorded_scan(monkeypatch, d, sigma)
+    assert [x.size for x in grid_x] == [cut, kk.size - cut]
+    assert np.array_equal(np.concatenate(grid_x), kk * sigma)
+    assert (t, k_bind) == (t_quad, 0.0)
 
 
 def test_sigma_free_kernels_read_only():

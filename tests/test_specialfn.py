@@ -10,6 +10,7 @@ from scipy.special import jv
 from packbound.geometry import log_sphere_volume, sphere_surface, sphere_volume
 from packbound.optimizer import MAX_CLOSED_FORM_D, _k_grid
 from packbound.specialfn import (
+    LAMBDA_X_MAX,
     LANDAU_C,
     _LAMBDA_MU_MAX,
     _series_end,
@@ -105,8 +106,9 @@ def test_zero_asymptotic_pinned():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.floats(min_value=50.0, max_value=500.0))
+@given(st.integers(min_value=100, max_value=1000).map(lambda n: 0.5 * n))
 def test_zero_asymptotic_tracks_first_zero(nu):
+    # first_zero reads the kernel, which takes integer and half-integer orders
     assert zero_asymptotic(nu, "x0") == pytest.approx(first_zero(nu), rel=1e-4)
     assert zero_asymptotic(nu, "y0") == pytest.approx(first_zero(nu + 1.0), rel=1e-4)
     assert zero_asymptotic(nu, "z0") == pytest.approx(first_zero(nu - 1.0), rel=1e-4)
@@ -115,7 +117,7 @@ def test_zero_asymptotic_tracks_first_zero(nu):
 def test_zero_errors():
     # first_zero reads the kernel's order range, up to nu + 2 at d = 1000
     assert first_zero(502.0) == pytest.approx(FIRST_ZERO_502, abs=1e-9)
-    for nu in (0.3, 502.5, math.nan, math.inf):
+    for nu in (0.3, 502.5, 250.77, math.nan, math.inf):
         with pytest.raises(ValueError, match=r"first_zero order out of supported range \[0.5, 502\]"):
             first_zero(nu)
     with pytest.raises(ValueError):
@@ -167,13 +169,13 @@ def test_bessel_lambda_vectorized():
     "mu", [-0.5, 0.5, 1.0, 12.0, 49.0, 50.0, 51.0, 99.0, 100.0, 101.0, 150.0, 359.0, 400.0, 501.0]
 )
 def test_bessel_lambda_scalar_matches_array_bitwise(mu):
-    # the old split 2 sqrt(mu+1) and the series end, which leaves it from mu = 346 on
-    xs = [0.0, 1e-9]
-    for split in (2.0 * math.sqrt(mu + 1.0), _series_end(mu)):
-        xs += [np.nextafter(split, 0.0), split, np.nextafter(split, np.inf)]
-    xs += list(np.linspace(0.0, 3.0 * _series_end(mu) + 20.0, 401))
-    for x in xs:
-        via_array = bessel_lambda(mu, np.array([x]))[0]
+    # both sides of the series end 2 sqrt(mu+1), and on past it; the array is
+    # read in one call, so each point also keeps the bits it has alone
+    split = _series_end(mu)
+    xs = [0.0, 1e-9, np.nextafter(split, 0.0), split, np.nextafter(split, np.inf)]
+    xs += list(np.linspace(0.0, 3.0 * split + 20.0, 401))
+    for x, via_array in zip(xs, bessel_lambda(mu, np.array(xs))):
+        assert bessel_lambda(mu, np.array([x]))[0] == via_array, (mu, x)
         for scalar in (float(x), np.float64(x)):
             got = bessel_lambda(mu, scalar)
             assert type(got) is float
@@ -219,20 +221,20 @@ def test_landau_envelope_bounds_kernel():
 def test_bessel_lambda_matches_hyp0f1():
     # L_mu(x) = 0F1(; mu+1; -x^2/4) over every order the package reads (-1/2 at
     # d = 1 up to nu + 2 at d = 1000) and x up to the end of the d = 1000 scan
-    # grid, and densely past 2 sqrt(mu+1), where jv is subnormal or 0 up to the
-    # series end from mu = 359 on (from 37.955 to 37.998 at 359, from 44.87 to
-    # 92.95 at 502). Relative to 1e-12 away from the kernel's zeros. Near
-    # a zero, jv's error is some x ulps of the local amplitude, here
-    # min(1, Landau's envelope): points closer to a zero than 4e-4 x of that
-    # amplitude are held to 1e-14 x of it instead (the worst seen is 2.5e-15 x).
+    # grid, and densely past the series end 2 sqrt(mu+1), where the recurrence
+    # takes over and J_mu is as small as 1.5e-462 at mu = 502. Relative to 1e-12
+    # away from the kernel's zeros. Near a zero, the kernel's error is some x
+    # ulps of the local amplitude, here min(1, Landau's envelope): points
+    # closer to a zero than 4e-4 x of that amplitude are held to 1e-14 x of it
+    # instead.
     x_end = _k_grid(1000)[-1]
     orders = [-0.5, 0.0, 0.5, 1.0, 2.5, 10.0, 49.5, 100.5, 150.0, 151.0, 200.0, 250.5, 300.0]
     orders += [340.0, 346.0, 359.0, 380.5, 400.0, 450.0, 499.0, 500.0, 501.0, 502.0]
     with mpmath.workdps(30):
         for mu in orders:
-            split = 2.0 * math.sqrt(mu + 1.0)
+            split = _series_end(mu)
             x = np.linspace(0.0, x_end, 61)
-            x = np.r_[x, split * (1.0 + np.geomspace(1e-5, 1.5, 30)), _series_end(mu)]
+            x = np.r_[x, split * (1.0 + np.geomspace(1e-5, 1.5, 30)), split]
             for xi, via_array in zip(x, bessel_lambda(mu, x)):
                 xi = float(xi)
                 ref = float(mpmath.hyp0f1(mu + 1, -mpmath.mpf(xi) ** 2 / 4))
@@ -245,13 +247,34 @@ def test_bessel_lambda_matches_hyp0f1():
 
 
 def test_bessel_lambda_order_capped():
-    # past order 502 the series' cancellation at its end outgrows 1e-12; 502 is
-    # nu + 2 at the largest dimension, so the two caps cannot drift apart
+    # 502 is nu + 2 at the largest dimension, the highest order any caller
+    # reads, so the two caps cannot drift apart
     assert _LAMBDA_MU_MAX == MAX_CLOSED_FORM_D / 2 + 2
     assert bessel_lambda(502.0, 98.0) > 0.0
     for mu in (502.5, 1000.0):
         with pytest.raises(ValueError, match=r"kernel order out of supported range \[-0.5, 502\]"):
             bessel_lambda(mu, 1.0)
+
+
+@pytest.mark.parametrize("mu", [73.3, 250.77, 0.25, -0.25, 1.0 + 1e-12])
+def test_orders_off_the_half_integer_ladder_rejected(mu):
+    # the recurrence is normalized on integer and half-integer orders only (the
+    # orders d/2 + j the package reads); any other order is refused, not
+    # computed, and the message names it
+    for x in (1.0, 60.0, np.array([1.0, 60.0])):
+        with pytest.raises(ValueError, match=rf"kernel order .* integers and half-integers: {mu}$"):
+            bessel_lambda(mu, x)
+    if mu >= 0.5:
+        with pytest.raises(ValueError, match=rf"first_zero order .* integers and half-integers: {mu}$"):
+            first_zero(mu)
+
+
+def test_bessel_lambda_argument_capped():
+    # a recurrence sweep costs about x steps, so x is capped at LAMBDA_X_MAX
+    assert bessel_lambda(3.0, LAMBDA_X_MAX) == bessel_lambda(3.0, np.array([LAMBDA_X_MAX]))[0]
+    for arg in (np.nextafter(LAMBDA_X_MAX, np.inf), np.array([1.0, 2.0 * LAMBDA_X_MAX])):
+        with pytest.raises(ValueError, match=r"nonnegative, at most 10000"):
+            bessel_lambda(3.0, arg)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1e-300, -2.0])
