@@ -8,7 +8,7 @@ identity at the numeric optimum, where it reproduces phi* (bitwise at d = 200,
 500 and 1000), and at the asymptotic sigma* with the linearized k_min, the
 quoted phi_star_from_linearized_kmin prediction. Delta_nu, that density and
 the exact slope ratio read bessel_lambda and the m the optimizer solves with
-(optimizer._tangency_terms), so this module imports no scipy.
+(optimizer._tangency_terms).
 
 Two precision tiers for the Bessel-derivative constant C1 coexist on
 purpose. The dominant-term estimate (C1 = -1.104938082) is what the quoted

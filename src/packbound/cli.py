@@ -13,9 +13,7 @@ during computation. Output paths are checked before any work starts, and
 computing a row is the library's: the row becomes an error row, stderr names
 it and the exit code is 3, whether the rows come from a process pool or one
 after another. Importing this module loads numpy only: each handler imports
-the library modules it runs, and the Bessel kernel they read is numpy-only.
-So every command runs without scipy except ``classical``, which loads
-scipy.special for ``zeta``.
+the library modules it runs.
 """
 
 from __future__ import annotations
@@ -265,7 +263,7 @@ def cmd_yamada(args) -> tuple[str, int]:
 
 
 def cmd_matern(args) -> tuple[str, int]:
-    from .matern import MaternConfig, simulate  # loads no scipy
+    from .matern import MaternConfig, simulate
 
     config = MaternConfig(
         d=args.d, L=args.L, T=args.T, kappa=args.kappa, seed=args.seed, bins=args.bins

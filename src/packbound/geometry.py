@@ -14,8 +14,7 @@ The incomplete beta is in-house (_betainc): the continued fraction of DLMF
 8.17.22, summed from its tail up, with the prefactor x^a (1-x)^b / B(a, b)
 formed in log space (_log_beta). For the shapes that alpha2 and the number
 variance read, a = (d+1)/2 with b = 1/2 or b = a, it holds 50-digit mpmath
-to 5e-13 relative over d = 1..1000. So this module, and with it every
-command that needs no Bessel function, loads no scipy.
+to 5e-13 relative over d = 1..1000.
 """
 
 from __future__ import annotations

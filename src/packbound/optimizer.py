@@ -60,7 +60,7 @@ import numpy as np
 
 from .models import hyperuniform_Z, structure_factor_gap
 from .rootfind import brentq
-from .specialfn import _lambda_pair, bessel_lambda, log_lambda_envelope
+from .specialfn import _lambda_pair, bessel_lambda, log_lambda_envelope, zeta
 
 __all__ = [
     "TerminalDensityRecord",
@@ -431,10 +431,8 @@ def terminal_record(kind: str, d: int) -> TerminalDensityRecord:
 
 def classical_bounds(d: int) -> ClassicalBounds:
     """Reference lower bounds (and the KL upper-style exponent) at dimension d."""
-    from scipy.special import zeta
-
     d = check_dimension("classical", d)
-    zd = float(zeta(d))
+    zd = zeta(d)
     return ClassicalBounds(
         d=d,
         minkowski=zd / 2.0 ** (d - 1),

@@ -1,11 +1,10 @@
 """Scalar root bracketing by Brent's method (zeroin).
 
-The library needs one scalar root finder, and loading scipy.optimize for it
-would also load scipy.linalg and scipy.sparse on every start-up. ``brentq``
-below follows scipy's C ``brentq`` (Brent 1973, *Algorithms for Minimization
-without Derivatives*, ch. 4) step for step, with its defaults, stopping rule
-xtol + rtol*|x|, error types and messages, so every iterate and every root is
-the same double scipy would return.
+The library needs one scalar root finder, and scipy is not a runtime
+dependency. ``brentq`` below follows scipy's C ``brentq`` (Brent 1973,
+*Algorithms for Minimization without Derivatives*, ch. 4) step for step, with
+its defaults, stopping rule xtol + rtol*|x|, error types and messages, so
+every iterate and every root is the same double scipy would return.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ alpha2'(x) = -c(d) (1-x^2)^((d-1)/2) and a = (d+1)/2 gives the closed form
     J(X) = X^d alpha2(X) + (c(d)/2) B(a, a) I_{X^2}(a, a),
 
 used as written for X >= 1/2, with B(a, a) and I_{X^2}(a, a) from geometry's
-in-house incomplete beta (no scipy). Below 1/2, X^d underflows at large d, so
+in-house incomplete beta. Below 1/2, X^d underflows at large d, so
 X^d is factored out of the incomplete beta's front factor (DLMF 8.17.8):
 
     J(X) = X^d [alpha2(X) + c(d)/(d+1) X (1-X^2)^a K(X^2)],

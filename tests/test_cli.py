@@ -467,7 +467,7 @@ def test_matern_box_volume_overflow_rejected_before_allocation(capsys, monkeypat
 
 @pytest.mark.parametrize("d", ["1001", "5000", "20000"])
 def test_asymptotics_dimension_capped_up_front(capsys, d):
-    # past the cap the report overflows, or scipy fails on the Bessel order
+    # past the cap the report overflows, or the kernel rejects the Bessel order
     assert main(["asymptotics", "--d", d, "--skip-numeric"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -607,11 +607,11 @@ print(json.dumps(steps))
 """
 
 
-def _loaded_after(*commands):
+def _loaded_after(*commands, env=None):
     """[exit code, loaded scipy, packbound and pool modules] after importing
     packbound.cli (code 0) and after each command, in one fresh process."""
     res = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, json.dumps(commands)],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout)
 
@@ -622,12 +622,11 @@ def test_commands_import_only_what_they_run():
     # closed-form step and delta models loads no scipy either, in a process of
     # its own so that no earlier command has loaded it; the gap model's table,
     # yamada and sk, and asymptotics with its numeric optimum, read the
-    # numpy-only kernel and load no scipy module at all; classical, through
-    # zeta, is the one command that loads scipy.special; table and yamada
-    # never load the simulator; no command loads the heavier scipy modules or
-    # a thread pool, and the process pool comes only with table --threads N > 1
-    heavy = {"scipy.optimize", "scipy.spatial", "scipy.linalg", "scipy.sparse", "scipy.integrate",
-             "concurrent.futures.process", "concurrent.futures.thread", "multiprocessing"}
+    # numpy-only kernel, and classical its in-house zeta: no command loads any
+    # scipy module; table and yamada never load the simulator; no command
+    # loads a thread pool, and the process pool comes only with
+    # table --threads N > 1
+    pools = {"concurrent.futures.process", "concurrent.futures.thread", "multiprocessing"}
     matern = _loaded_after(["matern", "--d", "1", "--L", "50", "--T", "1"],
                            ["matern", "--d", "2", "--L", "20", "--T", "2", "--kappa", "0"])
     closed = _loaded_after(["yamada", "--model", "delta", "--d", "24"],
@@ -640,21 +639,51 @@ def test_commands_import_only_what_they_run():
     assert [code for code, _ in matern + closed + gap + classical] == [0] * 13
     for _, mods in matern:
         assert not {"packbound.optimizer", "packbound.specialfn"} & set(mods)
-    for _, mods in matern + closed + gap + classical[:1]:
-        assert not [m for m in mods if m.startswith("scipy")]
-    assert "scipy.special" in classical[-1][1]
     for _, mods in matern + closed + gap + classical:
-        assert not heavy & set(mods)
+        assert not [m for m in mods if m.startswith("scipy")]
+        assert not pools & set(mods)
     assert "packbound.matern" not in closed[-1][1] + gap[-1][1]
 
 
-def test_asymptotics_imports_no_scipy():
-    # its Bessel values come from the numpy-only kernel, and its Airy zero is
-    # a literal
-    script = "import sys, packbound.asymptotics; print([m for m in sys.modules if m.startswith('scipy')])"
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+_NO_SCIPY = """
+import sys
+
+
+class _NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+
+
+sys.meta_path.insert(0, _NoScipy())
+"""
+
+
+def test_every_command_runs_where_scipy_cannot_be_imported(tmp_path):
+    # numpy is the only runtime dependency: a sitecustomize on PYTHONPATH
+    # makes any scipy import raise in the CLI's process and in the workers of
+    # table --threads 2, and every subcommand still exits 0
+    (tmp_path / "sitecustomize.py").write_text(_NO_SCIPY)
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(tmp_path), src, os.environ.get("PYTHONPATH")) if p)}
+    probe = subprocess.run([sys.executable, "-c", "import scipy.special"],
+                           capture_output=True, text=True, env=env)
+    assert "ImportError: scipy is blocked: scipy" in probe.stderr
+    steps = _loaded_after(["table", "--model", "step", "--dims", "1..6"],
+                          ["table", "--model", "delta", "--dims", "1..6"],
+                          ["table", "--model", "gap", "--dims", "3"],
+                          ["table", "--model", "gap", "--dims", "2..5", "--threads", "2"],
+                          ["sk", "--model", "gap", "--d", "3", "--phi", "0.1", "--sigma", "1.2", "--Z", "1"],
+                          ["asymptotics", "--d", "24"],
+                          ["yamada", "--model", "step", "--d", "3"],
+                          ["yamada", "--model", "delta", "--d", "24"],
+                          ["yamada", "--model", "gap", "--d", "3"],
+                          ["matern", "--d", "2", "--L", "20", "--T", "2", "--kappa", "0"],
+                          ["matern", "--d", "1", "--L", "50", "--T", "1", "--kappa", "1"],
+                          ["classical", "--dims", "2..64", "--terminal"], env=env)
+    assert [code for code, _ in steps] == [0] * 13
+    assert "packbound.asymptotics" in steps[-1][1]
 
 
 _THREADS_SCRIPT = """
@@ -699,8 +728,8 @@ def _run_threads_script(blas_threads):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
 def test_cli_process_runs_one_thread_outside_its_pools():
-    # the CLI sets OPENBLAS_NUM_THREADS=1 before numpy loads, so neither
-    # numpy's nor scipy's OpenBLAS starts a worker thread
+    # the CLI sets OPENBLAS_NUM_THREADS=1 before numpy loads, so numpy's
+    # OpenBLAS starts no worker thread
     got = _run_threads_script(None)
     assert got == {
         "import": 1,

@@ -226,6 +226,21 @@ def test_d2_kink_switches_binding_tangency():
     assert terminal_gap(2).k_min == pytest.approx(3.32978, abs=1e-5)
 
 
+@pytest.mark.parametrize("d", [3, 24, 300])
+def test_phi_has_one_maximum_over_the_step_edge(d):
+    # log phi(sigma) = log t - d log(2 sigma) on 23 interior points of the
+    # outer search range [1, 1 + 4/d] rises to one interior maximum and
+    # falls, and no point beats phi*: the stationary point the outer root
+    # finds is the maximum
+    sigmas = np.linspace(1.0, 1.0 + 4.0 / d, 25)[1:-1]
+    log_phi = np.array([math.log(gap_feasible_t(d, s)[0]) - d * math.log(2.0 * s) for s in sigmas])
+    rises = np.diff(log_phi) > 0
+    peak = int(np.argmax(log_phi))
+    assert 0 < peak < sigmas.size - 1
+    assert rises[:peak].all() and not rises[peak:].any()
+    assert log_phi[peak] <= math.log(terminal_gap(d).phi_star)
+
+
 def test_gap_tangency_requires_sign_change(monkeypatch):
     import packbound.optimizer as opt
 

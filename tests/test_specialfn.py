@@ -17,6 +17,7 @@ from packbound.specialfn import (
     bessel_lambda,
     first_zero,
     log_lambda_envelope,
+    zeta,
 )
 
 from oracle_routes import bessel_j_half, watson_j, zero_asymptotic
@@ -282,6 +283,15 @@ def test_bessel_lambda_scalar_domain_errors(x):
     for arg in (x, np.float64(x), np.array([x])):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             bessel_lambda(2.0, arg)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 10, 53, 54, 1000])
+def test_zeta_against_mpmath(d):
+    # d = 2 is the worst of 2..1000 (6.9e-16); from d = 54 on, 2^-d is below
+    # half an ulp of 1 and only the n = 1 term is left
+    with mpmath.workdps(40):
+        ref = mpmath.zeta(d)
+        assert abs((mpmath.mpf(zeta(d)) - ref) / ref) <= 1e-15
 
 
 def test_sphere_volume_surface():
