@@ -152,7 +152,9 @@ def make_curve(
     interior = np.flatnonzero((S[1:-1] < S[:-2]) & (S[1:-1] < S[2:])) + 1
     extra = [np.linspace(k[i - 1], k[i + 1], 26) for i in interior]
     if extra:
-        k = np.unique(np.concatenate([k] + extra))
+        # sorted, exact repeats dropped (np.unique would load numpy.ma)
+        k = np.sort(np.concatenate([k] + extra))
+        k = k[np.concatenate(([True], k[1:] != k[:-1]))]
         S = structure_factor(model, density, k)
     tail = S[k > 0.9 * k_max]
     if tail.size and np.max(np.abs(tail - 1.0)) > 0.05:

@@ -21,11 +21,12 @@ Landau's envelope B_mu of |L_mu| (_tail_cut). Below the cut it holds on the
 scan grid: where m <= 0, S = u - t m >= u >= 0 since |L| <= 1, and where
 m > 0, S = m (u/m - t) with t the smallest refined u/m. From the cut on it
 holds for every k, as S = 1 - t L_nu(k sigma) + (t - 1) L_{nu-1}(k) > 0 once
-that envelope sum is below 1. So the scan runs up the grid and stops at the
-first point at or past the cut that no open m > 0 window holds, recomputing
-the cut each time t falls: a window that opened below the cut is refined in
-full, and one that would open at or past it is never evaluated. At sigma*
-the cut must lie inside the grid, or S >= 0 is unproved past the grid end.
+that envelope sum is below 1. So the scan reads m on the whole grid, refines
+its m > 0 windows in order and stops at the first one that opens at or past
+the cut, recomputing the cut each time t falls: a window that opened below
+the cut is refined in full, and one that opens at or past it is never
+refined. At sigma* the cut must lie inside the grid, or S >= 0 is unproved
+past the grid end.
 The outer maximization of phi(sigma) = t(sigma)/(2 sigma)^d is one Brent
 root of the envelope derivative d(log t)/d(sigma) - d/sigma over the whole
 step-edge range [1, 1 + 4/d], one memoized scan per step edge; both roots
@@ -214,16 +215,16 @@ def _k_grid(d: int) -> np.ndarray:
     fewer than 750, so its spacing is at most pi/15.9. Brent refines every
     bracket to 1e-12, so the grid only has to separate roots, not resolve them.
     An m > 0 window that gap_feasible_t skips (under 5 points) is shorter than
-    5 spacings, about pi/3. gap_feasible_t reads the grid only up to the
-    window that closes at or past the Landau tail cut (_tail_cut), so the grid
-    end bounds the scan only while t is infinite. At the optima of d = 2..1000
-    the cut lies at kk[cut] = 11.2 (d = 5) to 518.6 (d = 1000), at most 0.844
-    of the grid end (d = 2), against grid ends of 43.0 (d = 2) to 625.2
-    (d = 1000), and k_min stays below 0.83 of the grid end (514.5 at
-    d = 1000). The scans at those optima meet no short window: the grid holds
-    three, at d = 5, 22 and 23, each cut off by the grid end, where u/m
-    exceeds 600 t, and each past the cut. The tests check S >= 0 at each
-    tabulated optimum at 512/pi points per unit up to the grid end.
+    5 spacings, about pi/3. gap_feasible_t reads m on the whole grid but
+    refines only the windows that open below the Landau tail cut (_tail_cut),
+    so the grid end bounds the refinement only while t is infinite. At the
+    optima of d = 2..1000 the cut lies at kk[cut] = 11.2 (d = 5) to 518.6
+    (d = 1000), at most 0.844 of the grid end (d = 2), against grid ends of
+    43.0 (d = 2) to 625.2 (d = 1000), and k_min stays below 0.83 of the grid
+    end (514.5 at d = 1000). The scans at those optima meet no short window:
+    the grid holds three, at d = 5, 22 and 23, each cut off by the grid end,
+    where u/m exceeds 600 t, and each past the cut. The tests check S >= 0 at
+    each tabulated optimum at 512/pi points per unit up to the grid end.
     """
     nu = 0.5 * d
     k_hi = nu + 12.0 * max(nu, 1.0) ** (1.0 / 3.0) + 30.0
@@ -280,27 +281,18 @@ def gap_feasible_t(d: int, sigma: float):
     binding k of 0 means the quadratic cap is the active constraint. The slope
     d(log t)/d(sigma) is that of the binding constraint (envelope theorem).
 
-    The scan evaluates m up to the tail cut (_tail_cut at the quadratic cap) in
-    one kernel call, since a recurrence sweep costs about the same for any
-    number of points, and on to the grid end in one more call if an m > 0
-    window is open at the cut. It refines each window below the cut and stops
-    at the first grid point at or past the cut (_tail_cut at the best t so
-    far) that no open window holds: a window that opened below the cut is
-    finished, and one that would open at or past it holds no u/m below t.
+    The scan reads m on the whole grid in one kernel call, since a recurrence
+    sweep costs about the same for any number of points. It refines the m > 0
+    windows in order and stops at the first one that opens at or past the tail
+    cut (_tail_cut at the best t so far): a window that opened below the cut
+    is finished, and one that opens at or past it holds no u/m below t.
     """
     nu = 0.5 * d
     t_quad = math.inf
     if d * sigma * sigma < d + 2.0:
         t_quad = (d + 2.0) / ((d + 2.0) - d * sigma * sigma)
     kk, lam_nm1_k = _sigma_free_kernels(d)
-    n = kk.size
-    m = np.empty(n)
-    done = 0  # m[:done] is evaluated
-
-    def evaluate_to(stop):
-        nonlocal done
-        m[done:stop] = bessel_lambda(nu, kk[done:stop] * sigma) - lam_nm1_k[done:stop]
-        done = stop
+    m = bessel_lambda(nu, kk * sigma) - lam_nm1_k
 
     # Brent re-reads the checked bracket ends and returns a point it evaluated
     terms = functools.lru_cache(maxsize=None)(functools.partial(_tangency_terms, d, sigma))
@@ -311,22 +303,11 @@ def gap_feasible_t(d: int, sigma: float):
 
     best_t, best_k = t_quad, 0.0
     cut = _tail_cut(d, sigma, best_t, kk)
-    evaluate_to(cut)
-    i = 0
-    while i < cut:
-        pos = np.flatnonzero(m[i:done] > 0.0)
-        if not pos.size:
-            break
-        a = i + int(pos[0])
+    # the m > 0 windows [a, e) of the grid, from the edges of its sign pattern
+    edges = np.flatnonzero(np.diff(m > 0.0, prepend=False, append=False))
+    for a, e in edges.reshape(-1, 2).tolist():
         if a >= cut:
             break
-        # the window [a, e) opened below the cut: read on to its close
-        closed = np.flatnonzero(m[a:done] <= 0.0)
-        if not closed.size and done < n:
-            evaluate_to(n)
-            closed = np.flatnonzero(m[a:done] <= 0.0)
-        e = a + int(closed[0]) if closed.size else n
-        i = e
         if e - a < 5:
             continue
         ratio = (1.0 - lam_nm1_k[a:e]) / m[a:e]

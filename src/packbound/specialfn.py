@@ -227,13 +227,11 @@ def _miller_array(mu: float, x: np.ndarray) -> np.ndarray:
     """
     base, j_mu = _ladder(mu)
     start = _start_index(base, mu, x).astype(int)
-    starts = {int(j): np.flatnonzero(start == j) for j in np.unique(start)}
     f, g, acc, t = (np.zeros_like(x) for _ in range(4))
     scale = np.zeros(x.shape, dtype=int)
     even = base == 0.0
     for top in range(int(start.max()), 0, -_RESCALE_EVERY):
-        if top in starts:
-            f[starts[top]] = 1.0
+        f[start == top] = 1.0
         if np.abs(f).max() > _RESCALE_AT:
             big = np.abs(f) > _RESCALE_AT
             f[big] *= _RESCALE_BY

@@ -220,7 +220,9 @@ def _r_grid(d: int, phi: float, R0: float, R_max: float, n_grid: int) -> np.ndar
         if r > R_max:
             break
         extras.append(r)
-    return np.unique(np.concatenate([grid, np.asarray(extras)]))
+    # sorted, exact repeats dropped (np.unique would load numpy.ma)
+    radii = np.sort(np.concatenate([grid, np.asarray(extras)]))
+    return radii[np.concatenate(([True], radii[1:] != radii[:-1]))]
 
 
 def yamada_check(

@@ -596,8 +596,8 @@ import contextlib, io, json, sys
 import packbound.cli as cli
 
 def loaded():
-    return [m for m in sys.modules if m.startswith(("scipy", "packbound.", "concurrent.futures.",
-                                                     "multiprocessing"))]
+    return [m for m in sys.modules if m == "numpy.ma" or m.startswith((
+        "scipy", "packbound.", "concurrent.futures.", "multiprocessing"))]
 
 steps = [[0, loaded()]]
 with contextlib.redirect_stdout(io.StringIO()):
@@ -608,7 +608,7 @@ print(json.dumps(steps))
 
 
 def _loaded_after(*commands, env=None):
-    """[exit code, loaded scipy, packbound and pool modules] after importing
+    """[exit code, loaded scipy, numpy.ma, packbound and pool modules] after importing
     packbound.cli (code 0) and after each command, in one fresh process."""
     res = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, json.dumps(commands)],
                          capture_output=True, text=True, env=env)
@@ -624,8 +624,8 @@ def test_commands_import_only_what_they_run():
     # yamada and sk, and asymptotics with its numeric optimum, read the
     # numpy-only kernel, and classical its in-house zeta: no command loads any
     # scipy module; table and yamada never load the simulator; no command
-    # loads a thread pool, and the process pool comes only with
-    # table --threads N > 1
+    # loads a thread pool or numpy's masked arrays (numpy.ma), and the process
+    # pool comes only with table --threads N > 1
     pools = {"concurrent.futures.process", "concurrent.futures.thread", "multiprocessing"}
     matern = _loaded_after(["matern", "--d", "1", "--L", "50", "--T", "1"],
                            ["matern", "--d", "2", "--L", "20", "--T", "2", "--kappa", "0"])
@@ -641,7 +641,7 @@ def test_commands_import_only_what_they_run():
         assert not {"packbound.optimizer", "packbound.specialfn"} & set(mods)
     for _, mods in matern + closed + gap + classical:
         assert not [m for m in mods if m.startswith("scipy")]
-        assert not pools & set(mods)
+        assert not (pools | {"numpy.ma"}) & set(mods)
     assert "packbound.matern" not in closed[-1][1] + gap[-1][1]
 
 

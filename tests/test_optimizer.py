@@ -333,8 +333,6 @@ def test_scan_stops_after_window_through_tail_k(monkeypatch):
     kk, lam_nm1_k = opt._sigma_free_kernels(d)
     (t, k_bind, _), grid_x, point_x = _recorded_scan(monkeypatch, d, sigma)
 
-    # d sigma*^2 > d + 2, so the quadratic cap is infinite and so is its tail
-    # cut: m is read in one call over the whole grid
     assert d * sigma**2 > d + 2.0
     assert len(grid_x) == 1 and np.array_equal(grid_x[0], kk * sigma)
     # the m > 0 windows of the full grid, and the one that closes at or past the cut
@@ -350,12 +348,12 @@ def test_scan_stops_after_window_through_tail_k(monkeypatch):
     assert k_bind < kk[cut] and max(point_x) <= kk[close] * sigma
 
 
-def test_scan_reads_grid_to_tail_cut_then_to_end(monkeypatch):
+def test_scan_reads_whole_grid_once_with_window_open_at_tail_cut(monkeypatch):
     import packbound.optimizer as opt
 
-    # at d = 3, sigma = 1.1 the quadratic cap t_q is finite: the first read
-    # stops at its tail cut, and since an m > 0 window is open there, a second
-    # read runs on to the grid end
+    # at d = 3, sigma = 1.1 the quadratic cap t_q is finite and an m > 0
+    # window is open across its tail cut: m is still read in one call over
+    # the whole grid, and the cap binds
     d, sigma = 3, 1.1
     kk, lam_nm1_k = opt._sigma_free_kernels(d)
     t_quad = (d + 2.0) / ((d + 2.0) - d * sigma**2)
@@ -363,8 +361,7 @@ def test_scan_reads_grid_to_tail_cut_then_to_end(monkeypatch):
     m = bessel_lambda(0.5 * d, kk * sigma) - lam_nm1_k
     assert 0 < cut < kk.size and m[cut - 1] > 0.0 and m[cut] > 0.0
     (t, k_bind, _), grid_x, _ = _recorded_scan(monkeypatch, d, sigma)
-    assert [x.size for x in grid_x] == [cut, kk.size - cut]
-    assert np.array_equal(np.concatenate(grid_x), kk * sigma)
+    assert len(grid_x) == 1 and np.array_equal(grid_x[0], kk * sigma)
     assert (t, k_bind) == (t_quad, 0.0)
 
 

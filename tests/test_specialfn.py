@@ -171,11 +171,14 @@ def test_bessel_lambda_vectorized():
 )
 def test_bessel_lambda_scalar_matches_array_bitwise(mu):
     # both sides of the series end 2 sqrt(mu+1), and on past it; the array is
-    # read in one call, so each point also keeps the bits it has alone
+    # read in one call, so each point also keeps the bits it has alone, and
+    # again reversed, so that the points' start indices come out of order
     split = _series_end(mu)
     xs = [0.0, 1e-9, np.nextafter(split, 0.0), split, np.nextafter(split, np.inf)]
     xs += list(np.linspace(0.0, 3.0 * split + 20.0, 401))
-    for x, via_array in zip(xs, bessel_lambda(mu, np.array(xs))):
+    via_arrays = bessel_lambda(mu, np.array(xs))
+    assert np.array_equal(bessel_lambda(mu, np.array(xs[::-1]))[::-1], via_arrays)
+    for x, via_array in zip(xs, via_arrays):
         assert bessel_lambda(mu, np.array([x]))[0] == via_array, (mu, x)
         for scalar in (float(x), np.float64(x)):
             got = bessel_lambda(mu, scalar)
