@@ -171,9 +171,8 @@ def cmd_sk(args) -> tuple[str, int]:
     if phi > 0.0 and log_amplitude(d, phi, sigma) > math.log(sys.float_info.max):
         raise ValueError(f"(2 sigma)^d phi overflows at --d {d}, --phi {phi}, --sigma {sigma}")
     k_max = default_k_max(d) if args.kmax is None else args.kmax
-    # make_curve rejects a nonfinite --kmax; the kernel reads k sigma up to k_max sigma
-    if math.isfinite(k_max) and not math.isfinite(k_max * sigma):
-        raise ValueError(f"curve end k_max * --sigma overflows: {k_max} * {sigma}")
+    # make_curve rejects a nonfinite --kmax; the kernel reads k sigma up to
+    # k_max sigma, so one that overflows to inf fails the cap check too
     if math.isfinite(k_max) and k_max * sigma > LAMBDA_X_MAX:
         raise ValueError(
             f"curve end k_max * --sigma = {k_max * sigma:g} is past the kernel's cap {LAMBDA_X_MAX:g}"

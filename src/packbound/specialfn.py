@@ -9,8 +9,8 @@ and by the closed forms of J_{+-1/2} (DLMF 10.16.1) on half-integer ones.
 The array and the float routes share the series (_ascending_series), the
 normalization (_normalized) and the log-space step (_log_space), and make
 the same recurrence steps, so they agree bitwise. first_zero walks the
-kernel itself. (Closed half-integer forms, the Watson asymptotic form and
-the large-order zero expansion survive only as oracles in the tests.)
+kernel itself. (The large-order zero expansion survives only as an oracle
+in the tests.)
 Landau's bound |J_mu(x)| <= c x^(-1/3) gives a closed-form envelope of the
 normalized kernel's tail (log_lambda_envelope). zeta is Riemann's zeta at the
 integers, for Minkowski's bound. Ball volumes and surfaces live in geometry.

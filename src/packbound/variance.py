@@ -206,20 +206,24 @@ def fractional_count_bound(expected_count, rel_err: float = 0.0):
     return float(out) if c.ndim == 0 else out
 
 
+def _count_radius(d: int, phi: float, c: float) -> float:
+    """The window radius R whose expected count phi (2R)^d is c."""
+    return 0.5 * math.exp((math.log(c) - math.log(phi)) / d)
+
+
 def _r_grid(d: int, phi: float, R0: float, R_max: float, n_grid: int) -> np.ndarray:
     lo = R0 * (1.0 + 1e-6)
     grid = np.geomspace(lo, R_max, n_grid)
     # radii where the expected count is half-integer: theta exactly 1/2
     extras = []
-    j = 0
+    c = 0.5
     while len(extras) < 2 * n_grid:
-        r = 0.5 * math.exp((math.log(j + 0.5) - math.log(phi)) / d)
-        j += 1
-        if r <= lo:
-            continue
+        r = _count_radius(d, phi, c)
         if r > R_max:
             break
-        extras.append(r)
+        if r > lo:
+            extras.append(r)
+        c += 1.0
     # sorted, exact repeats dropped (np.unique would load numpy.ma)
     radii = np.sort(np.concatenate([grid, np.asarray(extras)]))
     return radii[np.concatenate(([True], radii[1:] != radii[:-1]))]
@@ -246,9 +250,9 @@ def yamada_check(
     if not 2 <= n_grid <= MAX_R_GRID:
         raise ValueError(f"need 2 <= grid points <= {MAX_R_GRID}, got {n_grid}")
     d, phi = density.d, density.phi
-    R0 = 0.5 * math.exp(-math.log(phi) / d)
+    R0 = _count_radius(d, phi, 1.0)
     if not R0 < R_max < math.inf:
-        raise ValueError(f"R_max={R_max} must be finite and exceed R0={R0:.6g}")
+        raise ValueError(f"R_max={R_max} must be finite and exceed R0={R0:.6g} at phi={phi}")
     rr = _r_grid(d, phi, R0, R_max, n_grid)
     sigma2, counts, bracket, contact = number_variance(model, density, rr, _parts=True)
     # the bracket's rounding error: _BRACKET_ULPS eps of its terms' summed

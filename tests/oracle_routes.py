@@ -1,15 +1,14 @@
 """Independent cross-check routes that the tests hold the library's formulas to.
 
-Quadrature and series for alpha2, closed half-integer Bessel forms, a
-quadrature S(k) for the closed models, and O(n^2) minimum-image references
-for the ghost and standard RSA rules. Also the reference formulas that only
-the tests evaluate: the center density, the pointwise g2 and small-k
-expansion of the models, the Watson form and large-order zero expansion of
-J_nu, large-d alpha2, the saturated ghost-process g2 and saturation time, the
-asymptotic and exact Bessel slope halves, the general minima scan of S
-for any (phi, sigma, Z), and the full-grid gap_feasible_t scan that the
-program's tail-cut scan must reproduce bit for bit. No command uses any of
-them.
+Quadrature and series for alpha2, a quadrature S(k) for the closed models,
+and O(n^2) minimum-image references for the ghost and standard RSA rules.
+Also the reference formulas that only the tests evaluate: the center
+density, the pointwise g2 and small-k expansion of the models, the
+large-order zero expansion of J_nu, large-d alpha2, the saturated
+ghost-process g2 and saturation time, the asymptotic and exact Bessel slope
+halves, the general minima scan of S for any (phi, sigma, Z), and the
+full-grid gap_feasible_t scan that the program's tail-cut scan must
+reproduce bit for bit. No command uses any of them.
 """
 
 from __future__ import annotations
@@ -115,24 +114,6 @@ def alpha2_asymptotic(d: int) -> float:
     return math.sqrt(6.0 / math.pi) * math.exp(0.5 * d * math.log(0.75)) / math.sqrt(d)
 
 
-def bessel_j_half(nu: float, x):
-    """Closed trigonometric forms of J_nu for nu in {1/2, 3/2, 5/2}."""
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
-        raise ValueError("closed half-integer forms need x > 0")
-    pref = np.sqrt(2.0 / (math.pi * xa))
-    s, c = np.sin(xa), np.cos(xa)
-    if nu == 0.5:
-        out = pref * s
-    elif nu == 1.5:
-        out = pref * (s / xa - c)
-    elif nu == 2.5:
-        out = pref * ((3.0 / xa**2 - 1.0) * s - 3.0 * c / xa)
-    else:
-        raise ValueError(f"no closed form wired up for nu={nu}")
-    return float(out) if xa.ndim == 0 else out
-
-
 def zero_asymptotic(nu: float, which: str = "x0") -> float:
     """Large-order expansion of the first zero of J_nu (x0), J_{nu+1} (y0), J_{nu-1} (z0).
 
@@ -155,19 +136,6 @@ def zero_asymptotic(nu: float, which: str = "x0") -> float:
     else:
         raise ValueError(f"which must be one of x0, y0, z0; got {which!r}")
     return base + s * (1.0 + A1 / (3.0 * t13 * t13) - A2 / (3.0 * nu * t13))
-
-
-def watson_j(nu: float, x: float) -> float:
-    """One-term Watson asymptotic A_nu(x) cos(omega_nu(x) - pi/4) for x > nu."""
-    nu, x = float(nu), float(x)
-    if not 0.0 <= nu < math.inf:
-        raise ValueError(f"Watson form needs a finite order nu >= 0, got {nu}")
-    if not math.isfinite(x) or x <= nu:
-        raise ValueError(f"Watson form needs x > nu (oscillatory region); got x={x}, nu={nu}")
-    w = math.sqrt(x * x - nu * nu)
-    amp = math.sqrt(2.0 / (math.pi * w))
-    phase = w - nu * math.acos(nu / x) if nu > 0.0 else w
-    return amp * math.cos(phase - 0.25 * math.pi)
 
 
 def center_density(density: PackingDensity) -> float:

@@ -17,7 +17,7 @@ from unittest import mock
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import packbound.cli as cli
@@ -26,7 +26,7 @@ import packbound.models as models
 import packbound.optimizer as opt
 from packbound.cli import _parse_dims, _worker_count, main
 from packbound.matern import MAX_ARRIVALS, MAX_BINS
-from packbound.models import PackingDensity, RadialModel, make_curve
+from packbound.models import MAX_CURVE_SAMPLES, PackingDensity, RadialModel, make_curve
 from packbound.optimizer import MAX_CLOSED_FORM_D, terminal_delta, terminal_gap
 from packbound.variance import MAX_R_GRID, yamada_check
 
@@ -158,13 +158,6 @@ def test_table_error_rows_annotated(capsys, monkeypatch):
     assert "error" in rows[1] and rows[1]["d"] == 4
 
 
-def test_threads_match_sequential(capsys):
-    code1, seq = run_main(capsys, ["table", "--dims", "2..5", "--model", "delta"])
-    code2, par = run_main(capsys, ["table", "--dims", "2..5", "--model", "delta", "--threads", "3"])
-    assert code1 == code2 == 0
-    assert seq == par
-
-
 def test_json_outputs_validate(capsys, schema):
     invocations = [
         ["table", "--dims", "2,3", "--model", "gap", "--format", "json"],
@@ -278,16 +271,6 @@ def test_sk_gap_curve_hyperuniform(capsys):
     assert float(first[1]) == pytest.approx(0.0, abs=1e-7)
     values = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert min(values) >= -1e-7
-
-def test_threads_match_sequential_on_bad_dimension(capsys):
-    code1 = main(["table", "--dims", "2,1001", "--model", "gap"])
-    seq = capsys.readouterr()
-    code2 = main(["table", "--dims", "2,1001", "--model", "gap", "--threads", "2"])
-    par = capsys.readouterr()
-    assert code1 == code2 == 2
-    assert seq.out == par.out == ""
-    assert seq.err == par.err
-    assert "1001" in seq.err
 
 
 @pytest.mark.parametrize(
@@ -802,6 +785,27 @@ def test_public_names_serve_a_command():
     assert not unreached, f"{len(unreached)} public names no command reaches: {unreached}"
 
 
+def test_every_oracle_is_read_by_a_test():
+    # a public function of tests/oracle_routes.py that no other test module
+    # imports and then reads checks nothing
+    tests = Path(__file__).parent
+    tree = ast.parse((tests / "oracle_routes.py").read_text())
+    oracles = {
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    read = set()
+    for path in tests.glob("*.py"):
+        if path.name == "oracle_routes.py":
+            continue
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        loaded = {n.id for n in nodes if isinstance(n, ast.Name)}
+        for node in nodes:
+            if isinstance(node, ast.ImportFrom) and node.module == "oracle_routes":
+                read.update(a.name for a in node.names if (a.asname or a.name) in loaded)
+    assert oracles <= read, f"oracles no test reads: {sorted(oracles - read)}"
+
+
 def test_delta_path_reads_no_kernel(capsys, monkeypatch):
     # the delta terminal is certified in closed form: with every bessel_lambda
     # replaced by a stub that raises, its commands print the same bytes
@@ -869,9 +873,9 @@ def test_table_failure_reported_on_stderr(capsys, monkeypatch, tmp_path, threads
          "phi overflows at --d 1000, --phi 0.5, --sigma 1.5"),
         # the amplitude is finite, but the curve end times sigma is not
         (["--model", "gap", "--d", "1", "--phi", "1e-10", "--sigma", "1e307"],
-         "k_max * --sigma overflows"),
+         "--sigma = inf is past the kernel's cap 10000"),
         (["--model", "gap", "--d", "3", "--phi", "1e-300", "--sigma", "1e10", "--kmax", "1e300"],
-         "k_max * --sigma overflows: 1e+300 * 10000000000.0"),
+         "--sigma = inf is past the kernel's cap 10000"),
         # finite, but past the kernel's argument cap, where a sweep would take 1e4+ steps
         (["--model", "gap", "--d", "3", "--phi", "0.1", "--sigma", "1.2", "--Z", "1", "--kmax", "9000"],
          "k_max * --sigma = 10800 is past the kernel's cap 10000"),
@@ -984,7 +988,10 @@ def _run_quiet(argv):
     """main(argv)'s stdout, stderr and exit code, captured without pytest fixtures."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects an argument
+            code = exc.code
     return out.getvalue(), err.getvalue(), code
 
 
@@ -993,8 +1000,11 @@ def _run_quiet(argv):
     model=st.sampled_from(["step", "delta"]),
     dims=st.lists(st.integers(-2, 1005), min_size=1, max_size=6),
 )
+@example(model="delta", dims=[2, 3, 4, 5])
+@example(model="gap", dims=[2, 1001])
 def test_pooled_table_matches_sequential(model, dims):
-    # out-of-range dims exit 2 before any row; the rest print the same rows
+    # out-of-range dims exit 2 before any row, with the same message on both
+    # paths; the rest print the same rows
     argv = ["table", "--model", model, "--dims=" + ",".join(map(str, dims))]
     assert _run_quiet(argv + ["--threads", "2"]) == _run_quiet(argv + ["--threads", "1"])
 
@@ -1026,3 +1036,74 @@ def test_failing_row_is_error_row_on_both_paths(model, dims, pick, exc):
     assert code == 3
     assert f"\n# error d={bad}: injected failure\n" in out
     assert f"numerical failure: d={bad}: injected failure\n" in err
+
+
+_NONFINITE = st.sampled_from(["nan", "inf", "-inf"])
+# any double, the edges of its range included
+_FLOATS = st.floats().map(repr) | _NONFINITE | st.sampled_from(["1e308", "-1e308", "5e-324"])
+# small, or past the arrival cap: a run near the cap takes seconds
+_ARRIVAL_SIDE = st.floats(max_value=1e3).map(repr) | st.sampled_from(["1e30", "1e308"])
+
+
+def _ints(cap=None):
+    """Any int; for a capped size, small ones and ones past the cap."""
+    values = st.integers()
+    if cap is not None:
+        values = st.integers(max_value=4096) | st.integers(min_value=cap + 1)
+    return values.map(str) | _NONFINITE
+
+
+# (a run with valid values, a flag set on it, the flag's values, the words an
+# error message may name the flag by)
+_FUZZ_FLAGS = [
+    (run.split(), flag, values, names)
+    for run, flags in (
+        ("table --model delta --dims 3", [("--threads", _ints(), ("threads",))]),
+        ("table --model step", [("--dims", _ints(), ("dims", "dimension"))]),
+        ("classical", [("--dims", _ints(), ("dims", "dimension"))]),
+        ("asymptotics --skip-numeric", [("--d", _ints(), ("d", "dimension"))]),
+        ("sk --model gap --d 3 --phi 0.1 --sigma 1.2 --Z 1", [
+            ("--d", _ints(), ("d",)),
+            ("--phi", _FLOATS, ("phi", "volume fraction")),
+            ("--sigma", _FLOATS, ("sigma",)),
+            ("--Z", _FLOATS, ("Z",)),
+            ("--kmax", _FLOATS, ("kmax", "k_max")),
+            ("--samples", _ints(MAX_CURVE_SAMPLES), ("samples",)),
+        ]),
+        ("yamada --model delta", [("--d", _ints(), ("d", "dimension"))]),
+        # gap at d = 3, whose optimum is computed once per process
+        ("yamada --model gap --d 3", [
+            ("--phi", _FLOATS, ("phi",)),
+            ("--sigma", _FLOATS, ("sigma",)),
+            ("--Z", _FLOATS, ("Z",)),
+            ("--Rmax", _FLOATS, ("Rmax", "R_max")),
+            ("--grid", _ints(MAX_R_GRID), ("grid",)),
+        ]),
+        ("matern --d 1 --L 20 --T 1", [
+            ("--d", _ints(), ("d",)),
+            ("--L", _ARRIVAL_SIDE, ("L", "box length")),
+            ("--T", _ARRIVAL_SIDE, ("T", "time horizon")),
+            ("--kappa", _ints(), ("kappa",)),
+            ("--bins", _ints(MAX_BINS), ("bins",)),
+            ("--seed", _ints(), ("seed",)),
+        ]),
+    )
+    for flag, values, names in flags
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_FUZZ_FLAGS).flatmap(lambda f: st.tuples(st.just(f), f[2])))
+def test_numeric_flags_fail_by_the_contract(case):
+    # any value of one numeric flag exits 0, 2 or 3 without a traceback, and
+    # an exit 2 names the flag on its error line
+    (argv, flag, _, names), value = case
+    argv = argv + [f"{flag}={value}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, err, code = _run_quiet(argv)
+    assert code in (0, 2, 3), (argv, code)
+    assert "Traceback" not in err, argv
+    if code == 2:
+        last = err.strip().splitlines()[-1]
+        assert any(re.search(rf"(?<!\w){re.escape(n)}(?!\w)", last) for n in names), (argv, last)

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import jv
 
 from packbound.geometry import log_sphere_volume, sphere_surface, sphere_volume
-from packbound.optimizer import MAX_CLOSED_FORM_D, _k_grid
+from packbound.optimizer import MAX_CLOSED_FORM_D, _k_grid, _tangency_terms
 from packbound.specialfn import (
     LAMBDA_X_MAX,
     LANDAU_C,
@@ -20,7 +19,7 @@ from packbound.specialfn import (
     zeta,
 )
 
-from oracle_routes import bessel_j_half, watson_j, zero_asymptotic
+from oracle_routes import zero_asymptotic
 
 mpmath.mp.dps = 30
 
@@ -31,51 +30,36 @@ FIRST_ZERO_350 = 363.2246603159874
 FIRST_ZERO_502 = 516.878751388572
 
 
-@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.5, 10.0, 100.5, 350.0])
-def test_bessel_j_against_mpmath(nu):
-    for x in [0.01, 0.9, 3.7, 25.0, 180.0, 2000.0]:
-        ref = float(mpmath.besselj(nu, x))
-        got = jv(nu, x)
-        if abs(ref) > 1e-280:
-            assert got == pytest.approx(ref, rel=1e-12, abs=1e-13)
-        else:
-            assert got == pytest.approx(ref, abs=1e-290)
-
-
-def test_bessel_j_pinned_values():
-    assert jv(0.5, math.pi) == pytest.approx(0.0, abs=1e-13)
-    assert jv(0.5, math.pi / 2) == pytest.approx(2.0 / math.pi, rel=1e-12)
-    # near-zero absolute accuracy at a first zero of large order
-    assert abs(jv(100, 108.8361659)) < 1e-10
-
-
-@pytest.mark.parametrize("nu", [0.5, 1.5])
-def test_half_integer_closed_forms(nu):
-    x = np.linspace(0.01, 100.0, 757)
-    prod = jv(nu, x)
-    closed = bessel_j_half(nu, x)
-    # relative where the function is not at a node, absolute at the nodes
-    assert np.allclose(prod, closed, rtol=1e-12, atol=1e-14)
-
-
-def test_half_integer_5_2():
-    # the 5/2 closed form loses digits to cancellation below x ~ 1, so only
-    # compare where it is itself good
-    x = np.linspace(1.0, 100.0, 400)
-    assert np.allclose(jv(2.5, x), bessel_j_half(2.5, x), rtol=1e-11, atol=1e-13)
-
-
 def test_derivative_identity():
-    # d/dx [J_nu(x)/x^nu] = -J_{nu+1}(x)/x^nu, checked by central differences
-    rng = np.random.default_rng(42)
-    for _ in range(100):
-        nu = rng.uniform(0.0, 12.0)
-        x = rng.uniform(0.5, 30.0)
-        h = 1e-6 * max(1.0, x)
-        f = lambda t: jv(nu, t) / t**nu
-        lhs = (f(x + h) - f(x - h)) / (2.0 * h)
-        rhs = -jv(nu + 1.0, x) / x**nu
-        assert lhs == pytest.approx(rhs, rel=1e-6, abs=1e-12 / x**nu)
+    # _tangency_terms takes u', m' and -dm/dsigma from
+    # L_mu'(x) = -x L_{mu+1}(x) / (2 (mu + 1)); they match central differences
+    # of its own u and m, in k and in sigma. Each k lies below the series ends
+    # of both kernel pairs (2 sqrt(nu) for the pair at k, 2 sqrt(nu + 2)/sigma
+    # for the pair at k sigma) or past both, so both _lambda_pair branches and
+    # both kernel routes run. The error, scaled by |slope| plus the
+    # differences' rounding 1e-9 (1 + |u| + |m|)/h, is at most 1.2e-5 here;
+    # 2 nu in place of 2 (nu + 1) makes it 2.5 in m' and 0.5 in -dm/dsigma
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 8, 24, 100, 301, 1000):
+        nu = 0.5 * d
+        k_end = _k_grid(d)[-1]
+        for i in range(12):
+            sigma = rng.uniform(1.0, 1.0 + 4.0 / d)
+            ends = (_series_end(nu), _series_end(nu + 1.0) / sigma)
+            k = rng.uniform(0.05, 1.0) * min(ends) if i % 2 else rng.uniform(max(ends), k_end)
+            u, m, up, mp, neg_m_sigma = _tangency_terms(d, sigma, k)
+            hk, hs = 1e-6 * max(1.0, k), 1e-7 * sigma
+            u_hi, m_hi, *_ = _tangency_terms(d, sigma, k + hk)
+            u_lo, m_lo, *_ = _tangency_terms(d, sigma, k - hk)
+            m_s_hi = _tangency_terms(d, sigma + hs, k)[1]
+            m_s_lo = _tangency_terms(d, sigma - hs, k)[1]
+            noise = 1e-9 * (1.0 + abs(u) + abs(m))
+            for slope, diff, h in (
+                (up, (u_hi - u_lo) / (2.0 * hk), hk),
+                (mp, (m_hi - m_lo) / (2.0 * hk), hk),
+                (neg_m_sigma, (m_s_lo - m_s_hi) / (2.0 * hs), hs),
+            ):
+                assert abs(diff - slope) <= 1e-4 * (abs(slope) + noise / h), (d, sigma, k)
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 2.5, 7.0, 40.0, 100.0, 350.0])
@@ -97,7 +81,7 @@ def test_zero_triple_ordering(nu):
     y0 = first_zero(nu + 1.0)
     assert z0 < x0 < y0
     for order, zero in ((nu - 1.0, z0), (nu, x0), (nu + 1.0, y0)):
-        assert abs(jv(order, zero)) < 1e-10
+        assert abs(mpmath.besselj(order, zero)) < 1e-10
 
 
 def test_zero_asymptotic_pinned():
@@ -125,20 +109,6 @@ def test_zero_errors():
         zero_asymptotic(5.0, "x0")
     with pytest.raises(ValueError):
         zero_asymptotic(100.0, "w0")
-
-
-def test_watson_bands():
-    # one-term Watson form: the phase error is O(nu^2/x) far from the turning
-    # point, so the bands below are ~3x the measured one-term residual
-    for nu, x, band in [(0.5, 10.0, 3.5e-2), (0.5, 50.0, 8e-3), (100.0, 200.0, 4e-3), (100.0, 400.0, 3e-4)]:
-        amp = math.sqrt(2.0 / (math.pi * math.sqrt(x * x - nu * nu)))
-        assert abs(watson_j(nu, x) - jv(nu, x)) < band * amp
-    # near the exact zero the phase is right even this close to the turning point
-    x0 = 108.8361659
-    amp = math.sqrt(2.0 / (math.pi * math.sqrt(x0 * x0 - 100.0**2)))
-    assert abs(watson_j(100.0, x0)) < 0.1 * amp
-    with pytest.raises(ValueError):
-        watson_j(10.0, 9.0)
 
 
 def test_bessel_lambda_against_mpmath():
@@ -217,7 +187,7 @@ def test_landau_envelope_bounds_kernel():
     # the bound is attained at order 0: c is the maximum of x^(1/3) J_0(x)
     j0_peak = 0.78366281850347
     assert math.exp(log_lambda_envelope(0.0, j0_peak)) == pytest.approx(
-        float(jv(0.0, j0_peak)), rel=1e-10
+        float(mpmath.besselj(0, j0_peak)), rel=1e-10
     )
     assert LANDAU_C == pytest.approx(0.785746870498513, rel=1e-10)
 
