@@ -17,7 +17,7 @@ from unittest import mock
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import packbound.cli as cli
@@ -158,6 +158,13 @@ def test_table_error_rows_annotated(capsys, monkeypatch):
     assert "error" in rows[1] and rows[1]["d"] == 4
 
 
+def test_threads_match_sequential(capsys):
+    code1, seq = run_main(capsys, ["table", "--dims", "2..5", "--model", "delta"])
+    code2, par = run_main(capsys, ["table", "--dims", "2..5", "--model", "delta", "--threads", "3"])
+    assert code1 == code2 == 0
+    assert seq == par
+
+
 def test_json_outputs_validate(capsys, schema):
     invocations = [
         ["table", "--dims", "2,3", "--model", "gap", "--format", "json"],
@@ -271,6 +278,16 @@ def test_sk_gap_curve_hyperuniform(capsys):
     assert float(first[1]) == pytest.approx(0.0, abs=1e-7)
     values = [float(ln.split(",")[1]) for ln in lines[1:]]
     assert min(values) >= -1e-7
+
+def test_threads_match_sequential_on_bad_dimension(capsys):
+    code1 = main(["table", "--dims", "2,1001", "--model", "gap"])
+    seq = capsys.readouterr()
+    code2 = main(["table", "--dims", "2,1001", "--model", "gap", "--threads", "2"])
+    par = capsys.readouterr()
+    assert code1 == code2 == 2
+    assert seq.out == par.out == ""
+    assert seq.err == par.err
+    assert "1001" in seq.err
 
 
 @pytest.mark.parametrize(
@@ -1000,8 +1017,6 @@ def _run_quiet(argv):
     model=st.sampled_from(["step", "delta"]),
     dims=st.lists(st.integers(-2, 1005), min_size=1, max_size=6),
 )
-@example(model="delta", dims=[2, 3, 4, 5])
-@example(model="gap", dims=[2, 1001])
 def test_pooled_table_matches_sequential(model, dims):
     # out-of-range dims exit 2 before any row, with the same message on both
     # paths; the rest print the same rows
