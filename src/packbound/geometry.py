@@ -1,14 +1,13 @@
-"""Ball volumes and surfaces, and scaled intersection and union volumes of equal-ball pairs.
+"""Ball volumes and surfaces, and the scaled intersection volume of equal-ball pairs.
 
 Volumes and surfaces of d-balls go through log space with math.lgamma, so
 nothing overflows before d is well past 1000.
 
 alpha2(r; R) is the intersection volume of two radius-R balls with centers
 a distance r apart, divided by the volume of one ball, evaluated as a
-regularized incomplete beta function. (Quadrature and the odd-d-terminating
-series survive only as oracles in the tests.) beta2 = 2 - alpha2, the scaled
-union volume, is needed only at the simulator's dimensions d = 1, 2, 3 and
-there takes its closed forms.
+regularized incomplete beta function, at every d. (Quadrature, the
+odd-d-terminating series and the closed forms at d = 1, 2, 3 survive only as
+oracles in the tests.) The scaled union volume is 2 - alpha2.
 
 The incomplete beta is in-house (_betainc): the continued fraction of DLMF
 8.17.22, summed from its tail up, with the prefactor x^a (1-x)^b / B(a, b)
@@ -25,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "alpha2",
-    "beta2",
     "log_sphere_volume",
     "sphere_volume",
     "sphere_surface",
@@ -187,25 +185,3 @@ def alpha2(d: int, r, R: float = 1.0):
     out = _betainc(0.5 * (d + 1), 0.5, (1.0 - x) * (1.0 + x), x * x)
     return float(out[0]) if ra.ndim == 0 else out
 
-
-def beta2(d: int, r, R: float = 1.0):
-    """Scaled union volume beta2 = 2 - alpha2 at d = 1, 2, 3, in closed form.
-
-    With x = r/(2R) clipped to [0, 1], alpha2 is 1 - x at d = 1,
-    (2/pi)(acos x - x sqrt(1 - x^2)) at d = 2 and (1 - x)^2 (2 + x)/2 at
-    d = 3, so beta2 is exactly 1 at r = 0 and exactly 2 for r >= 2R.
-    Scalar or ndarray in r.
-    """
-    d = _check_dr(d, R)
-    if d > 3:
-        raise ValueError(f"beta2 is given for d = 1, 2, 3 only, got {d}")
-    ra = np.asarray(r, dtype=float)
-    x = np.clip(ra / (2.0 * R), 0.0, 1.0)
-    if d == 1:
-        a = 1.0 - x
-    elif d == 2:
-        a = 2.0 * (np.arccos(x) - x * np.sqrt((1.0 - x) * (1.0 + x))) / math.pi
-    else:
-        a = 0.5 * (1.0 - x) ** 2 * (2.0 + x)
-    out = 2.0 - a
-    return float(out) if ra.ndim == 0 else out

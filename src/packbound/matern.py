@@ -29,6 +29,10 @@ computation bit for bit. The arrival times are freed before acceptance
 starts and the positions before the pair histogram of the accepted centers
 is built, from the candidate pairs of a cell list of reach 3.
 
+The ghost process's pair correlation (`g2_matern`) is a function of the
+scaled union volume 2 - alpha2 of two unit balls (`geometry.alpha2`), read
+for all histogram bins in one call.
+
 Both rules use one contact rule: a center at distance <= 1 (minimum image)
 from an earlier blocking center is rejected, so exact contact counts as
 overlap. One distance rule (`_torus_sq`, computed as in the brute-force
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import beta2, sphere_surface, sphere_volume
+from .geometry import alpha2, sphere_surface, sphere_volume
 
 __all__ = [
     "MaternConfig",
@@ -95,9 +99,9 @@ class MaternConfig:
                 f"box length and time horizon must be finite, got L={self.L}, T={self.T}"
             )
         if self.L < 6.0:
-            raise ValueError(f"box length must be at least 6 diameters, got {self.L}")
+            raise ValueError(f"box length L must be at least 6 diameters, got {self.L}")
         if self.T <= 0.0:
-            raise ValueError(f"time horizon must be positive, got {self.T}")
+            raise ValueError(f"time horizon T must be positive, got {self.T}")
         # in logs, since L**d overflows for huge L
         if self.d * math.log(self.L) + math.log(self.T) > math.log(MAX_ARRIVALS):
             raise ValueError(
@@ -143,19 +147,23 @@ def phi_of_t(d: int, t: float) -> float:
     return -math.expm1(-sphere_volume(d, 1.0) * t) / 2.0**d
 
 
-def g2_matern(d: int, r: float, t: float) -> float:
-    """Pair correlation of the ghost process at finite time."""
-    if r < 0.0:
+def g2_matern(d: int, r, t: float):
+    """Pair correlation of the ghost process at finite time. Scalar or ndarray in r.
+
+    It is exactly 0 inside contact (r < 1) and exactly 1 from r = 2 on; in
+    between it reads the scaled union volume b = 2 - alpha2(r).
+    """
+    ra = np.asarray(r, dtype=float)
+    if not np.all(ra >= 0.0):
         raise ValueError(f"separation must be nonnegative, got {r}")
     if t <= 0.0:
         raise ValueError(f"time must be positive, got {t}")
-    if r < 1.0:
-        return 0.0
-    if r >= 2.0:
-        # the union volume is twice a sphere, the expression is exactly 1
-        return 1.0
+    rr = np.atleast_1d(ra)
+    # from r = 2 on the union volume is twice a sphere, the expression is exactly 1
+    out = (rr >= 2.0).astype(float)
+    mid = (rr >= 1.0) & (rr < 2.0)
     v = sphere_volume(d, 1.0)
-    b = beta2(d, r, 1.0)
+    b = 2.0 - alpha2(d, rr[mid], 1.0)
     x = v * t
     if x < 1e-3:
         # the direct form below cancels to about eps/x relative and its e1*e1
@@ -170,9 +178,11 @@ def g2_matern(d: int, r: float, t: float) -> float:
             num += h * term / (m + 2)
             term *= -x / (m + 2)
             h = 1.0 + b * h
-        return 2.0 * num / (den * den)
-    e1 = math.expm1(-v * t)
-    return 2.0 * (math.expm1(-v * b * t) - b * e1) / (b * (b - 1.0) * e1 * e1)
+        out[mid] = 2.0 * num / (den * den)
+    else:
+        e1 = math.expm1(-v * t)
+        out[mid] = 2.0 * (np.expm1(-v * b * t) - b * e1) / (b * (b - 1.0) * e1 * e1)
+    return float(out[0]) if ra.ndim == 0 else out
 
 
 def _arrival_times(rng: np.random.Generator, rate: float, T: float) -> np.ndarray:
@@ -534,7 +544,7 @@ def simulate(config: MaternConfig) -> MaternResult:
         g2_hat = np.where(norm > 0.0, counts / norm, 0.0)
         g2_err = np.where(norm > 0.0, np.sqrt(np.maximum(counts, 1)) / norm, 0.0)
     if config.kappa == 1:
-        g2_ref = np.array([g2_matern(d, m, T) for m in mids])
+        g2_ref = g2_matern(d, mids, T)
     else:
         g2_ref = np.full(len(mids), math.nan)
 

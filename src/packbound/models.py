@@ -30,7 +30,6 @@ __all__ = [
     "hyperuniform_Z",
     "log_amplitude",
     "structure_factor_gap",
-    "structure_factor",
     "default_k_max",
     "make_curve",
 ]
@@ -78,7 +77,7 @@ class PackingDensity:
         if self.d < 1 or self.d != int(self.d):
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
         if not (0.0 <= self.phi <= 1.0):
-            raise ValueError(f"volume fraction must lie in [0,1], got {self.phi}")
+            raise ValueError(f"volume fraction phi must lie in [0,1], got {self.phi}")
 
 
 def log_amplitude(d: int, phi: float, sigma: float) -> float:
@@ -118,11 +117,6 @@ def structure_factor_gap(d: int, phi: float, sigma: float, Z: float, k):
     return float(out) if np.asarray(k).ndim == 0 else out
 
 
-def structure_factor(model: RadialModel, density: PackingDensity, k):
-    """Closed-form S(k) for any of the three models."""
-    return structure_factor_gap(density.d, density.phi, model.sigma, model.Z, k)
-
-
 def default_k_max(d: int) -> float:
     """Grid end 2 (x0(nu) + 10 nu^(1/3) + 20): past the structure in S by a wide margin."""
     nu = 0.5 * d
@@ -148,14 +142,14 @@ def make_curve(
     elif not (math.isfinite(k_max) and k_max > 0.0):
         raise ValueError(f"curve end k_max must be finite and positive, got {k_max}")
     k = np.linspace(0.0, k_max, n)
-    S = structure_factor(model, density, k)
+    S = structure_factor_gap(density.d, density.phi, model.sigma, model.Z, k)
     interior = np.flatnonzero((S[1:-1] < S[:-2]) & (S[1:-1] < S[2:])) + 1
     extra = [np.linspace(k[i - 1], k[i + 1], 26) for i in interior]
     if extra:
         # sorted, exact repeats dropped (np.unique would load numpy.ma)
         k = np.sort(np.concatenate([k] + extra))
         k = k[np.concatenate(([True], k[1:] != k[:-1]))]
-        S = structure_factor(model, density, k)
+        S = structure_factor_gap(density.d, density.phi, model.sigma, model.Z, k)
     tail = S[k > 0.9 * k_max]
     if tail.size and np.max(np.abs(tail - 1.0)) > 0.05:
         warnings.warn("structure-factor tail has not settled to 1 on this grid", RuntimeWarning)

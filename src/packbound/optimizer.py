@@ -214,17 +214,14 @@ def _k_grid(d: int) -> np.ndarray:
     tangency at every supported d, at 16/pi points per unit of k and never
     fewer than 750, so its spacing is at most pi/15.9. Brent refines every
     bracket to 1e-12, so the grid only has to separate roots, not resolve them.
-    An m > 0 window that gap_feasible_t skips (under 5 points) is shorter than
-    5 spacings, about pi/3. gap_feasible_t reads m on the whole grid but
-    refines only the windows that open below the Landau tail cut (_tail_cut),
-    so the grid end bounds the refinement only while t is infinite. At the
-    optima of d = 2..1000 the cut lies at kk[cut] = 11.2 (d = 5) to 518.6
-    (d = 1000), at most 0.844 of the grid end (d = 2), against grid ends of
-    43.0 (d = 2) to 625.2 (d = 1000), and k_min stays below 0.83 of the grid
-    end (514.5 at d = 1000). The scans at those optima meet no short window:
-    the grid holds three, at d = 5, 22 and 23, each cut off by the grid end,
-    where u/m exceeds 600 t, and each past the cut. The tests check S >= 0 at
-    each tabulated optimum at 512/pi points per unit up to the grid end.
+    gap_feasible_t reads m on the whole grid but refines only the windows that
+    open below the Landau tail cut (_tail_cut), so the grid end bounds the
+    refinement only while t is infinite. At the optima of d = 2..1000 the cut
+    lies at kk[cut] = 11.2 (d = 5) to 518.6 (d = 1000), at most 0.844 of the
+    grid end (d = 2), against grid ends of 43.0 (d = 2) to 625.2 (d = 1000),
+    and k_min stays below 0.83 of the grid end (514.5 at d = 1000). The tests
+    check S >= 0 at each tabulated optimum at 512/pi points per unit up to the
+    grid end.
     """
     nu = 0.5 * d
     k_hi = nu + 12.0 * max(nu, 1.0) ** (1.0 / 3.0) + 30.0
@@ -308,8 +305,6 @@ def gap_feasible_t(d: int, sigma: float):
     for a, e in edges.reshape(-1, 2).tolist():
         if a >= cut:
             break
-        if e - a < 5:
-            continue
         ratio = (1.0 - lam_nm1_k[a:e]) / m[a:e]
         # discrete local minima of the ratio, interior to the window
         loc = np.flatnonzero(

@@ -253,22 +253,26 @@ def yamada_check(
     R0 = _count_radius(d, phi, 1.0)
     if not R0 < R_max < math.inf:
         raise ValueError(f"R_max={R_max} must be finite and exceed R0={R0:.6g} at phi={phi}")
+    if 2.0 * R_max == math.inf:
+        raise ValueError(f"window diameter 2 R_max overflows at R_max={R_max}")
     rr = _r_grid(d, phi, R0, R_max, n_grid)
     sigma2, counts, bracket, contact = number_variance(model, density, rr, _parts=True)
     # the bracket's rounding error: _BRACKET_ULPS eps of its terms' summed
     # magnitude 2 (1 + Z alpha2) - B, plus 2 d ln(2R) eps of it from
     # exponentiating log-space sums whose two parts are each about d ln(2R)
-    # (rows of infinite sigma^2 print no digits and hold every bound)
+    # (rows of infinite sigma^2 print no digits and hold every bound). The
+    # magnitude is formed halved, so a contact term near the float range does
+    # not overflow it, and doubled in err, which scales every bit exactly.
     f = np.isfinite(sigma2)
-    terms = 2.0 * (1.0 + contact) - bracket
-    err = np.finfo(float).eps * (_BRACKET_ULPS + 2.0 * d * np.log(2.0 * rr)) * terms
+    half_terms = (1.0 + contact) - 0.5 * bracket
+    err = 2.0 * np.finfo(float).eps * (_BRACKET_ULPS + 2.0 * d * np.log(2.0 * rr)) * half_terms
     lost = np.flatnonzero(f & (err > _SIGMA2_RTOL * np.abs(bracket)))
     if lost.size:
         i = lost[0]
         raise RuntimeError(
             f"number variance {sigma2[i]:.3e} at R={rr[i]:.7g}, the first radius where it is "
             f"not known to {_SIGMA2_RTOL:.0e} relative: its bracket cancels to "
-            f"{abs(bracket[i] / terms[i]):.1e} of its terms"
+            f"{abs(0.5 * bracket[i] / half_terms[i]):.1e} of its terms"
         )
     bounds = fractional_count_bound(counts, phi_rel_err)
     violations = [float(r) for r in rr[sigma2 < bounds - 1e-10]]

@@ -21,7 +21,7 @@ from packbound.asymptotics import (
 )
 from packbound.geometry import alpha2
 from packbound.matern import MaternConfig, simulate
-from packbound.models import PackingDensity, RadialModel, structure_factor
+from packbound.models import PackingDensity, RadialModel, structure_factor_gap
 from packbound.optimizer import terminal_delta, terminal_step
 from packbound.specialfn import bessel_lambda, first_zero
 from packbound.variance import yamada_check
@@ -91,7 +91,7 @@ def test_acceptance_oracle_equivalence(d):
     ]
     ks = np.linspace(0.01, 4.0 * max(0.5 * d, 1.0), 200)
     for model, dens in cases:
-        closed = structure_factor(model, dens, ks)
+        closed = structure_factor_gap(d, dens.phi, model.sigma, model.Z, ks)
         numeric = np.array([structure_factor_numeric(model, dens, k) for k in ks])
         worst = float(np.max(np.abs(closed - numeric)))
         assert worst <= 1e-6, f"{model.kind} at d={d}: max |closed - numeric| = {worst:.2e}"
@@ -266,8 +266,7 @@ def test_acceptance_property_suites(table_records):
     # amplitude identity (2 sigma)^d phi = Z + 1 at all d
     for d in (3, 24):
         rec = table_records[d]
-        model = RadialModel(kind="gap", sigma=rec.sigma_star, Z=rec.Z_star)
-        S0 = float(structure_factor(model, PackingDensity(d, rec.phi_star), 0.0))
+        S0 = structure_factor_gap(d, rec.phi_star, rec.sigma_star, rec.Z_star, 0.0)
         assert abs(S0) <= 1e-9
     for d in TABLE_DIMS:
         rec = table_records[d]

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from packbound.geometry import (
-    _betainc, alpha2, beta2, log_sphere_volume, sphere_surface, sphere_volume,
+    _betainc, alpha2, log_sphere_volume, sphere_surface, sphere_volume,
 )
 
 from oracle_routes import alpha2_asymptotic, alpha2_integral, alpha2_series
@@ -20,10 +20,7 @@ def test_endpoints():
         assert alpha2_integral(d, 2.0, 1.0) == 0.0
         assert alpha2(d, 0.0, 1.0) == 1.0
         assert alpha2(d, 2.0, 1.0) == 0.0
-    for d in (1, 2, 3):
-        assert beta2(d, 0.0, 1.0) == 1.0
-        assert beta2(d, 2.0, 1.0) == 2.0
-        assert beta2(d, 5.0, 1.0) == 2.0
+        assert alpha2(d, 5.0, 1.0) == 0.0
     assert alpha2_series(5, 2.0, 1.0) == pytest.approx(0.0, abs=1e-13)
 
 
@@ -41,7 +38,8 @@ def test_d3_closed_polynomial():
 
 
 def test_beta2_d1_midpoint():
-    assert beta2(1, 1.0, 1.0) == pytest.approx(1.5, abs=1e-14)
+    # the scaled union volume 2 - alpha2
+    assert 2.0 - alpha2(1, 1.0, 1.0) == pytest.approx(1.5, abs=1e-14)
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -177,13 +175,11 @@ def test_domain_errors():
         alpha2(0, 1.0, 1.0)
     # the dimension is checked first
     with pytest.raises(ValueError, match="^dimension must be a positive integer, got 2.5$"):
-        beta2(2.5, 1.0, -1.0)
+        alpha2(2.5, 1.0, -1.0)
     with pytest.raises(ValueError, match="^sphere radius must be positive, got 0.0$"):
         alpha2(3, 1.0, 0.0)
-    with pytest.raises(ValueError, match="d = 1, 2, 3 only"):
-        beta2(4, 1.0, 1.0)
     with pytest.raises(ValueError, match="^sphere radius must be positive, got nan$"):
-        beta2(2, 1.0, math.nan)
+        alpha2(2, 1.0, math.nan)
     # a NaN distance is bad input, not a continued fraction that fails to converge
     with pytest.raises(ValueError, match="^center distance r must not be NaN$"):
         alpha2(2, np.array([0.5, math.nan]), 1.0)
@@ -191,20 +187,30 @@ def test_domain_errors():
         alpha2_series(3, 2.5, 1.0)
 
 
+# alpha2 at x = r/(2R) in [0, 1] in closed form, at the simulator's dimensions
+_ALPHA2_CLOSED = {
+    1: lambda x: 1.0 - x,
+    2: lambda x: 2.0 * (np.arccos(x) - x * np.sqrt((1.0 - x) * (1.0 + x))) / math.pi,
+    3: lambda x: 0.5 * (1.0 - x) ** 2 * (2.0 + x),
+}
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_beta2_closed_forms(d):
-    # against 2 - alpha2 and against I_{1-x^2}((d+1)/2, 1/2) at 50 digits, on
-    # r in [0, 2R], at the contact distance's neighbours and past 2R
+    # the scaled union volume 2 - alpha2 against its closed form, and the
+    # closed form against 2 - I_{1-x^2}((d+1)/2, 1/2) at 50 digits, on r in
+    # [0, 2R], at the contact distance's neighbours and past 2R
     for R in (0.5, 1.0, 3.0):
         r = 2.0 * R * np.concatenate(
             [np.linspace(0.0, 1.0, 401), [1e-12, 0.5 - 1e-9, 1.0 - 1e-12, 1.25]]
         )
-        got = beta2(d, r, R)
-        assert [beta2(d, float(v), R) for v in r] == got.tolist()
-        assert np.all(np.abs(got - (2.0 - alpha2(d, r, R))) <= 5e-16 * got)
+        got = 2.0 - alpha2(d, r, R)
+        assert [2.0 - alpha2(d, float(v), R) for v in r] == got.tolist()
+        closed = 2.0 - _ALPHA2_CLOSED[d](np.clip(r / (2.0 * R), 0.0, 1.0))
+        assert np.all(np.abs(got - closed) <= 5e-16 * got)
         a = mpmath.mpf(d + 1) / 2
         with mpmath.workdps(50):
-            for v, b in zip(r, got):
+            for v, b in zip(r, closed):
                 x = min(mpmath.mpf(float(v)) / (2 * mpmath.mpf(R)), 1)
                 ref = 2 - mpmath.betainc(a, 0.5, 0, 1 - x * x, regularized=True)
                 assert abs(b - ref) <= 3e-16 * ref, v

@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 from scipy.stats import chi2
 
 import packbound.matern as mt
-from packbound.geometry import alpha2, beta2, sphere_volume
+from packbound.geometry import alpha2, sphere_volume
 from packbound.matern import (
     MAX_ARRIVALS,
     MAX_BINS,
@@ -69,12 +69,23 @@ def test_g2_finite_time():
 @pytest.mark.parametrize("r", [1.0, 1.5, 1.99])
 def test_g2_small_time_against_mpmath(T, d, r):
     # the direct form cancels to eps/(vT) and underflows at T = 1e-300
-    b = mpmath.mpf(beta2(d, r, 1.0))
+    b = 2 - mpmath.mpf(alpha2(d, r, 1.0))
     with mpmath.workdps(450):
         x = mpmath.mpf(sphere_volume(d, 1.0)) * mpmath.mpf(T)
         e1 = mpmath.expm1(-x)
         ref = 2 * (mpmath.expm1(-b * x) - b * e1) / (b * (b - 1) * e1 * e1)
         assert abs(g2_matern(d, r, T) - ref) <= 1e-9 * ref
+
+
+def test_g2_array_matches_scalar():
+    # an ndarray r gives the scalar values bit for bit, exact 0 and 1 included,
+    # on both sides of the small-time switch and with no warning inside contact
+    r = np.concatenate([np.linspace(0.0, 3.0, 61), [0.999, 1.0 - 1e-15, 2.0 - 1e-15]])
+    for d in (1, 2, 3):
+        for T in (1e-9, 1e-3, 1.0, 100.0):
+            got = g2_matern(d, r, T)
+            assert got.tolist() == [g2_matern(d, float(v), T) for v in r]
+            assert np.all(got[r < 1.0] == 0.0) and np.all(got[r >= 2.0] == 1.0)
 
 
 def test_g2_limit():
